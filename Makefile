@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
 # under the race detector.
@@ -14,6 +14,15 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# strategy-guard is the cheapest check that a second strategy-name map has
+# not grown back beside internal/engine/strategy.go: outside bench/ and
+# tests, the literal "optmagic" may occur in exactly one Go file.
+strategy-guard:
+	@files=$$(grep -rl --include='*.go' '"optmagic"' . | grep -v -e '^\./bench/' -e '_test\.go$$'); \
+	if [ "$$files" != "./internal/engine/strategy.go" ]; then \
+		echo "strategy names declared outside the strategy table:"; echo "$$files"; exit 1; \
+	fi
 
 # bench regenerates every paper figure as a Go benchmark (shortened).
 bench:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"decorr"
+	"decorr/internal/engine"
 )
 
 func TestPublicAPISurface(t *testing.T) {
@@ -30,6 +31,26 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 	if stats.RowsScanned == 0 {
 		t.Error("stats not populated")
+	}
+}
+
+// Adding a strategy is one row in the engine's table plus one constant in
+// api.go; this fails when the second half is forgotten.
+func TestPublicStrategyReexports(t *testing.T) {
+	public := map[decorr.Strategy]bool{}
+	for _, s := range []decorr.Strategy{
+		decorr.NI, decorr.NIMemo, decorr.NIBatch, decorr.Kim, decorr.Dayal,
+		decorr.GanskiWong, decorr.Magic, decorr.OptMagic, decorr.Auto,
+	} {
+		public[s] = true
+	}
+	for _, s := range engine.Strategies {
+		if !public[s] {
+			t.Errorf("strategy %s (%q) has no decorr.* constant", s, s.Name())
+		}
+	}
+	if len(public) != len(engine.Strategies) {
+		t.Errorf("%d public strategy constants for %d declared strategies", len(public), len(engine.Strategies))
 	}
 }
 

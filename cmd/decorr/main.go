@@ -43,18 +43,12 @@ var namedQueries = map[string]string{
 	"q3":      decorr.Query3,
 }
 
-var strategies = map[string]decorr.Strategy{
-	"ni": decorr.NI, "nimemo": decorr.NIMemo, "nibatch": decorr.NIBatch,
-	"kim": decorr.Kim, "dayal": decorr.Dayal, "gw": decorr.GanskiWong,
-	"magic": decorr.Magic, "optmagic": decorr.OptMagic,
-}
-
 func main() {
 	fuzzMain()
 	dataset := flag.String("dataset", "empdept", "dataset: empdept or tpcd")
 	sf := flag.Float64("sf", 0.1, "TPC-D scale factor (dataset=tpcd)")
 	seed := flag.Int64("seed", 42, "generator seed")
-	strategy := flag.String("strategy", "ni", "ni | nimemo | nibatch | kim | dayal | gw | magic | optmagic")
+	strategy := flag.String("strategy", engine.NI.Name(), engine.StrategyNames(" | "))
 	queryName := flag.String("query", "", "named query: example | q1 | q1b | q2 | q3")
 	explain := flag.Bool("explain", false, "print the (rewritten) QGM plan")
 	dot := flag.Bool("dot", false, "print the (rewritten) QGM as Graphviz DOT (paper Figure 1 style)")
@@ -74,7 +68,7 @@ func main() {
 	script := flag.String("f", "", "execute a file of semicolon-separated statements")
 	flag.Parse()
 
-	s0, ok := strategies[strings.ToLower(*strategy)]
+	s0, ok := engine.ParseStrategy(*strategy)
 	if !ok {
 		fatalf("unknown strategy %q", *strategy)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"decorr"
+	"decorr/internal/engine"
 	"decorr/internal/plancache"
 	"decorr/internal/rewrite"
 	"decorr/internal/trace"
@@ -47,7 +48,7 @@ func repl(eng *decorr.Engine, s decorr.Strategy) {
 				return
 			case trimmed == "\\h" || trimmed == "\\help":
 				fmt.Println(`meta commands:
-  \strategy ni|nimemo|nibatch|kim|dayal|gw|magic|optmagic|auto
+  \strategy ` + engine.StrategyNames("|") + `
   \explain   toggle plan printing
   \analyze   toggle per-box profiles
   \timing    toggle wall-clock reporting
@@ -61,7 +62,7 @@ func repl(eng *decorr.Engine, s decorr.Strategy) {
   \q         quit`)
 			case strings.HasPrefix(trimmed, "\\strategy"):
 				name := strings.TrimSpace(strings.TrimPrefix(trimmed, "\\strategy"))
-				if ns, ok := strategies[strings.ToLower(name)]; ok {
+				if ns, ok := engine.ParseStrategy(name); ok {
 					s = ns
 					fmt.Printf("strategy = %s\n", s)
 				} else {

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"decorr"
+	"decorr/internal/engine"
 )
 
 // The \kill meta command: each of its three outcomes prints a distinct
@@ -82,16 +86,60 @@ func TestSplitStatement(t *testing.T) {
 	}
 }
 
-func TestStrategyFlagTable(t *testing.T) {
-	for name := range strategies {
-		if name == "" {
-			t.Error("empty strategy name")
+// runREPL feeds input to the REPL on a fresh EMP/DEPT engine and returns
+// everything it printed (the REPL talks to the process's stdin/stdout).
+func runREPL(t *testing.T, input string) string {
+	t.Helper()
+	dir := t.TempDir()
+	inPath, outPath := filepath.Join(dir, "in"), filepath.Join(dir, "out")
+	if err := os.WriteFile(inPath, []byte(input), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(inPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	out, err := os.Create(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	savedIn, savedOut := os.Stdin, os.Stdout
+	os.Stdin, os.Stdout = in, out
+	defer func() { os.Stdin, os.Stdout = savedIn, savedOut }()
+	repl(decorr.NewEngine(decorr.EmpDept()), decorr.NI)
+	got, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(got)
+}
+
+// Every name the \help line advertises is a name \strategy accepts —
+// both come from the engine's strategy table. `\strategy auto` used to be
+// advertised and rejected.
+func TestREPLStrategyVocabulary(t *testing.T) {
+	var script strings.Builder
+	script.WriteString("\\help\n")
+	for _, s := range engine.Strategies {
+		script.WriteString("\\strategy " + s.Name() + "\n")
+	}
+	script.WriteString("\\strategy bogus\n\\q\n")
+	out := runREPL(t, script.String())
+	if !strings.Contains(out, "\\strategy "+engine.StrategyNames("|")+"\n") {
+		t.Errorf("\\help does not list the table's vocabulary:\n%s", out)
+	}
+	for _, s := range engine.Strategies {
+		if want := fmt.Sprintf("strategy = %s\n", s); !strings.Contains(out, want) {
+			t.Errorf("\\strategy %s: output lacks %q", s.Name(), want)
 		}
 	}
-	for _, want := range []string{"ni", "nimemo", "nibatch", "kim", "dayal", "gw", "magic", "optmagic"} {
-		if _, ok := strategies[want]; !ok {
-			t.Errorf("strategy %q missing from the CLI table", want)
-		}
+	if !strings.Contains(out, "strategy = Auto\n") {
+		t.Errorf("\\strategy auto was not accepted:\n%s", out)
+	}
+	if !strings.Contains(out, `unknown strategy "bogus"`) {
+		t.Errorf("\\strategy bogus was not rejected:\n%s", out)
 	}
 }
 

@@ -47,7 +47,7 @@ func main() {
 	sf := flag.Float64("sf", 0.1, "TPC-D scale factor (dataset=tpcd)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	emp := flag.Int("emp", 0, "dataset=empdept: generate this many emp rows (0 = the paper's default data)")
-	strategy := flag.String("strategy", "auto", "default strategy: ni | nimemo | nibatch | kim | dayal | gw | magic | optmagic | auto")
+	strategy := flag.String("strategy", engine.Auto.Name(), "default strategy: "+engine.StrategyNames(" | "))
 	workers := flag.Int("workers", 0, "default executor workers per query (0 = GOMAXPROCS)")
 	planCache := flag.Int("plancache", 256, "prepared-plan cache capacity (0 = disabled)")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "concurrent session cap")

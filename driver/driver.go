@@ -9,8 +9,10 @@
 // The DSN is "host:port" (an optional "decorr://" prefix is accepted)
 // with optional query parameters:
 //
-//	strategy      default decorrelation strategy for the session
-//	              (ni | nimemo | kim | dayal | gw | magic | optmagic | auto)
+//	strategy      default decorrelation strategy for the session: any name
+//	              the server's strategy table declares — `decorrd -h`
+//	              prints the list (engine.StrategyNames); an unknown name
+//	              fails the connect
 //	workers       executor worker goroutines per query (0 = server default)
 //	fetch         rows per fetch reply (0 = server default)
 //	dial_timeout  per-attempt dial+handshake bound (Go duration; default 5s)

@@ -41,7 +41,10 @@ type Options struct {
 	UseOuterJoin bool
 	// EliminateSupplementary enables the OptMag optimization: when the
 	// correlation attributes form a key of the supplementary table, the
-	// supplementary common subexpression is eliminated (§5.1).
+	// supplementary common subexpression is eliminated (§5.1). Through the
+	// engine the strategy owns this field — OptMagic sets it, Magic clears
+	// it — so a value placed in Engine.CoreOpts is overwritten and is not
+	// part of the plan-cache key.
 	EliminateSupplementary bool
 	// Order overrides the join-order oracle; nil uses declared order with
 	// subqueries placed at their earliest dependency point.

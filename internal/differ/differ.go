@@ -29,22 +29,22 @@ type Variant struct {
 	Configure func(e *engine.Engine)
 }
 
-// Variants lists every configuration the harness checks: the five paper
-// strategies, the memoized and runtime-batched baselines, Auto, the §4.4
-// decorrelation knobs,
-// the §5.3 CSE ablation, magic sets, a cleanup rule toggle that disables
-// predicate pushdown and projection pruning, and the rowmode pair that
-// pits the row-at-a-time executor against the vectorized oracle.
+// Variants lists every configuration the harness checks: every strategy in
+// the engine's table other than the NI oracle itself (named as the table
+// names it), then the §4.4 decorrelation knobs, the §5.3 CSE ablation, magic
+// sets, a cleanup rule toggle that disables predicate pushdown and
+// projection pruning, and the rowmode pair that pits the row-at-a-time
+// executor against the vectorized oracle.
 func Variants() []Variant {
-	return []Variant{
-		{Name: "nimemo", Strategy: engine.NIMemo},
-		{Name: "nibatch", Strategy: engine.NIBatch},
-		{Name: "kim", Strategy: engine.Kim, Tolerant: true},
-		{Name: "dayal", Strategy: engine.Dayal, Tolerant: true},
-		{Name: "gw", Strategy: engine.GanskiWong, Tolerant: true},
-		{Name: "magic", Strategy: engine.Magic},
-		{Name: "optmagic", Strategy: engine.OptMagic},
-		{Name: "auto", Strategy: engine.Auto},
+	var vs []Variant
+	for _, s := range engine.Strategies {
+		if s == engine.NI {
+			continue
+		}
+		vs = append(vs, Variant{Name: s.Name(), Strategy: s,
+			Tolerant: s == engine.Kim || s == engine.Dayal || s == engine.GanskiWong})
+	}
+	return append(vs, []Variant{
 		{Name: "magic-noexist", Strategy: engine.Magic,
 			Configure: func(e *engine.Engine) { e.CoreOpts.DecorrelateExistential = false }},
 		{Name: "magic-noouterjoin", Strategy: engine.Magic,
@@ -67,8 +67,12 @@ func Variants() []Variant {
 			Configure: func(e *engine.Engine) { e.RowMode = true }},
 		{Name: "rowmode-magic", Strategy: engine.Magic,
 			Configure: func(e *engine.Engine) { e.RowMode = true }},
-	}
+	}...)
 }
+
+// oracleVariant is the NI oracle dressed as a variant, for the checks that
+// also run against the oracle's own strategy.
+var oracleVariant = Variant{Name: engine.NI.Name(), Strategy: engine.NI}
 
 // VariantByName resolves a variant (for pinned regression tests).
 func VariantByName(name string) (Variant, bool) {
@@ -203,7 +207,7 @@ func runCase(rep *Report, dbs DBSpec, q Query, out io.Writer) {
 		fmt.Fprintf(out, "oracle-skip [%s]: %v\n  sql: %s\n", dbs, err, sql)
 		return
 	}
-	if d := parallelCheck(rep, db, Variant{Name: "ni", Strategy: engine.NI}, sql, want); d != nil {
+	if d := parallelCheck(rep, db, oracleVariant, sql, want); d != nil {
 		d.DB = dbs
 		rep.Divergences = append(rep.Divergences, d)
 		fmt.Fprintf(out, "DIVERGENCE %s\n%s\n", d.Variant, d)
@@ -280,7 +284,7 @@ func parallelCheck(rep *Report, db *storage.DB, v Variant, sql string, seq []sto
 // (the COUNT bug, §2 of the paper). The divergence must be a strict row
 // loss — anything else is a real bug even under Kim.
 func allowlistedKim(v Variant, q Query, got, want map[string]int) bool {
-	return v.Name == "kim" && q.HasScalarAggSub() && bagSubset(got, want)
+	return v.Strategy == engine.Kim && q.HasScalarAggSub() && bagSubset(got, want)
 }
 
 // runVariant executes sql under one variant on a fresh engine.
@@ -371,8 +375,8 @@ func ParallelAgreement() error {
 					name string
 					run  func(*storage.DB, parallel.Config) (*parallel.Result, error)
 				}{
-					{"ni", parallel.RunNestedIteration},
-					{"magic", parallel.RunMagic},
+					{engine.NI.Name(), parallel.RunNestedIteration},
+					{engine.Magic.Name(), parallel.RunMagic},
 				} {
 					res, err := sim.run(d.db, cfg)
 					if err != nil {

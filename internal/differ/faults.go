@@ -131,7 +131,7 @@ func FaultSweep(cfg FaultConfig) *FaultReport {
 	}
 	rep := &FaultReport{}
 	defer faultinject.Disable()
-	variants := append([]Variant{{Name: "ni", Strategy: engine.NI}}, Variants()...)
+	variants := append([]Variant{oracleVariant}, Variants()...)
 	for i := 0; i < cfg.N; i++ {
 		caseSeed := cfg.Seed + int64(i)*999983
 		r := rand.New(rand.NewSource(caseSeed))

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"decorr/internal/engine"
@@ -13,12 +14,15 @@ import (
 )
 
 // TestBatchedDeterminismMatrix is the columnar-parity matrix extended to
-// the runtime-batched strategy: every correlated shape runs under NIBatch
-// at workers 1, 2, and 8 with the vectorized engine on and off. Rows
-// (including order) and execution counters must be identical across every
-// cell, rows must be bit-identical to the per-row NI baseline, and the
-// batched path must actually have engaged (BatchedSubqueries > 0) — a
-// silently-declined batch would make this test vacuous.
+// the binding-reuse strategies: every correlated shape runs under NIBatch
+// and NIMemo at workers 1, 2, and 8 with the vectorized engine on and off.
+// Rows (including order) and execution counters must be identical across
+// every cell of a strategy, rows must be bit-identical to the per-row NI
+// baseline, and the reuse path must actually have engaged
+// (BatchedSubqueries > 0 for NIBatch) — a silently-declined batch would
+// make this test vacuous. For NIMemo the cells also agree on MemoHits: a
+// memo miss is single-flight, so each binding is evaluated exactly once
+// however the workers interleave (docs/parallel-execution.md, contract 4).
 func TestBatchedDeterminismMatrix(t *testing.T) {
 	tpcdDB := tpcd.Generate(tpcd.Config{SF: 0.01, Seed: 7})
 	empDB := tpcd.EmpDept()
@@ -60,47 +64,46 @@ func TestBatchedDeterminismMatrix(t *testing.T) {
 			type run struct {
 				rows  []string
 				stats [7]int64
-				batch [2]int64
+				reuse [3]int64
 			}
-			var first *run
-			for _, w := range []int{1, 2, 8} {
-				for _, rowMode := range []bool{false, true} {
-					e := engine.New(c.db)
-					e.Workers = w
-					e.RowMode = rowMode
-					rows, stats, err := e.Query(c.sql, engine.NIBatch)
-					if err != nil {
-						t.Fatalf("workers=%d rowmode=%v: %v", w, rowMode, err)
-					}
-					got := run{
-						rows:  ordered(rows),
-						stats: execCounters(stats),
-						batch: [2]int64{stats.BatchedSubqueries, stats.BatchExecutions},
-					}
-					if got.batch[0] == 0 {
-						t.Fatalf("workers=%d rowmode=%v: batched path never engaged", w, rowMode)
-					}
-					if len(got.rows) != len(want) {
-						t.Fatalf("workers=%d rowmode=%v: %d rows, NI baseline has %d",
-							w, rowMode, len(got.rows), len(want))
-					}
-					for i := range got.rows {
-						if got.rows[i] != want[i] {
-							t.Fatalf("workers=%d rowmode=%v row %d: got %q, NI baseline %q",
-								w, rowMode, i, got.rows[i], want[i])
+			for _, s := range []engine.Strategy{engine.NIBatch, engine.NIMemo} {
+				var first *run
+				for _, w := range []int{1, 2, 8} {
+					for _, rowMode := range []bool{false, true} {
+						cell := fmt.Sprintf("%s workers=%d rowmode=%v", s, w, rowMode)
+						e := engine.New(c.db)
+						e.Workers = w
+						e.RowMode = rowMode
+						rows, stats, err := e.Query(c.sql, s)
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
 						}
-					}
-					if first == nil {
-						first = &got
-						continue
-					}
-					if got.stats != first.stats {
-						t.Fatalf("workers=%d rowmode=%v: counters %v, want %v",
-							w, rowMode, got.stats, first.stats)
-					}
-					if got.batch != first.batch {
-						t.Fatalf("workers=%d rowmode=%v: batch counters %v, want %v",
-							w, rowMode, got.batch, first.batch)
+						got := run{
+							rows:  ordered(rows),
+							stats: execCounters(stats),
+							reuse: [3]int64{stats.BatchedSubqueries, stats.BatchExecutions, stats.MemoHits},
+						}
+						if s == engine.NIBatch && got.reuse[0] == 0 {
+							t.Fatalf("%s: batched path never engaged", cell)
+						}
+						if len(got.rows) != len(want) {
+							t.Fatalf("%s: %d rows, NI baseline has %d", cell, len(got.rows), len(want))
+						}
+						for i := range got.rows {
+							if got.rows[i] != want[i] {
+								t.Fatalf("%s row %d: got %q, NI baseline %q", cell, i, got.rows[i], want[i])
+							}
+						}
+						if first == nil {
+							first = &got
+							continue
+						}
+						if got.stats != first.stats {
+							t.Fatalf("%s: counters %v, want %v", cell, got.stats, first.stats)
+						}
+						if got.reuse != first.reuse {
+							t.Fatalf("%s: batch/memo counters %v, want %v", cell, got.reuse, first.reuse)
+						}
 					}
 				}
 			}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"decorr/internal/ast"
-	"decorr/internal/classic"
 	"decorr/internal/core"
 	"decorr/internal/exec"
 	"decorr/internal/parser"
@@ -28,78 +27,6 @@ import (
 	"decorr/internal/trace"
 )
 
-// Strategy selects how (whether) a correlated query is decorrelated before
-// execution — the five algorithms of the paper's §5.1 plus the memoized
-// and runtime-batched nested-iteration baselines.
-type Strategy int
-
-const (
-	// NI executes the query as written: correlated subqueries are invoked
-	// per outer tuple (System R nested iteration).
-	NI Strategy = iota
-	// NIMemo is nested iteration with a per-binding result cache.
-	NIMemo
-	// Kim applies Kim's method [Kim82]. It faithfully reproduces the
-	// historical COUNT bug.
-	Kim
-	// Dayal applies Dayal's method [Day87]: merge via left outer join,
-	// group by a key of the outer relations.
-	Dayal
-	// GanskiWong applies the Ganski/Wong method [GW87], the single-table
-	// special case of magic decorrelation.
-	GanskiWong
-	// Magic applies magic decorrelation (the paper's algorithm).
-	Magic
-	// OptMagic is magic decorrelation with the supplementary-table
-	// common-subexpression elimination (OptMag in §5.1).
-	OptMagic
-	// Auto optimizes the query twice — once as written, once magic
-	// decorrelated — estimates both plans, and keeps the cheaper (§7:
-	// "The better of the two optimized plans is chosen"). When the NI
-	// plan wins and still contains correlated subqueries, Auto executes
-	// it with runtime batching (NIBatch) — the mid-point between full
-	// nested iteration and full rewrite.
-	Auto
-	// NIBatch is nested iteration with runtime subquery batching: the
-	// graph runs as bound (no rewrite), but correlated subqueries
-	// evaluate set-at-a-time over the distinct outer bindings — once per
-	// distinct binding in general, exactly once as a decorrelated
-	// partition/probe when the correlation is root-level equalities only.
-	// Rows, ordering, and typed errors are identical to NI; the fan-out
-	// collapse shows up in Stats.BatchExecutions. Appended after Auto so
-	// existing strategy fingerprints (plan-cache keys, wire codes) keep
-	// their values.
-	NIBatch
-)
-
-// String names the strategy as in the paper's figures.
-func (s Strategy) String() string {
-	switch s {
-	case NI:
-		return "NI"
-	case NIMemo:
-		return "NIMemo"
-	case Kim:
-		return "Kim"
-	case Dayal:
-		return "Dayal"
-	case GanskiWong:
-		return "GW"
-	case Magic:
-		return "Mag"
-	case OptMagic:
-		return "OptMag"
-	case Auto:
-		return "Auto"
-	case NIBatch:
-		return "NIBatch"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// Strategies lists all strategies in presentation order.
-var Strategies = []Strategy{NI, NIMemo, NIBatch, Kim, Dayal, GanskiWong, Magic, OptMagic, Auto}
-
 // Engine prepares and runs queries against one database.
 type Engine struct {
 	DB *storage.DB
@@ -107,8 +34,10 @@ type Engine struct {
 	// the optimizer improvement the paper wishes for in §5.3 (ablation
 	// knob; Starburst recomputed).
 	MaterializeCSE bool
-	// CoreOpts tunes magic decorrelation (§4.4 knobs). The Order field is
-	// always overridden with the executor's nested-iteration join order.
+	// CoreOpts tunes magic decorrelation (§4.4 knobs). Two fields are not
+	// the caller's to set: Order is always overridden with the executor's
+	// nested-iteration join order, and EliminateSupplementary belongs to the
+	// strategy (it is what separates OptMagic from Magic).
 	CoreOpts core.Options
 	// MagicSets additionally applies classical magic-sets rewriting
 	// ([MFPR90], the paper's §7 sibling transformation): derived tables
@@ -176,20 +105,13 @@ func New(db *storage.DB) *Engine {
 }
 
 // Stage latency histograms, nanoseconds. Package-level so hot paths pay
-// one atomic add per observation instead of a registry lookup. The
-// per-strategy exec histograms live in a read-only map built once here.
+// one atomic add per observation instead of a registry lookup (the
+// per-strategy exec histograms live beside the strategy table).
 var (
 	histParse       = trace.Metrics.Histogram("stage.parse")
 	histRewrite     = trace.Metrics.Histogram("stage.rewrite")
 	histDecorrelate = trace.Metrics.Histogram("stage.decorrelate")
 	histExec        = trace.Metrics.Histogram("stage.exec")
-	strategyHists   = func() map[Strategy]*trace.Histogram {
-		m := make(map[Strategy]*trace.Histogram, len(Strategies))
-		for _, s := range Strategies {
-			m[s] = trace.Metrics.Histogram("exec.strategy." + s.String())
-		}
-		return m
-	}()
 )
 
 // parseQuery and parseStatement are the engine's only parser entry points;
@@ -321,39 +243,12 @@ func (e *Engine) ExecParams(sql string, s Strategy, params []sqltypes.Value) ([]
 
 // ExecParamsContext is ExecParams under a cancellation context.
 func (e *Engine) ExecParamsContext(ctx context.Context, sql string, s Strategy, params []sqltypes.Value) ([]storage.Row, *exec.Stats, error) {
-	cached := e.cacheable()
-	var (
-		epoch  uint64
-		rawKey string
-	)
-	if cached {
-		epoch = e.epoch.Load()
-		rawKey = e.cacheKey(trimStatement(sql), s)
-		if v, ok := e.planCache.Get(rawKey, epoch); ok {
-			return v.(*Prepared).RunParamsContext(ctx, params)
-		}
-	}
-	sp := e.Tracer.Begin("parse", "engine")
-	stmt, err := parseStatement(sql)
-	sp.End()
-	if err != nil {
+	p, cv, err := e.prepareStatement(sql, s)
+	switch {
+	case err != nil:
 		return nil, nil, err
-	}
-	if cv, ok := stmt.(*ast.CreateView); ok {
+	case cv != nil:
 		return nil, nil, e.createViewParsed(cv)
-	}
-	q, ok := stmt.(ast.QueryExpr)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: unsupported statement %T", stmt)
-	}
-	var p *Prepared
-	if cached {
-		p, err = e.prepareAndCache(rawKey, q, s, epoch)
-	} else {
-		p, err = e.prepareParsed(q, s, false)
-	}
-	if err != nil {
-		return nil, nil, err
 	}
 	return p.RunParamsContext(ctx, params)
 }
@@ -364,8 +259,9 @@ type Prepared struct {
 	Strategy Strategy
 	Trace    *core.Trace
 	Columns  []string
-	// Chosen reports which alternative the Auto strategy selected
-	// (NI or OptMagic); it equals Strategy otherwise.
+	// Chosen reports which alternative the Auto strategy selected (NI,
+	// NIBatch or OptMagic); it equals Strategy otherwise. Its table row
+	// supplies the executor's reuse policy.
 	Chosen Strategy
 	// EstimatedCost is the optimizer's abstract cost of the chosen plan.
 	EstimatedCost float64
@@ -389,12 +285,6 @@ func (e *Engine) Prepare(sql string, s Strategy) (*Prepared, error) {
 // OptMagic the trace holds the Figure 2–4 stage snapshots).
 func (e *Engine) PrepareTraced(sql string, s Strategy) (*Prepared, error) {
 	return e.prepare(sql, nil, s, true)
-}
-
-// prepareParsed prepares an already-parsed query (no parse stage, no parse
-// span — used by Exec and the plan cache, which parse at most once).
-func (e *Engine) prepareParsed(q ast.QueryExpr, s Strategy, traced bool) (*Prepared, error) {
-	return e.prepare("", q, s, traced)
 }
 
 // prepare dispatches to the pipeline. Exactly one of sql/q is used: when q
@@ -489,42 +379,23 @@ func (e *Engine) prepareStages(sql string, q ast.QueryExpr, s Strategy, traced b
 	if err := e.cleanup(g, "cleanup-pre"); err != nil {
 		return nil, err
 	}
-	decorStart := time.Now()
-	switch s {
-	case NI, NIMemo, NIBatch:
-		// Nested iteration runs the graph as bound; NIMemo and NIBatch
-		// differ only in executor options.
-	case Kim:
-		if err := classic.ApplyKim(g); err != nil {
-			return nil, err
-		}
-	case Dayal:
-		if err := classic.ApplyDayal(g); err != nil {
-			return nil, err
-		}
-	case GanskiWong:
-		if err := classic.ApplyGanskiWong(g, e.orderer()); err != nil {
-			return nil, err
-		}
-	case Magic, OptMagic:
-		opts := e.CoreOpts
-		opts.EliminateSupplementary = s == OptMagic
-		opts.Order = e.orderer()
-		opts.Tracer = e.Tracer
-		sp = e.Tracer.Begin("decorrelate", "prepare", trace.Str("strategy", s.String()))
-		err := core.Decorrelate(g, opts, p.Trace)
+	row := s.row()
+	if row == nil {
+		return nil, fmt.Errorf("engine: unknown strategy %v", s)
+	}
+	if row.rewrite != nil {
+		// The strategy rewrite. Rows without one (the nested-iteration
+		// family) run the graph as bound and differ only in executor reuse
+		// policy; they stay out of stage.decorrelate, where they would only
+		// pollute the low buckets.
+		sp = e.Tracer.Begin("decorrelate", "prepare", trace.Str("strategy", row.label))
+		start := time.Now()
+		err := row.rewrite(e, p)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %v", s)
-	}
-	if s != NI && s != NIMemo && s != NIBatch {
-		// stage.decorrelate covers every strategy rewrite (classic methods
-		// included); the nested-iteration family does no rewrite and would
-		// only pollute the low buckets.
-		histDecorrelate.Observe(time.Since(decorStart).Nanoseconds())
+		histDecorrelate.Observe(time.Since(start).Nanoseconds())
 	}
 	if err := e.cleanup(g, "cleanup-post"); err != nil {
 		return nil, err
@@ -664,79 +535,18 @@ func (p *Prepared) RunParams(params []sqltypes.Value) ([]storage.Row, *exec.Stat
 
 // RunParamsContext is RunParams under a cancellation context and the
 // engine's Limits (read per call — a cached plan never captures either).
-// It is also the engine's execution-side panic boundary: a panic on the
-// caller's stack is recovered here, worker-goroutine panics arrive already
-// converted by the scheduler, and both are counted and traced before the
-// typed *exec.PanicError is returned — the engine stays usable.
-func (p *Prepared) RunParamsContext(ctx context.Context, params []sqltypes.Value) (rows []storage.Row, stats *exec.Stats, err error) {
-	if len(params) != p.NumParams {
-		return nil, nil, fmt.Errorf("engine: statement has %d parameter(s), got %d value(s)",
-			p.NumParams, len(params))
-	}
-	trace.Metrics.Counter("engine.executions").Inc()
-	// Registry tracking: give the run its own cancel function (which is
-	// what Kill invokes — the governor's ordinary cancellation path) and
-	// log it on the way out. This defer is declared BEFORE the recover
-	// defer below on purpose: defers run LIFO, so the recover has already
-	// converted any panic into the named err by the time the run is logged.
-	var aq *activeQuery
-	if reg := p.engine.registry; reg != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		aq = reg.begin(p.Text, p.Chosen, cancel)
-		defer func() {
-			reg.finish(aq, len(rows), err)
-			cancel()
-		}()
-	}
-	execStart := time.Now()
-	defer func() {
-		d := time.Since(execStart).Nanoseconds()
-		histExec.Observe(d)
-		if h := strategyHists[p.Chosen]; h != nil {
-			h.Observe(d)
-		}
-	}()
-	sp := p.engine.Tracer.Begin("execute", "engine", trace.Str("strategy", p.Strategy.String()))
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &exec.PanicError{Val: r, Stack: debug.Stack()}
-			p.engine.notePanic("execute", p.Text, pe)
-			trace.Metrics.Counter("engine.execution_errors").Inc()
-			sp.End(trace.Str("error", pe.Error()))
-			rows, stats, err = nil, nil, pe
-		}
-	}()
-	ex := exec.New(p.engine.DB, exec.Options{
-		MaterializeCSE:    p.engine.MaterializeCSE,
-		MemoizeCorrelated: p.Chosen == NIMemo,
-		BatchCorrelated:   p.Chosen == NIBatch,
-		Workers:           p.engine.Workers,
-		Tracer:            p.engine.Tracer,
-		Params:            params,
-		Ctx:               ctx,
-		Limits:            p.engine.Limits,
-		DisableColumnar:   p.engine.RowMode,
-	})
-	if aq != nil {
-		// Publish the live counters: workers bump them atomically, so
-		// Active() can watch rows scanned/joined/grouped grow mid-run.
-		aq.stats.Store(&ex.Stats)
-	}
-	rows, err = ex.Run(p.Graph)
+// It is a Stream drained in one pull, so the registry entry, histograms,
+// execute span and panic boundary are Stream's.
+func (p *Prepared) RunParamsContext(ctx context.Context, params []sqltypes.Value) ([]storage.Row, *exec.Stats, error) {
+	s, err := p.StreamWithOpts(ctx, params, StreamOpts{})
 	if err != nil {
-		var pe *exec.PanicError
-		if errors.As(err, &pe) {
-			// A worker-goroutine panic the scheduler already converted:
-			// count and trace it at the same boundary as caller-stack ones.
-			p.engine.notePanic("execute", p.Text, pe)
-		}
-		trace.Metrics.Counter("engine.execution_errors").Inc()
-		sp.End(trace.Str("error", err.Error()))
 		return nil, nil, err
 	}
-	sp.End(trace.Int("rows", int64(len(rows))))
-	return rows, &ex.Stats, nil
+	rows, err := s.drain()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows, &s.ex.Stats, nil
 }
 
 // Explain renders the rewritten plan.
@@ -751,7 +561,7 @@ func (p *Prepared) ExplainAnalyze() (string, error) {
 }
 
 // ExplainAnalyzeContext is ExplainAnalyze under a cancellation context and
-// the engine's Limits, with the same panic boundary as RunParamsContext.
+// the engine's Limits, behind a panic boundary like Stream's.
 func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (out string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -760,15 +570,7 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (out string, err e
 			out, err = "", pe
 		}
 	}()
-	ex := exec.New(p.engine.DB, exec.Options{
-		MaterializeCSE:    p.engine.MaterializeCSE,
-		MemoizeCorrelated: p.Chosen == NIMemo,
-		BatchCorrelated:   p.Chosen == NIBatch,
-		Workers:           p.engine.Workers,
-		Tracer:            p.engine.Tracer,
-		Ctx:               ctx,
-		Limits:            p.engine.Limits,
-	})
+	ex := exec.New(p.engine.DB, p.execOptions(ctx, nil, StreamOpts{}))
 	ex.EnableProfiling()
 	sp := p.engine.Tracer.Begin("explain-analyze", "engine", trace.Str("strategy", p.Strategy.String()))
 	_, runErr := ex.Run(p.Graph)
@@ -863,13 +665,14 @@ func trimStatement(sql string) string {
 }
 
 // cacheKey folds every knob that changes the produced plan in ahead of
-// the statement text. The func-valued options (CoreOpts.Order, Tracer,
-// CleanupFactory) are deliberately absent: Order is always overridden by
-// the engine, and the other two disable caching entirely (see cacheable).
+// the statement text. Absent on purpose: CoreOpts.Order and
+// CoreOpts.EliminateSupplementary, which the engine overrides (the latter
+// from the strategy, already in the key), and Tracer and CleanupFactory,
+// which disable caching entirely (see cacheable).
 func (e *Engine) cacheKey(text string, s Strategy) string {
 	o := e.CoreOpts
-	return fmt.Sprintf("s=%d de=%t oj=%t es=%t ms=%t cse=%t|%s",
-		int(s), o.DecorrelateExistential, o.UseOuterJoin, o.EliminateSupplementary,
+	return fmt.Sprintf("s=%d de=%t oj=%t ms=%t cse=%t|%s",
+		int(s), o.DecorrelateExistential, o.UseOuterJoin,
 		e.MagicSets, e.MaterializeCSE, text)
 }
 
@@ -878,24 +681,56 @@ func (e *Engine) cacheKey(text string, s Strategy) string {
 // cached under two spellings: the trimmed raw text — so a repeated
 // statement skips the parser — and the normalized text the parser's AST
 // prints back to, so trivially reformatted statements share one plan.
-// Without an enabled cache it falls back to a plain Prepare.
+// Without an enabled cache it prepares afresh.
 func (e *Engine) PrepareCached(sql string, s Strategy) (*Prepared, error) {
-	if !e.cacheable() {
-		return e.Prepare(sql, s)
+	p, cv, err := e.prepareStatement(sql, s)
+	if cv != nil {
+		return nil, fmt.Errorf("engine: CREATE VIEW %s is not a query (run it through Exec or CreateView)", cv.Name)
 	}
-	// The epoch is loaded before parsing/binding: if DDL lands in between,
-	// the plan is stored under the older epoch and discarded on its next
-	// lookup — stale plans are never served, only over-invalidated.
-	epoch := e.epoch.Load()
-	rawKey := e.cacheKey(trimStatement(sql), s)
-	if v, ok := e.planCache.Get(rawKey, epoch); ok {
-		return v.(*Prepared), nil
+	return p, err
+}
+
+// prepareStatement is the one cache probe behind PrepareCached and Exec:
+// a hit on the raw text returns without parsing; otherwise the statement is
+// parsed exactly once and either handed back as view DDL for the caller to
+// apply or prepared (through the cache when one is usable).
+func (e *Engine) prepareStatement(sql string, s Strategy) (*Prepared, *ast.CreateView, error) {
+	cached := e.cacheable()
+	var (
+		epoch  uint64
+		rawKey string
+	)
+	if cached {
+		// The epoch is loaded before parsing/binding: if DDL lands in
+		// between, the plan is stored under the older epoch and discarded on
+		// its next lookup — stale plans are never served, only
+		// over-invalidated.
+		epoch = e.epoch.Load()
+		rawKey = e.cacheKey(trimStatement(sql), s)
+		if v, ok := e.planCache.Get(rawKey, epoch); ok {
+			return v.(*Prepared), nil, nil
+		}
 	}
-	q, err := parseQuery(sql)
+	sp := e.Tracer.Begin("parse", "engine")
+	stmt, err := parseStatement(sql)
+	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return e.prepareAndCache(rawKey, q, s, epoch)
+	if cv, ok := stmt.(*ast.CreateView); ok {
+		return nil, cv, nil
+	}
+	q, ok := stmt.(ast.QueryExpr)
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+	}
+	var p *Prepared
+	if cached {
+		p, err = e.prepareAndCache(rawKey, q, s, epoch)
+	} else {
+		p, err = e.prepare(sql, q, s, false)
+	}
+	return p, nil, err
 }
 
 // prepareAndCache finishes a cache miss: check the normalized-text key
@@ -910,7 +745,7 @@ func (e *Engine) prepareAndCache(rawKey string, q ast.QueryExpr, s Strategy, epo
 			return p, nil
 		}
 	}
-	p, err := e.prepareParsed(q, s, false)
+	p, err := e.prepare("", q, s, false)
 	if err != nil {
 		return nil, err
 	}

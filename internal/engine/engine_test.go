@@ -264,7 +264,7 @@ func TestConcurrentRuns(t *testing.T) {
 
 func TestStrategyNamesAndColumns(t *testing.T) {
 	want := map[engine.Strategy]string{
-		engine.NI: "NI", engine.NIMemo: "NIMemo", engine.Kim: "Kim",
+		engine.NI: "NI", engine.NIMemo: "NIMemo", engine.NIBatch: "NIBatch", engine.Kim: "Kim",
 		engine.Dayal: "Dayal", engine.GanskiWong: "GW",
 		engine.Magic: "Mag", engine.OptMagic: "OptMag", engine.Auto: "Auto",
 	}

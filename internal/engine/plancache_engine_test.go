@@ -109,28 +109,46 @@ func TestCacheNormalizedSpelling(t *testing.T) {
 	}
 }
 
-// Different strategies and knob settings must not share plans.
+// Different strategies and knob settings must not share plans: one case
+// per component of the cache key. Flipping the component must prepare
+// afresh; flipping it back must hit the plan cached before the flip.
+// (CoreOpts.EliminateSupplementary is not a component: the strategy owns
+// it, so setting it neither changes the plan nor splits the cache.)
 func TestCacheKeySeparatesStrategiesAndKnobs(t *testing.T) {
 	e := engine.New(tpcd.EmpDept())
 	e.EnablePlanCache(64)
 	q := tpcd.ExampleQuery
-	ni, _, err := e.Exec(q, engine.NI)
-	if err != nil {
-		t.Fatal(err)
+	s := engine.Magic
+	prepares := func() int64 {
+		return counterDelta("engine.prepares", func() {
+			if _, _, err := e.Exec(q, s); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	mag, _, err := e.Exec(q, engine.Magic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "strategy-keyed", multiset(mag), multiset(ni))
-	if d := counterDelta("engine.prepares", func() {
-		e.MagicSets = true
-		if _, _, err := e.Exec(q, engine.Magic); err != nil {
-			t.Fatal(err)
+	prepares() // warm the baseline plan
+	for _, c := range []struct {
+		component  string
+		flip, back func()
+	}{
+		{"s", func() { s = engine.OptMagic }, func() { s = engine.Magic }},
+		{"de", func() { e.CoreOpts.DecorrelateExistential = false }, func() { e.CoreOpts.DecorrelateExistential = true }},
+		{"oj", func() { e.CoreOpts.UseOuterJoin = false }, func() { e.CoreOpts.UseOuterJoin = true }},
+		{"ms", func() { e.MagicSets = true }, func() { e.MagicSets = false }},
+		{"cse", func() { e.MaterializeCSE = true }, func() { e.MaterializeCSE = false }},
+	} {
+		c.flip()
+		if prepares() == 0 {
+			t.Errorf("%s: flip served the old plan", c.component)
 		}
-		e.MagicSets = false
-	}); d == 0 {
-		t.Fatal("MagicSets flip served the old plan")
+		c.back()
+		if d := prepares(); d != 0 {
+			t.Errorf("%s: restoring the knob re-prepared (%d), want the cached plan", c.component, d)
+		}
+	}
+	e.CoreOpts.EliminateSupplementary = true
+	if d := prepares(); d != 0 {
+		t.Errorf("CoreOpts.EliminateSupplementary split the cache (%d prepares); the strategy owns it", d)
 	}
 }
 

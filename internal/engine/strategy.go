@@ -1,0 +1,167 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+
+	"decorr/internal/classic"
+	"decorr/internal/core"
+	"decorr/internal/exec"
+	"decorr/internal/trace"
+)
+
+// Strategy selects how (whether) a correlated query is decorrelated before
+// execution — the five algorithms of the paper's §5.1 plus the memoized
+// and runtime-batched nested-iteration baselines.
+type Strategy int
+
+// The integer values are part of the plan-cache key; append, never reorder.
+const (
+	// NI executes the query as written: correlated subqueries are invoked
+	// per outer tuple (System R nested iteration).
+	NI Strategy = iota
+	// NIMemo is nested iteration with a per-binding result cache.
+	NIMemo
+	// Kim applies Kim's method [Kim82]. It faithfully reproduces the
+	// historical COUNT bug.
+	Kim
+	// Dayal applies Dayal's method [Day87]: merge via left outer join,
+	// group by a key of the outer relations.
+	Dayal
+	// GanskiWong applies the Ganski/Wong method [GW87], the single-table
+	// special case of magic decorrelation.
+	GanskiWong
+	// Magic applies magic decorrelation (the paper's algorithm).
+	Magic
+	// OptMagic is magic decorrelation with the supplementary-table
+	// common-subexpression elimination (OptMag in §5.1).
+	OptMagic
+	// Auto optimizes the query twice — once as written, once magic
+	// decorrelated — estimates both plans, and keeps the cheaper (§7:
+	// "The better of the two optimized plans is chosen"). When the NI
+	// plan wins and still contains correlated subqueries, Auto executes
+	// it with runtime batching (NIBatch) — the mid-point between full
+	// nested iteration and full rewrite.
+	Auto
+	// NIBatch is nested iteration with runtime subquery batching: the
+	// graph runs as bound (no rewrite), but correlated subqueries
+	// evaluate set-at-a-time over the distinct outer bindings — once per
+	// distinct binding in general, exactly once as a decorrelated
+	// partition/probe when the correlation is root-level equalities only.
+	// Rows, ordering, and typed errors are identical to NI; the fan-out
+	// collapse shows up in Stats.BatchExecutions. Appended after Auto so
+	// existing strategy fingerprints (plan-cache keys, wire codes) keep
+	// their values.
+	NIBatch
+)
+
+// strategyRow is everything the system knows about one strategy.
+type strategyRow struct {
+	id Strategy
+	// name is the spelling clients type: the -strategy flag, the REPL's
+	// \strategy, the DSN and handshake option.
+	name string
+	// label names the strategy as in the paper's figures. It is also the
+	// exec.strategy.* histogram suffix and the sys.query_log value.
+	label string
+	// rewrite transforms the bound, cleaned-up graph in place; nil runs the
+	// graph as bound (the nested-iteration family, and Auto, which picks
+	// another row's plan).
+	rewrite func(e *Engine, p *Prepared) error
+	// reuse is the executor's correlated-subquery policy for the plan.
+	reuse exec.Reuse
+}
+
+// strategyTable is the one place a strategy is declared, in presentation
+// order. String, Name, ParseStrategy, Strategies, the per-strategy
+// histograms, the rewrite dispatch and the executor mode all derive from
+// it, as do the vocabularies of cmd/decorr, cmd/decorrd, the server
+// handshake and the differential harness. Adding a strategy is one row here
+// plus its constant above (and a re-export in the root api.go).
+var strategyTable = []strategyRow{
+	{NI, "ni", "NI", nil, exec.ReuseNone},
+	{NIMemo, "nimemo", "NIMemo", nil, exec.ReuseMemo},
+	{NIBatch, "nibatch", "NIBatch", nil, exec.ReuseBatch},
+	{Kim, "kim", "Kim", func(_ *Engine, p *Prepared) error { return classic.ApplyKim(p.Graph) }, exec.ReuseNone},
+	{Dayal, "dayal", "Dayal", func(_ *Engine, p *Prepared) error { return classic.ApplyDayal(p.Graph) }, exec.ReuseNone},
+	{GanskiWong, "gw", "GW", func(e *Engine, p *Prepared) error { return classic.ApplyGanskiWong(p.Graph, e.orderer()) }, exec.ReuseNone},
+	{Magic, "magic", "Mag", magicRewrite(false), exec.ReuseNone},
+	{OptMagic, "optmagic", "OptMag", magicRewrite(true), exec.ReuseNone},
+	{Auto, "auto", "Auto", nil, exec.ReuseNone},
+}
+
+// magicRewrite is magic decorrelation under the engine's §4.4 knobs. The
+// strategy, not CoreOpts, owns supplementary-table elimination: it is the
+// whole difference between Mag and OptMag.
+func magicRewrite(eliminateSupplementary bool) func(*Engine, *Prepared) error {
+	return func(e *Engine, p *Prepared) error {
+		opts := e.CoreOpts
+		opts.EliminateSupplementary = eliminateSupplementary
+		opts.Order = e.orderer()
+		opts.Tracer = e.Tracer
+		return core.Decorrelate(p.Graph, opts, p.Trace)
+	}
+}
+
+// row finds s in the table; nil for a value that names no strategy.
+func (s Strategy) row() *strategyRow {
+	for i := range strategyTable {
+		if strategyTable[i].id == s {
+			return &strategyTable[i]
+		}
+	}
+	return nil
+}
+
+// String names the strategy as in the paper's figures.
+func (s Strategy) String() string {
+	if r := s.row(); r != nil {
+		return r.label
+	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// Name is the lower-case spelling ParseStrategy accepts: what a user types
+// after -strategy, \strategy, or strategy= in a DSN.
+func (s Strategy) Name() string {
+	if r := s.row(); r != nil {
+		return r.name
+	}
+	return ""
+}
+
+// ParseStrategy resolves a Name, case-insensitively.
+func ParseStrategy(name string) (Strategy, bool) {
+	for i := range strategyTable {
+		if strings.EqualFold(name, strategyTable[i].name) {
+			return strategyTable[i].id, true
+		}
+	}
+	return 0, false
+}
+
+// Strategies lists all strategies in presentation order; strategyHists
+// holds their execution latency histograms (nanoseconds), resolved once so
+// the hot path pays one atomic add per observation instead of a registry
+// lookup.
+var (
+	Strategies    []Strategy
+	strategyHists = map[Strategy]*trace.Histogram{}
+)
+
+func init() {
+	for _, r := range strategyTable {
+		Strategies = append(Strategies, r.id)
+		strategyHists[r.id] = trace.Metrics.Histogram("exec.strategy." + r.label)
+	}
+}
+
+// StrategyNames renders the accepted vocabulary joined by sep, for usage
+// and help text.
+func StrategyNames(sep string) string {
+	names := make([]string, len(strategyTable))
+	for i := range strategyTable {
+		names[i] = strategyTable[i].name
+	}
+	return strings.Join(names, sep)
+}

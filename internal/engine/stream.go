@@ -25,13 +25,13 @@ type StreamOpts struct {
 	Limits *exec.Limits
 }
 
-// Stream is one running query yielding its result batch-at-a-time. It
-// carries the same lifecycle as Prepared.RunParamsContext — registry
-// tracking (the query appears in sys.active_queries and is killable
-// mid-stream), latency histograms, tracing spans, and the execution-side
-// panic boundary — stretched over the iterator's lifetime. A Stream is not
-// safe for concurrent use; Close it when done (idempotent, safe after
-// exhaustion or error).
+// Stream is one running query yielding its result batch-at-a-time. It is
+// the engine's only execution lifecycle (RunParams is a Stream drained in
+// one pull): registry tracking (the query appears in sys.active_queries and
+// is killable mid-stream), latency histograms, tracing spans, and the
+// execution-side panic boundary, stretched over the iterator's lifetime. A
+// Stream is not safe for concurrent use; Close it when done (idempotent,
+// safe after exhaustion or error).
 type Stream struct {
 	p      *Prepared
 	ex     *exec.Exec
@@ -48,8 +48,10 @@ type Stream struct {
 // Stream begins a streaming execution with params bound to the `?`
 // placeholders. It fails fast only on parameter arity; execution starts
 // lazily, so every run-time failure (including a pre-canceled context)
-// surfaces from Next. Like RunParams, concurrent Stream calls on one
-// *Prepared are safe — each builds its own executor.
+// surfaces from Next. Concurrent Stream calls on one *Prepared are safe:
+// every call builds its own executor, the graph is read-only during
+// execution, and parameter values live in the per-call executor — which is
+// what lets the plan cache hand one plan to many clients.
 func (p *Prepared) Stream(ctx context.Context, params []sqltypes.Value) (*Stream, error) {
 	return p.StreamWithOpts(ctx, params, StreamOpts{})
 }
@@ -69,30 +71,37 @@ func (p *Prepared) StreamWithOpts(ctx context.Context, params []sqltypes.Value, 
 		s.aq = reg.begin(p.Text, p.Chosen, cancel)
 	}
 	s.sp = p.engine.Tracer.Begin("execute", "engine", trace.Str("strategy", p.Strategy.String()))
-	workers := p.engine.Workers
-	if opts.Workers != 0 {
-		workers = opts.Workers
-	}
-	limits := p.engine.Limits
-	if opts.Limits != nil {
-		limits = *opts.Limits
-	}
-	s.ex = exec.New(p.engine.DB, exec.Options{
-		MaterializeCSE:    p.engine.MaterializeCSE,
-		MemoizeCorrelated: p.Chosen == NIMemo,
-		BatchCorrelated:   p.Chosen == NIBatch,
-		Workers:           workers,
-		Tracer:            p.engine.Tracer,
-		Params:            params,
-		Ctx:               ctx,
-		Limits:            limits,
-		DisableColumnar:   p.engine.RowMode,
-	})
+	s.ex = exec.New(p.engine.DB, p.execOptions(ctx, params, opts))
 	if s.aq != nil {
 		s.aq.stats.Store(&s.ex.Stats)
 	}
 	s.it = s.ex.RunStream(p.Graph)
 	return s, nil
+}
+
+// execOptions assembles the run-time executor options of one execution of
+// p — the only place engine knobs, per-call overrides and the chosen
+// strategy's reuse policy become exec.Options. Everything here is
+// execution-time policy read per call, never captured by a cached plan.
+func (p *Prepared) execOptions(ctx context.Context, params []sqltypes.Value, o StreamOpts) exec.Options {
+	e := p.engine
+	opts := exec.Options{
+		MaterializeCSE:  e.MaterializeCSE,
+		Reuse:           p.Chosen.row().reuse,
+		Workers:         e.Workers,
+		Tracer:          e.Tracer,
+		Params:          params,
+		Ctx:             ctx,
+		Limits:          e.Limits,
+		DisableColumnar: e.RowMode,
+	}
+	if o.Workers != 0 {
+		opts.Workers = o.Workers
+	}
+	if o.Limits != nil {
+		opts.Limits = *o.Limits
+	}
+	return opts
 }
 
 // QueryStream prepares sql (through the plan cache when enabled) and
@@ -109,14 +118,27 @@ func (e *Engine) QueryStream(ctx context.Context, sql string, s Strategy, params
 // Next returns the next non-empty batch of rows, (nil, nil) on exhaustion,
 // or the stream's terminal error (repeated on every later call). Batches
 // may alias stored rows; do not mutate them.
-func (s *Stream) Next() (batch []storage.Row, err error) {
+func (s *Stream) Next() ([]storage.Row, error) { return s.pull(s.it.Next) }
+
+// drain returns everything the stream has left as one slice and finishes
+// it. The iterator hands a materialized result over whole, so collecting
+// costs no copy beyond what batch-by-batch Next would have appended.
+func (s *Stream) drain() ([]storage.Row, error) {
+	rows, err := s.pull(s.it.Collect)
+	s.finish(err)
+	return rows, err
+}
+
+// pull takes one step on the iterator behind the engine's execution-side
+// panic boundary: a panic on this stack is converted, counted, and traced,
+// worker-goroutine panics arrive already converted by the scheduler and are
+// noted at the same place, and either way the stream terminates with the
+// typed *exec.PanicError — the engine stays usable.
+func (s *Stream) pull(step func() ([]storage.Row, error)) (batch []storage.Row, err error) {
 	if s.done {
 		return nil, s.err
 	}
 	defer func() {
-		// The engine's execution-side panic boundary, per batch: a panic on
-		// this stack is converted, counted, and traced exactly as in
-		// RunParamsContext, and the stream terminates with it.
 		if r := recover(); r != nil {
 			pe := &exec.PanicError{Val: r, Stack: debug.Stack()}
 			s.p.engine.notePanic("execute", s.p.Text, pe)
@@ -124,12 +146,10 @@ func (s *Stream) Next() (batch []storage.Row, err error) {
 			batch, err = nil, pe
 		}
 	}()
-	batch, err = s.it.Next()
+	batch, err = step()
 	if err != nil {
 		var pe *exec.PanicError
 		if errors.As(err, &pe) {
-			// Worker-goroutine panics arrive already converted by the
-			// scheduler; note them at the same boundary.
 			s.p.engine.notePanic("execute", s.p.Text, pe)
 		}
 		s.finish(err)

@@ -51,17 +51,20 @@ func drainStream(ctx context.Context, e *engine.Engine, sql string, s engine.Str
 }
 
 // deterministicStats projects the counters that are identical at every
-// worker count (CSERecomputes, MemoHits, and BoxEvals can legally move
-// with scheduling under racing memo misses).
+// worker count (CSERecomputes, and BoxEvals with it, can legally move with
+// scheduling when workers race to fill a shared-box cache; memo misses are
+// single-flight, so MemoHits cannot).
 func deterministicStats(s exec.Stats) string {
-	return fmt.Sprintf("scan=%d join=%d group=%d idx=%d hash=%d subq=%d distinct=%d",
+	return fmt.Sprintf("scan=%d join=%d group=%d idx=%d hash=%d subq=%d distinct=%d memo=%d",
 		s.RowsScanned, s.RowsJoined, s.RowsGrouped, s.IndexLookups, s.HashBuilds,
-		s.SubqueryInvocations, s.DistinctInvocations)
+		s.SubqueryInvocations, s.DistinctInvocations, s.MemoHits)
 }
 
-// Satellite (d): QueryStream and Query must produce identical ordered
-// rows and deterministic stats across strategies × workers, over query
-// shapes covering all three streaming modes (scan, tuple, materialized).
+// Query is a Stream drained in one pull (the iterator hands a materialized
+// result over whole); QueryStream pulls batch by batch. Both must produce
+// identical ordered rows and deterministic stats across strategies ×
+// workers, over query shapes covering all three streaming modes (scan,
+// tuple, materialized).
 func TestStreamMatchesQueryDifferential(t *testing.T) {
 	db := tpcd.EmpDeptSized(40, 400, 6, 11)
 	cases := []struct {
@@ -113,7 +116,8 @@ func TestStreamMatchesQueryDifferential(t *testing.T) {
 }
 
 // Errors must match between the two paths: same typed class, and for plain
-// evaluation errors the same message.
+// evaluation errors the same message — under NIMemo too, where a failing
+// binding's error is shared with every worker waiting on that memo entry.
 func TestStreamMatchesQueryErrors(t *testing.T) {
 	db := tpcd.EmpDept()
 	cases := []struct {
@@ -124,19 +128,31 @@ func TestStreamMatchesQueryErrors(t *testing.T) {
 			select d.name from dept d
 			where d.budget / (d.num_emps - d.num_emps) >
 				(select count(*) from emp e where e.building = d.building)`},
+		{"error-inside-correlated-subquery", `
+			select d.name from dept d
+			where 0 < (select count(*) from emp e
+				where e.building = d.building and d.budget / (d.num_emps - d.num_emps) > 0)`},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			e := engine.New(db)
-			e.Workers = workers
-			_, _, qErr := e.Query(tc.sql, engine.NI)
-			_, _, sErr := drainStream(context.Background(), e, tc.sql, engine.NI)
-			if qErr == nil || sErr == nil {
-				t.Fatalf("%s: expected both paths to fail: query=%v stream=%v", name, qErr, sErr)
-			}
-			if qErr.Error() != sErr.Error() {
-				t.Errorf("%s: error text diverges: stream %q, query %q", name, sErr, qErr)
+		for _, s := range []engine.Strategy{engine.NI, engine.NIMemo} {
+			var first string
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%s/workers=%d", tc.name, s, workers)
+				e := engine.New(db)
+				e.Workers = workers
+				_, _, qErr := e.Query(tc.sql, s)
+				_, _, sErr := drainStream(context.Background(), e, tc.sql, s)
+				if qErr == nil || sErr == nil {
+					t.Fatalf("%s: expected both paths to fail: query=%v stream=%v", name, qErr, sErr)
+				}
+				if qErr.Error() != sErr.Error() {
+					t.Errorf("%s: error text diverges: stream %q, query %q", name, sErr, qErr)
+				}
+				if first == "" {
+					first = qErr.Error()
+				} else if qErr.Error() != first {
+					t.Errorf("%s: error text depends on the worker count: %q vs %q", name, qErr, first)
+				}
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 package exec
 
-// Runtime subquery batching (the NIBatch strategy). When bindSubqueryCheck
-// or a correlated bindScalar would evaluate the same correlated subtree
-// once per outer tuple — the nested-iteration hot loop — this path first
+// Runtime subquery batching (Options.Reuse == ReuseBatch, the NIBatch
+// strategy). When bindSubqueryCheck or a correlated bindScalar would
+// evaluate the same correlated subtree once per outer tuple — the
+// nested-iteration hot loop — this path first
 // collects the distinct correlation bindings of the whole outer stream
 // (the synthesized bindings relation of Guravannavar & Sudarshan's
 // batched-bindings evaluation), then evaluates the subtree set-at-a-time:
@@ -32,10 +33,45 @@ import (
 	"decorr/internal/storage"
 )
 
+// correlatedMap is the one place the reuse policy meets the outer tuple
+// stream — the nested-iteration hot loop. It applies fn to every outer
+// tuple together with the rows q's correlated input yields for it, fanned
+// out over the tuples and returned in stream order. Under ReuseBatch the
+// whole stream is evaluated set-at-a-time first; otherwise (and whenever
+// batching declines) each tuple is evaluated on demand through
+// evalSubqueryInput, which applies ReuseMemo. fn reads the same either way.
+func correlatedMap[T any](ex *Exec, q *qgm.Quantifier, tuples []*Env, env *Env, fn func(t *Env, rows []storage.Row) (T, error)) ([]T, error) {
+	per, batched, err := ex.batchSubqueryRows(q, tuples, env)
+	if err != nil {
+		return nil, err
+	}
+	chunks, err := parallelChunks(ex, len(tuples), subqMorsel, func(lo, hi int) ([]T, error) {
+		out := make([]T, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			var rows []storage.Row
+			if batched {
+				rows = per[i]
+			} else {
+				var err error
+				if rows, err = ex.evalSubqueryInput(q.Input, tuples[i]); err != nil {
+					return nil, err
+				}
+			}
+			v, err := fn(tuples[i], rows)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	})
+	return concat(chunks), err
+}
+
 // batchEligible reports whether the batched evaluation path may serve
 // subtree b for this Run.
 func (ex *Exec) batchEligible(b *qgm.Box) bool {
-	return ex.opts.BatchCorrelated && ex.profile == nil && !ex.subtreeVolatile(b)
+	return ex.opts.Reuse == ReuseBatch && ex.profile == nil && !ex.subtreeVolatile(b)
 }
 
 // batchSubqueryRows evaluates the correlated subtree q.Input for every

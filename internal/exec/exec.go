@@ -18,6 +18,30 @@ import (
 	"decorr/internal/trace"
 )
 
+// Reuse says how much work correlated subquery evaluation shares between
+// outer tuples that carry the same correlation binding (Guravannavar's
+// per-tuple / memoized / batched spectrum: one evaluator, three policies).
+// Rows, ordering, and typed errors are identical under every policy, and so
+// are the Stats counters at every worker count.
+type Reuse int
+
+const (
+	// ReuseNone re-evaluates the correlated subtree for every outer tuple:
+	// System R nested iteration (the NI strategy).
+	ReuseNone Reuse = iota
+	// ReuseMemo caches each binding's rows the first time a tuple asks for
+	// them (NIMemo). A miss is single-flight per (box, binding): the first
+	// arriver evaluates, concurrent arrivers wait and count as MemoHits.
+	ReuseMemo
+	// ReuseBatch collects the distinct bindings of the whole outer stream
+	// first and evaluates the subtree set-at-a-time (NIBatch): once per
+	// distinct binding — or, when the correlation is root-level equalities
+	// only, exactly once as a decorrelated partition/probe (see
+	// batch_subquery.go). Shapes the batched path cannot serve fall back to
+	// ReuseNone per tuple.
+	ReuseBatch
+)
+
 // Options select executor policies that the paper treats as system knobs.
 type Options struct {
 	// MaterializeCSE caches the result of shared, uncorrelated boxes
@@ -25,25 +49,17 @@ type Options struct {
 	// in the paper "always recomputes common sub-expressions" (§5.1);
 	// the default therefore is false, and the ablation benchmark flips it.
 	MaterializeCSE bool
-	// MemoizeCorrelated caches correlated subquery results per binding —
-	// the NI-with-memo variant used as an extra baseline.
-	MemoizeCorrelated bool
-	// BatchCorrelated evaluates correlated subqueries set-at-a-time — the
-	// NIBatch strategy. Where nested iteration would re-evaluate one
-	// correlated subtree per outer tuple, the executor collects the
-	// distinct correlation bindings of the whole outer stream and runs the
-	// subtree once per distinct binding — or, when the correlation is
-	// root-level equalities only, exactly once as a decorrelated
-	// partition/probe (see batch_subquery.go). Rows, ordering, Stats
-	// determinism, and typed errors match NI at every worker count.
-	BatchCorrelated bool
+	// Reuse is the binding-reuse policy of correlated subquery evaluation —
+	// the one knob separating the nested-iteration family (NI, NIMemo,
+	// NIBatch). See Reuse.
+	Reuse Reuse
 	// Workers bounds intra-query parallelism: the number of goroutines
 	// (including the caller) the morsel scheduler may use for one Run.
 	// Zero or negative selects runtime.GOMAXPROCS(0); one forces the
 	// classic single-threaded volcano behavior. Result rows are
 	// bit-identical and identically ordered at every setting — only wall
-	// clock (and scheduling-sensitive counters like CSERecomputes and
-	// MemoHits) changes. See docs/parallel-execution.md.
+	// clock (and the scheduling-sensitive CSERecomputes counter) changes.
+	// See docs/parallel-execution.md.
 	Workers int
 	// Tracer, when non-nil, receives one span per box evaluation with the
 	// box identity, produced rows, and wall time. The nil case is a single
@@ -102,7 +118,7 @@ type Exec struct {
 	volatileBox map[*qgm.Box]bool
 	cse         map[*qgm.Box][]storage.Row
 	cseVecs     map[*qgm.Box]*cseVecEntry
-	memo        map[*qgm.Box]map[string][]storage.Row
+	memo        map[*qgm.Box]map[string]memoEntry
 	bindings    map[*qgm.Box]map[string]bool
 
 	estMu    sync.Mutex
@@ -171,7 +187,7 @@ func New(db *storage.DB, opts Options) *Exec {
 		volatileBox: map[*qgm.Box]bool{},
 		cse:         map[*qgm.Box][]storage.Row{},
 		cseVecs:     map[*qgm.Box]*cseVecEntry{},
-		memo:        map[*qgm.Box]map[string][]storage.Row{},
+		memo:        map[*qgm.Box]map[string]memoEntry{},
 		bindings:    map[*qgm.Box]map[string]bool{},
 		est:         map[*qgm.Box]float64{},
 		colOK:       !opts.DisableColumnar && os.Getenv("DECORR_ROWMODE") == "",
@@ -371,12 +387,19 @@ func (ex *Exec) bindingKey(b *qgm.Box, env *Env) (string, error) {
 	return sqltypes.Key(vals), nil
 }
 
+// memoEntry is one (box, binding) slot of the ReuseMemo cache: the
+// binding's evaluation wrapped in sync.OnceValues, so whichever worker
+// calls it first evaluates and every other caller blocks, then shares the
+// rows, the error, or the panic.
+type memoEntry = func() ([]storage.Row, error)
+
 // evalSubqueryInput evaluates the input box of a subquery-like quantifier
 // for one outer tuple, counting it as a correlated invocation when the box
-// is correlated, and applying the NI-memo knob. It is called concurrently
-// by scheduler workers fanning out over outer bindings; the bindings set
-// and memo cache are mutex-guarded, and a memo miss raced by two workers
-// computes the (identical) rows twice with the first store winning.
+// is correlated, and applying the ReuseMemo policy. It is called
+// concurrently by scheduler workers fanning out over outer bindings; the
+// bindings set and memo cache are mutex-guarded, and a memo miss is
+// single-flight, so every binding is evaluated exactly once and the work
+// counters do not depend on scheduling.
 func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	if !ex.isCorrelated(b) {
 		return ex.evalBox(b, env)
@@ -386,6 +409,9 @@ func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		return nil, err
 	}
 	bump(&ex.Stats.SubqueryInvocations, 1)
+	memoize := ex.opts.Reuse == ReuseMemo && !ex.subtreeVolatile(b)
+	var entry memoEntry
+	hit := false
 	ex.mu.Lock()
 	seen := ex.bindings[b]
 	if seen == nil {
@@ -396,37 +422,39 @@ func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		seen[key] = true
 		bump(&ex.Stats.DistinctInvocations, 1)
 	}
-	ex.mu.Unlock()
-	if ex.opts.MemoizeCorrelated && !ex.subtreeVolatile(b) {
-		ex.mu.Lock()
+	if memoize {
 		m := ex.memo[b]
 		if m == nil {
-			m = map[string][]storage.Row{}
+			m = map[string]memoEntry{}
 			ex.memo[b] = m
 		}
-		rows, ok := m[key]
-		ex.mu.Unlock()
-		if ok {
-			bump(&ex.Stats.MemoHits, 1)
-			return rows, nil
+		if entry, hit = m[key]; !hit {
+			entry = sync.OnceValues(func() ([]storage.Row, error) {
+				rows, err := ex.evalBox(b, env)
+				if err == nil {
+					err = ex.govBytes(rows)
+				}
+				return rows, err
+			})
+			m[key] = entry
 		}
-		rows, err := ex.evalBox(b, env)
-		if err != nil {
-			return nil, err
-		}
-		if err := ex.govBytes(rows); err != nil {
-			return nil, err
-		}
-		ex.mu.Lock()
-		if prior, ok := m[key]; ok {
-			rows = prior // a racing worker stored the same result first
-		} else {
-			m[key] = rows
-		}
-		ex.mu.Unlock()
-		return rows, nil
 	}
-	return ex.evalBox(b, env)
+	ex.mu.Unlock()
+	if entry == nil {
+		return ex.evalBox(b, env)
+	}
+	if hit {
+		bump(&ex.Stats.MemoHits, 1)
+	}
+	rows, err := entry()
+	if err != nil && !hit {
+		// The failure is shared with this Run's concurrent askers only: a
+		// later Run on the same Exec re-evaluates the binding.
+		ex.mu.Lock()
+		delete(ex.memo[b], key)
+		ex.mu.Unlock()
+	}
+	return rows, err
 }
 
 // evalBox evaluates any box under env, applying CSE policy for shared

@@ -196,7 +196,7 @@ func TestMemoizedNI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := exec.New(db, exec.Options{MemoizeCorrelated: true})
+	ex := exec.New(db, exec.Options{Reuse: exec.ReuseMemo})
 	rows, err := ex.Run(g)
 	if err != nil {
 		t.Fatal(err)

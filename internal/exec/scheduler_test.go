@@ -149,7 +149,7 @@ func TestSchedulerHammer(t *testing.T) {
 		where exists (select * from emp e2 where e2.building = d.building)
 		  and d.budget >= (select min(budget) from dept)`
 	g := mustBind(t, db, sql)
-	ex := exec.New(db, exec.Options{Workers: 8, MemoizeCorrelated: true})
+	ex := exec.New(db, exec.Options{Workers: 8, Reuse: exec.ReuseMemo})
 	ex.EnableProfiling()
 	var want []string
 	for i := 0; i < 6; i++ {

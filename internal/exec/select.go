@@ -232,7 +232,8 @@ func (ex *Exec) bindLateral(q *qgm.Quantifier, tuples []*Env) ([]*Env, error) {
 
 // bindScalar joins a scalar subquery quantifier into the tuple stream. An
 // input with no own-quantifier dependencies is evaluated once per
-// select-box evaluation; otherwise per tuple (nested iteration).
+// select-box evaluation; otherwise per outer tuple under the run's reuse
+// policy (nested iteration).
 func (ex *Exec) bindScalar(q *qgm.Quantifier, deps map[*qgm.Quantifier]bool, tuples []*Env, env *Env) ([]*Env, error) {
 	width := len(q.Input.Cols)
 	if len(deps) == 0 {
@@ -250,35 +251,9 @@ func (ex *Exec) bindScalar(q *qgm.Quantifier, deps map[*qgm.Quantifier]bool, tup
 		}
 		return out, nil
 	}
-	// Correlated. Under BatchCorrelated the whole outer stream evaluates
-	// set-at-a-time; the at-most-one-row check applies per tuple to its
-	// probed rows, so cardinality errors surface exactly as in the
-	// per-tuple loop below.
-	if per, ok, err := ex.batchSubqueryRows(q, tuples, env); err != nil {
-		return nil, err
-	} else if ok {
-		chunks, err := parallelChunks(ex, len(tuples), subqMorsel, func(lo, hi int) ([]*Env, error) {
-			out := make([]*Env, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				row, err := scalarRow(per[i], width)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, Bind(tuples[i], q, row))
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return concat(chunks), nil
-	}
-	// One subquery evaluation per outer tuple, fanned out.
-	return parallelMap(ex, tuples, subqMorsel, func(t *Env) (*Env, error) {
-		rows, err := ex.evalSubqueryInput(q.Input, t)
-		if err != nil {
-			return nil, err
-		}
+	// Correlated. The at-most-one-row check applies per tuple, so cardinality
+	// errors surface in outer-stream order under every reuse policy.
+	return correlatedMap(ex, q, tuples, env, func(t *Env, rows []storage.Row) (*Env, error) {
 		row, err := scalarRow(rows, width)
 		if err != nil {
 			return nil, err

@@ -20,11 +20,11 @@ type Stats struct {
 	// of which only 2138 are distinct").
 	DistinctInvocations int64
 	// MemoHits counts correlated evaluations served from the NI-memo
-	// cache (only with Options.MemoizeCorrelated).
+	// cache (only with Options.Reuse == ReuseMemo).
 	MemoHits int64
 	// BatchedSubqueries counts correlated evaluations served by the
 	// set-at-a-time batch path instead of per-tuple iteration (only with
-	// Options.BatchCorrelated). Each one is also a SubqueryInvocation.
+	// Options.Reuse == ReuseBatch). Each one is also a SubqueryInvocation.
 	BatchedSubqueries int64
 	// BatchExecutions counts subtree executions the batch path performed:
 	// one per batch on the single-execution path, one per distinct

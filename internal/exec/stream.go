@@ -107,7 +107,7 @@ func (ex *Exec) RunStream(g *qgm.Graph) *RowIterator {
 // error machinery as the typed sentinels of this package. Run is a thin
 // collector over RunStream.
 func (ex *Exec) Run(g *qgm.Graph) ([]storage.Row, error) {
-	return ex.RunStream(g).collect()
+	return ex.RunStream(g).Collect()
 }
 
 // Next returns the next non-empty batch of result rows, or (nil, nil) when
@@ -182,8 +182,13 @@ func (it *RowIterator) Close() error {
 // Next has returned (nil, nil) or an error, or after Close.
 func (it *RowIterator) Err() error { return it.err }
 
-// collect drains the iterator into one slice — the Run semantics.
-func (it *RowIterator) collect() ([]storage.Row, error) {
+// Collect drains the rest of the iterator into one slice — the Run
+// semantics. A materialized result is handed over whole, not re-appended
+// batch by batch.
+func (it *RowIterator) Collect() ([]storage.Row, error) {
+	if it.finished {
+		return nil, it.err
+	}
 	if !it.started {
 		if err := it.start(); err != nil {
 			it.finish(err)

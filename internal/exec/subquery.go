@@ -12,7 +12,8 @@ import (
 // universal quantifier. The input is materialized once when it has no
 // dependencies on this box's quantifiers (the set-oriented case a
 // decorrelated plan reaches) — with a hash fast path for equality tie
-// predicates — and re-evaluated per tuple otherwise (nested iteration).
+// predicates — and evaluated per outer tuple under the run's reuse policy
+// otherwise (nested iteration).
 func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*Env, error) {
 	q := li.q
 	inputLocal := false // input depends on this box's own quantifiers
@@ -23,41 +24,22 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 		}
 	}
 	if inputLocal {
-		// Correlated to sibling quantifiers. Under BatchCorrelated the
-		// whole outer stream evaluates set-at-a-time; the quantifier
-		// condition is order-insensitive over each tuple's materialized
-		// rows, so probing the batched results per tuple is exactly the
-		// per-tuple evaluation below.
-		if per, ok, err := ex.batchSubqueryRows(q, tuples, env); err != nil {
-			return nil, err
-		} else if ok {
-			kept, err := parallelChunks(ex, len(tuples), subqMorsel, func(lo, hi int) ([]*Env, error) {
-				var out []*Env
-				for i := lo; i < hi; i++ {
-					pass, err := ex.quantCond(q, li.ties, per[i], tuples[i])
-					if err != nil {
-						return nil, err
-					}
-					if pass {
-						out = append(out, tuples[i])
-					}
-				}
-				return out, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return concat(kept), nil
-		}
-		// Evaluate per tuple: the nested-iteration hot loop, fanned out
-		// over outer bindings.
-		return parallelFilter(ex, tuples, subqMorsel, func(t *Env) (bool, error) {
-			rows, err := ex.evalSubqueryInput(q.Input, t)
-			if err != nil {
-				return false, err
-			}
+		// Correlated to sibling quantifiers. The quantifier condition is
+		// order-insensitive over each tuple's rows, so it reads the same
+		// under every reuse policy.
+		pass, err := correlatedMap(ex, q, tuples, env, func(t *Env, rows []storage.Row) (bool, error) {
 			return ex.quantCond(q, li.ties, rows, t)
 		})
+		if err != nil {
+			return nil, err
+		}
+		kept := tuples[:0:0]
+		for i, ok := range pass {
+			if ok {
+				kept = append(kept, tuples[i])
+			}
+		}
+		return kept, nil
 	}
 
 	rows, err := ex.evalSubqueryInput(q.Input, env)

@@ -37,7 +37,6 @@ import (
 	"net"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -542,19 +541,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	sess.loop()
 }
 
-// strategyNames maps handshake strategy options to engine strategies,
-// matching the CLI's -strategy vocabulary plus "auto".
-var strategyNames = map[string]engine.Strategy{
-	"ni": engine.NI, "nimemo": engine.NIMemo, "nibatch": engine.NIBatch,
-	"kim": engine.Kim, "dayal": engine.Dayal, "gw": engine.GanskiWong,
-	"magic": engine.Magic, "optmagic": engine.OptMagic, "auto": engine.Auto,
-}
-
 // ParseStrategy resolves a strategy name from the handshake/DSN
-// vocabulary (ni, nimemo, nibatch, kim, dayal, gw, magic, optmagic, auto).
+// vocabulary, which is the engine's (engine.ParseStrategy).
 func ParseStrategy(name string) (engine.Strategy, bool) {
-	s, ok := strategyNames[strings.ToLower(name)]
-	return s, ok
+	return engine.ParseStrategy(name)
 }
 
 // newSession builds a session from handshake options. Unknown option

@@ -318,6 +318,38 @@ func TestServeRowBudget(t *testing.T) {
 
 // Handshake rejections: version mismatch, bad options, and admission
 // control past MaxSessions.
+// Every name in the engine's strategy table is a valid Hello option, in
+// any case, and the session then runs under that strategy: the query log
+// records its label.
+func TestServeHelloAcceptsEveryStrategyName(t *testing.T) {
+	srv, addr := startServer(t, Config{}, 50)
+	for _, s := range engine.Strategies {
+		for _, name := range []string{s.Name(), strings.ToUpper(s.Name())} {
+			c, err := tryDial(addr, "strategy", name)
+			if err != nil {
+				t.Fatalf("Hello strategy=%s: %v", name, err)
+			}
+			ex, ok := c.rpc(t, &wire.Execute{SQL: tpcd.ExampleQuery}).(*wire.ExecuteOK)
+			if !ok {
+				t.Fatalf("strategy=%s: Execute did not return ExecuteOK", name)
+			}
+			if _, _, werr := c.drain(t, ex.CursorID, 0); werr != nil {
+				t.Fatalf("strategy=%s: %v", name, werr)
+			}
+			c.conn.Close()
+			logged := engine.Auto // never logged: Auto logs the alternative it chose
+			for _, le := range srv.cfg.Engine.Registry().Log() {
+				if le.ID == int64(ex.QueryID) {
+					logged = le.Strategy
+				}
+			}
+			if logged == engine.Auto || (s != engine.Auto && logged != s) {
+				t.Errorf("strategy=%s ran as %s, want %s", name, logged, s)
+			}
+		}
+	}
+}
+
 func TestServeHandshakeAndAdmission(t *testing.T) {
 	_, addr := startServer(t, Config{MaxSessions: 1}, 50)
 
