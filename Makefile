@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test strategy-guard bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard plan-guard bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
-# under the race detector.
-check: vet build test
+# under the race detector, plus the two grep guards against a declaration
+# growing a second copy.
+check: vet build test strategy-guard plan-guard
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +23,22 @@ strategy-guard:
 	@files=$$(grep -rl --include='*.go' '"optmagic"' . | grep -v -e '^\./bench/' -e '_test\.go$$'); \
 	if [ "$$files" != "./internal/engine/strategy.go" ]; then \
 		echo "strategy names declared outside the strategy table:"; echo "$$files"; exit 1; \
+	fi
+
+# plan-guard is the cheapest check that a second select-box planner has not
+# grown back beside buildSelectPlan (internal/exec/planorder.go): in
+# non-test internal/exec, predicates are classified (the selPred literal)
+# in exactly one place, and nothing calls JoinOrder — evaluators and
+# estimators read the memoized plan; JoinOrder is the rewrites' un-memoized
+# entry.
+plan-guard:
+	@src=$$(ls internal/exec/*.go | grep -v '_test\.go$$'); \
+	n=$$(cat $$src | grep -c '&selPred{'); \
+	if [ "$$n" != 1 ]; then \
+		echo "select-box predicates classified in $$n places, want 1:"; grep -n '&selPred{' $$src; exit 1; \
+	fi; \
+	if grep -n '\.JoinOrder(' $$src; then \
+		echo "internal/exec re-derives a join order instead of reading the box's selectPlan"; exit 1; \
 	fi
 
 # bench regenerates every paper figure as a Go benchmark (shortened).

@@ -1,13 +1,14 @@
-// Columnar select evaluation: the vectorized phase 1 (colSelectBatch,
-// mirroring selectTuples) and phase 2 (colProjectRows, mirroring
-// projectTuples). The join order, predicate placement, index/hash/cross
-// dispatch, statistics bumps, governance charges, and fault-injection
-// points are the row path's exactly — only the unit of work changes from
-// one bound tuple to one column-batch morsel. Hash joins replace the
-// per-row string-keyed map with an arena hash table: all key encodings
-// live in one []byte, buckets are power-of-two FNV-1a, and chains emit in
-// ascending build-row order so probe output matches the row engine's
-// append-built map buckets row for row.
+// Columnar select evaluation: the vectorized phase 1 (colSelectBatch, the
+// counterpart of selectTuples) and phase 2 (colProjectRows, the
+// counterpart of projectTuples). Both engines walk the box's one
+// selectPlan, so the join order, predicate placement and index/hash/cross
+// dispatch are shared by construction; the statistics bumps, governance
+// charges and fault-injection points are the row path's exactly — only the
+// unit of work changes from one bound tuple to one column-batch morsel.
+// Hash joins replace the per-row string-keyed map with an arena hash
+// table: all key encodings live in one []byte, buckets are power-of-two
+// FNV-1a, and chains emit in ascending build-row order so probe output
+// matches the row engine's append-built map buckets row for row.
 package exec
 
 import (
@@ -25,12 +26,8 @@ import (
 // table or an uncorrelated derived input (evaluated through evalBox and
 // re-columnarized at the boundary). Subqueries, laterals, and synthetic
 // relations stay on the row path, and every predicate and output
-// expression must vectorize.
-func (ex *Exec) colSelectable(b *qgm.Box) bool {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
+// expression must vectorize. It is the plan builder's last step.
+func (ex *Exec) colSelectable(b *qgm.Box, p *selectPlan) bool {
 	for _, q := range b.Quants {
 		if q.Kind != qgm.QForEach {
 			return false
@@ -40,7 +37,7 @@ func (ex *Exec) colSelectable(b *qgm.Box) bool {
 			if tbl == nil || tbl.Synthetic() {
 				return false
 			}
-		} else if len(ownDeps(q, own)) > 0 {
+		} else if p.correlated(q) {
 			// Lateral derived table: re-evaluates per tuple on the row path.
 			return false
 		}
@@ -76,46 +73,19 @@ func (ex *Exec) colEvalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 }
 
 // colSelectBatch is the vectorized selectTuples: it binds the ForEach
-// quantifiers in the same greedy join order, applies each predicate at the
-// same point, and returns the fully bound, fully filtered batch (nil when
-// the result is empty).
+// quantifiers in the plan's order, applies each predicate at the same
+// point, and returns the fully bound, fully filtered batch (nil when the
+// result is empty).
 func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for q := range qgm.QuantSet(p) {
-			if own[q] {
-				pi.deps[q] = true
-			}
-		}
-		preds = append(preds, pi)
-	}
-
-	order := ex.JoinOrder(b)
-	bound := map[*qgm.Quantifier]bool{}
+	plan := ex.planOf(b)
+	st := plan.newState()
 	// The seed batch is the row path's single outer tuple: one live row
 	// with no bound quantifiers, so predicates over only outer bindings
 	// and constants can apply before the first join.
 	batch := &colBatch{phys: 1, sel: []int32{0}}
 
-	depsBound := func(deps map[*qgm.Quantifier]bool) bool {
-		for d := range deps {
-			if !bound[d] {
-				return false
-			}
-		}
-		return true
-	}
 	applyReady := func() error {
-		for _, pi := range preds {
-			if pi.applied || !depsBound(pi.deps) {
-				continue
-			}
-			pi.applied = true
+		for _, pi := range st.takeReady() {
 			if err := ex.colFilterBatch(batch, pi.expr, env); err != nil {
 				return err
 			}
@@ -125,16 +95,16 @@ func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
 	if err := applyReady(); err != nil {
 		return nil, err
 	}
-	for _, q := range order {
+	for _, q := range plan.order {
 		if len(batch.sel) == 0 {
 			return nil, nil
 		}
-		next, err := ex.colBindForEach(q, bound, preds, batch, env)
+		next, err := ex.colBindForEach(q, st, batch, env)
 		if err != nil {
 			return nil, err
 		}
 		batch = next
-		bound[q] = true
+		st.bound[q] = true
 		if err := applyReady(); err != nil {
 			return nil, err
 		}
@@ -142,12 +112,7 @@ func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
 	if len(batch.sel) == 0 {
 		return nil, nil
 	}
-	for _, pi := range preds {
-		if !pi.applied {
-			return nil, fmt.Errorf("exec: predicate %s left unapplied in box %d", qgm.FormatExpr(pi.expr), b.ID)
-		}
-	}
-	return batch, nil
+	return batch, st.checkDone(b)
 }
 
 // colFilterBatch narrows the batch's selection vector to the rows where e
@@ -179,16 +144,16 @@ func (ex *Exec) colFilterBatch(b *colBatch, e qgm.Expr, env *Env) error {
 // consumption and the same statistics at each exit. Derived inputs
 // materialize through evalBox — the row path's exact call, so its
 // bookkeeping carries over — and re-columnarize at the boundary.
-func (ex *Exec) colBindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred, batch *colBatch, env *Env) (*colBatch, error) {
+func (ex *Exec) colBindForEach(q *qgm.Quantifier, st *selState, batch *colBatch, env *Env) (*colBatch, error) {
+	if tbl, ipred, col, other := ex.findIndexPred(q, st); tbl != nil {
+		return ex.colIndexBind(q, tbl, col, other, ipred, st, batch, env)
+	}
 	var vecs []colvec.Vec
 	var phys int
 	if q.Input.Kind == qgm.BoxBase {
 		tbl := ex.db.Table(q.Input.Table.Name)
 		if tbl == nil {
 			return nil, fmt.Errorf("exec: table %q has no storage", q.Input.Table.Name)
-		}
-		if pi, col, other := findIndexPred(q, bound, preds, tbl); pi != nil {
-			return ex.colIndexBind(q, tbl, col, other, pi, bound, preds, batch, env)
 		}
 		// Scan. Table.Scan stays the fault-injection point; the cached
 		// column vectors carry the same rows (eligibility excluded synthetic
@@ -207,7 +172,7 @@ func (ex *Exec) colBindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 		} else {
 			vecs = colsFromRows(scanned, len(tbl.Def.Columns))
 		}
-	} else if in := q.Input; in.Kind == qgm.BoxSelect && ex.colSel[in] && !in.Distinct &&
+	} else if in := q.Input; in.Kind == qgm.BoxSelect && ex.colPlanned(in) && !in.Distinct &&
 		ex.opts.Tracer == nil {
 		// Fused select→select: the derived input is itself a vectorizable
 		// select, so its output columns project straight into dense vectors
@@ -231,35 +196,13 @@ func (ex *Exec) colBindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 	// pass over the survivors keeps the same result set — which of two
 	// co-failing predicates' errors surfaces first may differ, the
 	// documented vector-major divergence.
-	var local []*selPred
-	for _, pi := range preds {
-		if !pi.applied && pi.sub == nil && len(pi.deps) == 1 && pi.deps[q] {
-			local = append(local, pi)
-		}
-	}
-	for _, pi := range local {
+	for _, pi := range st.takeLocal(q) {
 		if err := ex.colFilterBatch(qb, pi.expr, env); err != nil {
 			return nil, err
 		}
 	}
-	for _, pi := range local {
-		pi.applied = true
-	}
 	// Hash join on equality predicates connecting q to the bound set.
-	var qSides, boundSides []qgm.Expr
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
-			continue
-		}
-		if !depsSubset(pi.deps, bound, q) {
-			continue
-		}
-		if qs, bs, ok := splitEqui(pi.expr, q, bound); ok {
-			qSides = append(qSides, qs)
-			boundSides = append(boundSides, bs)
-			pi.applied = true
-		}
-	}
+	qSides, boundSides := st.takeEquiJoin(q)
 	if len(qSides) > 0 {
 		if err := ex.colHashBuildCheck(vecs, qb.sel); err != nil {
 			return nil, err
@@ -641,18 +584,9 @@ func (ex *Exec) colProbeHash(ht *colHashTable, exprs []qgm.Expr, batch *colBatch
 // predicates filter the joined batch. The row path reads indexed rows
 // directly (no Scan), so there is no scan fault point or RowsScanned bump
 // here either.
-func (ex *Exec) colIndexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred *selPred, bound map[*qgm.Quantifier]bool, preds []*selPred, batch *colBatch, env *Env) (*colBatch, error) {
-	ipred.applied = true
-	var local []*selPred
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil {
-			continue
-		}
-		if pi.deps[q] && depsSubset(pi.deps, bound, q) {
-			local = append(local, pi)
-			pi.applied = true
-		}
-	}
+func (ex *Exec) colIndexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred int, st *selState, batch *colBatch, env *Env) (*colBatch, error) {
+	st.applied[ipred] = true
+	local := st.takeJoinable(q)
 	intIdx := tbl.IntIndex(col)
 	chunks, err := parallelChunks(ex, len(batch.sel), colMorsel, func(lo, hi int) (colPairs, error) {
 		idx := batch.sel[lo:hi]

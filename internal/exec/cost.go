@@ -12,10 +12,11 @@ import (
 // and ... repeats the optimization with decorrelation. The better of the
 // two optimized plans is chosen."
 //
-// The model mirrors the executor's actual access decisions: greedy join
-// order, index probes when an equality predicate meets a hash index,
-// per-tuple re-evaluation of correlated subquery inputs, and recomputation
-// of shared uncorrelated boxes (unless materialization is enabled).
+// The model prices the executor's actual access decisions, read from the
+// same per-box selectPlan the evaluators run: its join order, an index
+// probe where findIndexPred will take one, per-tuple re-evaluation of
+// correlated subquery inputs, and recomputation of shared uncorrelated
+// boxes (unless materialization is enabled).
 func (ex *Exec) EstimateCost(g *qgm.Graph) float64 {
 	ex.analyze(g.Root)
 	return ex.EstimateBoxCost(g.Root)
@@ -71,42 +72,17 @@ func (ex *Exec) EstimateBoxCost(b *qgm.Box) float64 {
 // rows it touches. Duplicate-heavy workloads pay it per duplicate.
 const correlatedEvalOverhead = 8.0
 
-// costSelect walks the static join order accumulating access and join
+// costSelect walks the box's plan — the order, the predicates and the
+// index decisions the evaluators will use — accumulating access and join
 // costs, charging correlated subquery inputs once per estimated
 // intermediate tuple.
 func (ex *Exec) costSelect(b *qgm.Box, costBox func(*qgm.Box) float64) float64 {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
-	order := ex.JoinOrder(b)
-	// Predicate bookkeeping mirrors JoinOrder's.
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for q := range qgm.QuantSet(p) {
-			if !own[q] {
-				continue
-			}
-			if q.Kind.IsSubquery() {
-				pi.sub = q
-			} else {
-				pi.deps[q] = true
-			}
-		}
-		preds = append(preds, pi)
-	}
-	bound := map[*qgm.Quantifier]bool{}
+	plan := ex.planOf(b)
+	st := plan.newState()
 	card := 1.0
 	cost := 0.0
-	for _, q := range order {
-		correlatedInput := false
-		for _, r := range qgm.FreeRefs(q.Input) {
-			if own[r.Q] && !r.Q.Kind.IsSubquery() {
-				correlatedInput = true
-				break
-			}
-		}
+	for _, q := range plan.order {
+		correlatedInput := plan.correlated(q)
 		inputCost := costBox(q.Input)
 		switch {
 		case q.Kind == qgm.QScalar || q.Kind.IsSubquery():
@@ -126,58 +102,16 @@ func (ex *Exec) costSelect(b *qgm.Box, costBox func(*qgm.Box) float64) float64 {
 			cost += card * (math.Max(inputCost, 1) + correlatedEvalOverhead)
 			card *= math.Max(ex.estBoxRows(q.Input), 0.1)
 		default:
-			growth := ex.estQuantGrowth(q, bound, preds)
+			growth := ex.estQuantGrowth(q, st)
 			// Index probe beats a scan when an equality predicate on an
 			// indexed base column connects q to the bound set.
-			if ex.hasIndexPath(b, q, bound) {
-				cost += card * math.Max(growth, 1)
-			} else {
+			if tbl, _, _, _ := ex.findIndexPred(q, st); tbl == nil {
 				cost += inputCost // materialize / scan
-				cost += card * math.Max(growth, 1)
 			}
+			cost += card * math.Max(growth, 1)
 			card = math.Max(card*growth, 1)
 		}
-		bound[q] = true
-		for _, pi := range preds {
-			if pi.sub == nil && !pi.applied && depsSubset(pi.deps, bound, q) {
-				pi.applied = true
-			}
-		}
+		st.bind(q)
 	}
 	return cost + card
-}
-
-// hasIndexPath reports whether an equality predicate lets q's base-table
-// input be probed through a hash index given the bound quantifiers.
-func (ex *Exec) hasIndexPath(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) bool {
-	if q.Input.Kind != qgm.BoxBase {
-		return false
-	}
-	tbl := ex.db.Table(q.Input.Table.Name)
-	if tbl == nil {
-		return false
-	}
-	for _, p := range b.Preds {
-		bin, ok := p.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
-		}
-		for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-			ref, ok := try[0].(*qgm.ColRef)
-			if !ok || ref.Q != q || qgm.RefsQuant(try[1], q) {
-				continue
-			}
-			usable := true
-			for oq := range qgm.QuantSet(try[1]) {
-				if oq.Owner == q.Owner && !bound[oq] {
-					usable = false
-					break
-				}
-			}
-			if usable && tbl.HasIndex(ref.Col) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -133,26 +133,27 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 	return selOther
 }
 
-// estQuantGrowth estimates the per-tuple growth factor of binding q next:
-// its input size after local predicates, times join-predicate selectivity
-// against the bound set; disconnected quantifiers pay a cross penalty.
-func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred) float64 {
+// estQuantGrowth estimates the per-tuple growth factor of binding q next
+// in state st: its input size after local predicates, times join-predicate
+// selectivity against the bound set; disconnected quantifiers pay a cross
+// penalty.
+func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, st *selState) float64 {
 	base := ex.estBoxRows(q.Input)
-	connected := len(bound) == 0
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
+	connected := len(st.bound) == 0
+	for i, pi := range st.preds {
+		if st.applied[i] || pi.sub != nil || !pi.deps[q] {
 			continue
 		}
 		if len(pi.deps) == 1 {
 			base *= ex.predSel(pi.expr) // local predicate
 			continue
 		}
-		if depsSubset(pi.deps, bound, q) {
+		if depsSubset(pi.deps, st.bound, q) {
 			base *= ex.predSel(pi.expr)
 			connected = true
 		}
 	}
-	if !connected && len(bound) > 0 {
+	if !connected && len(st.bound) > 0 {
 		base *= crossPenalty
 	}
 	return math.Max(base, 1e-6)
@@ -161,42 +162,13 @@ func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 // EstimateGrowth exposes the per-tuple growth estimate of binding q next
 // in box b, given an already-bound set (used by the shared-nothing plan
 // model). It accounts for q's local predicate selectivity and the join
-// predicates connecting it to the bound set.
+// predicates connecting it to the bound set; predicates already applicable
+// before q binds do not count against q's growth.
 func (ex *Exec) EstimateGrowth(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) float64 {
-	own := map[*qgm.Quantifier]bool{}
-	for _, bq := range b.Quants {
-		own[bq] = true
-	}
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for qq := range qgm.QuantSet(p) {
-			if !own[qq] {
-				continue
-			}
-			if qq.Kind.IsSubquery() {
-				pi.sub = qq
-			} else {
-				pi.deps[qq] = true
-			}
-		}
-		// Predicates already applicable before q binds do not count
-		// against q's growth.
-		if pi.sub == nil && depsAllBound(pi.deps, bound) {
-			pi.applied = true
-		}
-		preds = append(preds, pi)
-	}
-	return ex.estQuantGrowth(q, bound, preds)
-}
-
-func depsAllBound(deps, bound map[*qgm.Quantifier]bool) bool {
-	for d := range deps {
-		if !bound[d] {
-			return false
-		}
-	}
-	return true
+	st := ex.planOf(b).newState()
+	st.bound = bound
+	st.takeReady()
+	return ex.estQuantGrowth(q, st)
 }
 
 // histogramSel estimates a range comparison between a base-table column

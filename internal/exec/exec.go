@@ -127,11 +127,16 @@ type Exec struct {
 
 	profile map[*qgm.Box]*BoxProfile
 
-	// colOK enables the vectorized engine; colSel/colGrp mark the boxes it
-	// may evaluate. Both maps are written only by analyze (before any
-	// fan-out) and read-only afterwards, like freeRefs.
+	// plans memoizes one selectPlan per select box. Written only by
+	// analyze (before any fan-out, after the est memo is warm) and
+	// read-only afterwards, like freeRefs; the plans themselves are
+	// immutable and shared by every worker.
+	plans map[*qgm.Box]*selectPlan
+
+	// colOK enables the vectorized engine; a select box's plan and colGrp
+	// mark the boxes it may evaluate. colGrp is written only by analyze
+	// (before any fan-out) and read-only afterwards, like freeRefs.
 	colOK  bool
-	colSel map[*qgm.Box]bool
 	colGrp map[*qgm.Box]bool
 }
 
@@ -191,7 +196,7 @@ func New(db *storage.DB, opts Options) *Exec {
 		bindings:    map[*qgm.Box]map[string]bool{},
 		est:         map[*qgm.Box]float64{},
 		colOK:       !opts.DisableColumnar && os.Getenv("DECORR_ROWMODE") == "",
-		colSel:      map[*qgm.Box]bool{},
+		plans:       map[*qgm.Box]*selectPlan{},
 		colGrp:      map[*qgm.Box]bool{},
 	}
 }
@@ -298,12 +303,12 @@ func orderCmp(v colvec.Vec) func(a, b int32) int {
 	}
 }
 
-// analyze precomputes per-box free references, reference counts, and
-// cardinality estimates. It runs single-threaded before any fan-out, so
-// that during execution the scheduler workers only ever *read* freeRefs,
-// refCount and (for join ordering) the primed est memo — keeping the join
-// order, and with it the output row order, identical at every worker
-// count.
+// analyze precomputes per-box free references, reference counts,
+// cardinality estimates and — once those estimates are warm — every select
+// box's plan. It runs single-threaded before any fan-out, so that during
+// execution the scheduler workers only ever *read* freeRefs, refCount, the
+// est memo and the plan memo — keeping the join order, and with it the
+// output row order, identical at every worker count.
 func (ex *Exec) analyze(root *qgm.Box) {
 	boxes := qgm.Boxes(root)
 	for _, b := range boxes {
@@ -325,20 +330,21 @@ func (ex *Exec) analyze(root *qgm.Box) {
 	for _, b := range boxes {
 		ex.estBoxRows(b)
 	}
-	if ex.colOK {
-		for _, b := range boxes {
-			switch b.Kind {
-			case qgm.BoxSelect:
-				if ex.colSelectable(b) {
-					ex.colSel[b] = true
-				}
-			case qgm.BoxGroup:
-				if ex.colGroupable(b) {
-					ex.colGrp[b] = true
-				}
-			}
+	for _, b := range boxes {
+		if b.Kind == qgm.BoxSelect && ex.plans[b] == nil {
+			ex.plans[b] = ex.buildSelectPlan(b)
+		}
+		if b.Kind == qgm.BoxGroup && ex.colOK && ex.colGroupable(b) {
+			ex.colGrp[b] = true
 		}
 	}
+}
+
+// colPlanned reports whether analyze planned select box b for the
+// vectorized engine.
+func (ex *Exec) colPlanned(b *qgm.Box) bool {
+	p := ex.plans[b]
+	return p != nil && p.col
 }
 
 func dedupRefs(refs []*qgm.ColRef) []qgm.RefKey {
@@ -548,7 +554,7 @@ func (ex *Exec) dispatch(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		}
 		return rows, nil
 	case qgm.BoxSelect:
-		if ex.colEnabled() && ex.colSel[b] {
+		if ex.colEnabled() && ex.colPlanned(b) {
 			return ex.colEvalSelect(b, env)
 		}
 		return ex.evalSelect(b, env)

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"strings"
 	"testing"
 
 	"decorr/internal/exec"
@@ -112,5 +113,34 @@ func TestJoinOrderIncludesEveryQuantifierOnce(t *testing.T) {
 			t.Fatal("quantifier appears twice in join order")
 		}
 		seen[oq] = true
+	}
+}
+
+// The rewrites call JoinOrder on boxes they are in the middle of mutating
+// (engine.orderer hands one Exec to core.Decorrelate), so it must plan the
+// box as it stands on every call — even on an Exec whose per-box plan memo
+// an earlier Run filled.
+func TestJoinOrderSeesMutatedBox(t *testing.T) {
+	db := tpcd.EmpDept()
+	g := mustBind(t, db, `
+		select d.name, e.name from dept d, emp e
+		where d.building = e.building and e.name = 'anne'`)
+	ex := exec.New(db, exec.Options{})
+	if _, err := ex.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	names := func(order []*qgm.Quantifier) string {
+		var s []string
+		for _, q := range order {
+			s = append(s, q.Input.Table.Name)
+		}
+		return strings.Join(s, " ")
+	}
+	if got := names(ex.JoinOrder(g.Root)); got != "emp dept" {
+		t.Fatalf("order with the selective emp filter = %q, want emp first", got)
+	}
+	g.Root.Preds = g.Root.Preds[:1] // drop e.name = 'anne'
+	if got := names(ex.JoinOrder(g.Root)); got != "dept emp" {
+		t.Errorf("order after dropping the filter = %q, want the smaller dept first", got)
 	}
 }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,23 +114,53 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestParallelDeterministicError pins sequential error semantics: the first
 // failing morsel in input order wins, so the reported error is identical at
-// any worker count.
+// any worker count — and so is the plan builder's one verdict on a box it
+// rejects, which ordering and costing must survive.
 func TestParallelDeterministicError(t *testing.T) {
 	db := tpcd.EmpDept()
-	// The scalar subquery yields several rows for buildings housing more
-	// than one department — a per-tuple runtime error.
-	sql := `select e.name,
-	  (select d.name from dept d where d.building = e.building)
-	from emp e`
-	g := mustBind(t, db, sql)
-	_, err1 := exec.New(db, exec.Options{Workers: 1}).Run(g)
-	if err1 == nil {
-		t.Fatalf("expected a scalar-cardinality error")
+	cases := []struct {
+		name, sql string
+		mutate    func(g *qgm.Graph)
+		want      string
+	}{
+		// The scalar subquery yields several rows for buildings housing
+		// more than one department — a per-tuple runtime error.
+		{"scalar-cardinality", `select e.name,
+		  (select d.name from dept d where d.building = e.building)
+		from emp e`, nil, "scalar subquery returned"},
+		// No SQL text binds to a predicate tying two subquery quantifiers;
+		// fusing the two ANY conjuncts into one builds the shape by hand.
+		{"two-subquery-tie", `select d.name from dept d
+		where d.budget > any (select d2.budget from dept d2)
+		  and d.num_emps < any (select count(*) from emp e2 group by e2.building)`,
+			func(g *qgm.Graph) {
+				p := g.Root.Preds
+				g.Root.Preds = []qgm.Expr{&qgm.Bin{Op: qgm.OpAnd, L: p[0], R: p[1]}}
+			}, "two subquery quantifiers"},
 	}
-	for _, w := range []int{2, 8} {
-		_, err := exec.New(db, exec.Options{Workers: w}).Run(g)
-		if err == nil || err.Error() != err1.Error() {
-			t.Fatalf("workers=%d: error %v, want %v", w, err, err1)
+	for _, c := range cases {
+		g := mustBind(t, db, c.sql)
+		if c.mutate != nil {
+			c.mutate(g)
+		}
+		ex := exec.New(db, exec.Options{Workers: 1})
+		if n := len(ex.JoinOrder(g.Root)); n != len(g.Root.Quants) {
+			t.Errorf("%s: JoinOrder has %d of %d quantifiers", c.name, n, len(g.Root.Quants))
+		}
+		if cost := ex.EstimateCost(g); !(cost > 0) {
+			t.Errorf("%s: EstimateCost = %v", c.name, cost)
+		}
+		_, err1 := ex.Run(g)
+		if err1 == nil || !strings.Contains(err1.Error(), c.want) {
+			t.Fatalf("%s: error %v, want one containing %q", c.name, err1, c.want)
+		}
+		for _, w := range []int{2, 8} {
+			for _, rowMode := range []bool{false, true} {
+				_, err := exec.New(db, exec.Options{Workers: w, DisableColumnar: rowMode}).Run(g)
+				if err == nil || err.Error() != err1.Error() {
+					t.Fatalf("%s workers=%d rowMode=%v: error %v, want %v", c.name, w, rowMode, err, err1)
+				}
+			}
 		}
 	}
 }

@@ -8,22 +8,6 @@ import (
 	"decorr/internal/storage"
 )
 
-// selPred is one conjunct of a select box during evaluation.
-type selPred struct {
-	expr    qgm.Expr
-	deps    map[*qgm.Quantifier]bool // b's own row-contributing quantifiers referenced
-	sub     *qgm.Quantifier          // subquery quantifier tied by this predicate, if any
-	applied bool
-}
-
-// lateQuant is a scalar or existential/universal quantifier awaiting its
-// dependencies.
-type lateQuant struct {
-	q    *qgm.Quantifier
-	deps map[*qgm.Quantifier]bool
-	ties []*selPred
-}
-
 // evalSelect evaluates an SPJ box: phase 1 (selectTuples) produces the
 // bound tuple stream, phase 2 (projectTuples) evaluates the output
 // expressions, and DISTINCT dedups last. The streaming iterator drives the
@@ -43,11 +27,11 @@ func (ex *Exec) evalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	return out, nil
 }
 
-// selectTuples is phase 1 of select evaluation: it greedily orders the
-// ForEach quantifiers by estimated growth, binds scalar and
-// existential/universal quantifiers at the earliest point their
-// dependencies allow (mirroring how the paper's optimizer placed subqueries
-// before or after outer joins — §5.3, Query 1 vs Query 2), uses index
+// selectTuples is phase 1 of select evaluation: it walks the box's
+// selectPlan — ForEach quantifiers greedily ordered by estimated growth,
+// scalar and existential/universal quantifiers at the cheapest point their
+// dependencies allow (where the paper's optimizer placed subqueries before
+// or after outer joins — §5.3, Query 1 vs Query 2) — uses index
 // lookups and hash joins where predicates permit, and re-evaluates
 // correlated subquery inputs per outer tuple (nested iteration). The
 // result is the fully bound, fully filtered tuple stream awaiting
@@ -59,60 +43,26 @@ func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
 // selectTuplesSkip is selectTuples with a predicate skip set: the batched
 // subquery path strips the correlated equalities (identified by pointer
 // identity) from the root and re-applies their filtering as a
-// partition/probe step. A skipped predicate never enters the plan, so it
+// partition/probe step. A skipped predicate starts out applied, so it
 // cannot drive index or hash-join placement either — the set-oriented
 // execution deliberately trades those per-binding access paths for one
-// shared pass.
+// shared pass. The binding order is the box's own, computed from all of
+// its predicates.
 func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) ([]*Env, error) {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
+	plan := ex.planOf(b)
+	if plan.err != nil {
+		return nil, plan.err
 	}
-
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		if skip[p] {
-			continue
-		}
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for q := range qgm.QuantSet(p) {
-			if !own[q] {
-				continue
-			}
-			if q.Kind.IsSubquery() {
-				if pi.sub != nil && pi.sub != q {
-					return nil, fmt.Errorf("exec: predicate references two subquery quantifiers")
-				}
-				pi.sub = q
-			} else {
-				pi.deps[q] = true
-			}
-		}
-		preds = append(preds, pi)
+	st := plan.newState()
+	for i, pi := range st.preds {
+		st.applied[i] = skip[pi.expr]
 	}
-
-	order := ex.JoinOrder(b)
-
-	bound := map[*qgm.Quantifier]bool{}
 	tuples := []*Env{env}
-
-	depsBound := func(deps map[*qgm.Quantifier]bool) bool {
-		for d := range deps {
-			if !bound[d] {
-				return false
-			}
-		}
-		return true
-	}
 
 	// applyReady filters tuples through every now-applicable ordinary
 	// predicate.
 	applyReady := func() error {
-		for _, pi := range preds {
-			if pi.applied || pi.sub != nil || !depsBound(pi.deps) {
-				continue
-			}
-			pi.applied = true
+		for _, pi := range st.takeReady() {
 			kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
 				tr, err := ex.EvalPred(pi.expr, t)
 				if err != nil {
@@ -131,36 +81,33 @@ func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) (
 		return nil, err
 	}
 
-	for _, q := range order {
+	for _, q := range plan.order {
 		if len(tuples) == 0 {
 			return nil, nil
 		}
 		var err error
 		switch {
 		case q.Kind == qgm.QScalar:
-			deps := ownDeps(q, own)
-			tuples, err = ex.bindScalar(q, deps, tuples, env)
+			tuples, err = ex.bindScalar(q, plan.correlated(q), tuples, env)
 		case q.Kind.IsSubquery():
-			li := &lateQuant{q: q}
-			for _, pi := range preds {
-				if pi.sub == q {
-					li.ties = append(li.ties, pi)
+			var ties []*selPred
+			for i, pi := range st.preds {
+				if pi.sub == q && !st.applied[i] {
+					ties = append(ties, pi)
+					st.applied[i] = true
 				}
 			}
-			tuples, err = ex.bindSubqueryCheck(li, tuples, env)
-			for _, pi := range li.ties {
-				pi.applied = true
-			}
-		case len(ownDeps(q, own)) > 0:
+			tuples, err = ex.bindSubqueryCheck(q, ties, plan.correlated(q), tuples, env)
+		case plan.correlated(q):
 			// Lateral derived table: re-evaluate per tuple.
 			tuples, err = ex.bindLateral(q, tuples)
 		default:
-			tuples, err = ex.bindForEach(q, bound, preds, tuples, env)
+			tuples, err = ex.bindForEach(q, st, tuples, env)
 		}
 		if err != nil {
 			return nil, err
 		}
-		bound[q] = true
+		st.bound[q] = true
 		if err := applyReady(); err != nil {
 			return nil, err
 		}
@@ -168,12 +115,7 @@ func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) (
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	for _, pi := range preds {
-		if !pi.applied {
-			return nil, fmt.Errorf("exec: predicate %s left unapplied in box %d", qgm.FormatExpr(pi.expr), b.ID)
-		}
-	}
-	return tuples, nil
+	return tuples, st.checkDone(b)
 }
 
 // projectTuples is phase 2 of select evaluation: the output expressions
@@ -190,18 +132,6 @@ func (ex *Exec) projectTuples(b *qgm.Box, tuples []*Env) ([]storage.Row, error) 
 		}
 		return row, nil
 	})
-}
-
-// ownDeps returns the row-contributing quantifiers of the same box that
-// q's input subtree references (lateral/scalar correlation to siblings).
-func ownDeps(q *qgm.Quantifier, own map[*qgm.Quantifier]bool) map[*qgm.Quantifier]bool {
-	deps := map[*qgm.Quantifier]bool{}
-	for _, r := range qgm.FreeRefs(q.Input) {
-		if own[r.Q] && !r.Q.Kind.IsSubquery() {
-			deps[r.Q] = true
-		}
-	}
-	return deps
 }
 
 // bindLateral joins a derived table that references sibling quantifiers
@@ -234,9 +164,9 @@ func (ex *Exec) bindLateral(q *qgm.Quantifier, tuples []*Env) ([]*Env, error) {
 // input with no own-quantifier dependencies is evaluated once per
 // select-box evaluation; otherwise per outer tuple under the run's reuse
 // policy (nested iteration).
-func (ex *Exec) bindScalar(q *qgm.Quantifier, deps map[*qgm.Quantifier]bool, tuples []*Env, env *Env) ([]*Env, error) {
+func (ex *Exec) bindScalar(q *qgm.Quantifier, correlated bool, tuples []*Env, env *Env) ([]*Env, error) {
 	width := len(q.Input.Cols)
-	if len(deps) == 0 {
+	if !correlated {
 		rows, err := ex.evalSubqueryInput(q.Input, env)
 		if err != nil {
 			return nil, err
@@ -274,18 +204,14 @@ func scalarRow(rows []storage.Row, width int) (storage.Row, error) {
 
 // bindForEach joins the next ForEach quantifier into the tuple stream,
 // choosing among index lookup, hash join, and nested loops.
-func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred, tuples []*Env, env *Env) ([]*Env, error) {
+func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env *Env) ([]*Env, error) {
 	if len(tuples) == 0 {
 		return tuples, nil
 	}
 	// Index access: base-table input with an equality predicate on an
 	// indexed column whose other side is computable now.
-	if q.Input.Kind == qgm.BoxBase {
-		if tbl := ex.db.Table(q.Input.Table.Name); tbl != nil {
-			if pi, col, other := findIndexPred(q, bound, preds, tbl); pi != nil {
-				return ex.indexBind(q, tbl, col, other, pi, bound, preds, tuples)
-			}
-		}
+	if tbl, ipred, col, other := ex.findIndexPred(q, st); tbl != nil {
+		return ex.indexBind(q, tbl, col, other, ipred, st, tuples)
 	}
 	// Materialize and filter by local predicates.
 	var rows []storage.Row
@@ -311,25 +237,11 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, p
 			return nil, err
 		}
 	}
-	rows, err := ex.filterLocal(q, preds, rows, env)
+	rows, err := ex.filterLocal(q, st, rows, env)
 	if err != nil {
 		return nil, err
 	}
-	// Hash join on equality predicates connecting q to the bound set.
-	var qSides, boundSides []qgm.Expr
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
-			continue
-		}
-		if !depsSubset(pi.deps, bound, q) {
-			continue
-		}
-		if qs, bs, ok := splitEqui(pi.expr, q, bound); ok {
-			qSides = append(qSides, qs)
-			boundSides = append(boundSides, bs)
-			pi.applied = true
-		}
-	}
+	qSides, boundSides := st.takeEquiJoin(q)
 	if len(qSides) > 0 {
 		if err := ex.hashBuildCheck(rows); err != nil {
 			return nil, err
@@ -419,20 +331,12 @@ func (ex *Exec) keyFor(exprs []qgm.Expr, env *Env) (string, bool, error) {
 }
 
 // filterLocal applies predicates referencing only q (plus outer bindings).
-func (ex *Exec) filterLocal(q *qgm.Quantifier, preds []*selPred, rows []storage.Row, env *Env) ([]storage.Row, error) {
-	var local []*selPred
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil {
-			continue
-		}
-		if len(pi.deps) == 1 && pi.deps[q] {
-			local = append(local, pi)
-		}
-	}
+func (ex *Exec) filterLocal(q *qgm.Quantifier, st *selState, rows []storage.Row, env *Env) ([]storage.Row, error) {
+	local := st.takeLocal(q)
 	if len(local) == 0 {
 		return rows, nil
 	}
-	out, err := parallelFilter(ex, rows, rowMorsel, func(r storage.Row) (bool, error) {
+	return parallelFilter(ex, rows, rowMorsel, func(r storage.Row) (bool, error) {
 		renv := Bind(env, q, r)
 		for _, pi := range local {
 			tr, err := ex.EvalPred(pi.expr, renv)
@@ -445,23 +349,27 @@ func (ex *Exec) filterLocal(q *qgm.Quantifier, preds []*selPred, rows []storage.
 		}
 		return true, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pi := range local {
-		pi.applied = true
-	}
-	return out, nil
 }
 
-// findIndexPred locates an unapplied equality predicate of the form
-// q.col = <expr over bound/outer> where tbl has an index on col.
-func findIndexPred(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred, tbl *storage.Table) (*selPred, int, qgm.Expr) {
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
+// findIndexPred decides whether q is bound by index probe in state st: its
+// input is a stored base table and an unapplied equality predicate has the
+// form q.col = <expr over bound/outer> with an index on col. It returns
+// that table, the predicate's position, the column and the probe
+// expression; a nil table means no index path. Executor and cost model
+// both ask here.
+func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, int, int, qgm.Expr) {
+	if q.Input.Kind != qgm.BoxBase {
+		return nil, 0, 0, nil
+	}
+	tbl := ex.db.Table(q.Input.Table.Name)
+	if tbl == nil {
+		return nil, 0, 0, nil
+	}
+	for i, pi := range st.preds {
+		if st.applied[i] || pi.sub != nil || !pi.deps[q] {
 			continue
 		}
-		if !depsSubset(pi.deps, bound, q) {
+		if !depsSubset(pi.deps, st.bound, q) {
 			continue
 		}
 		bin, ok := pi.expr.(*qgm.Bin)
@@ -477,27 +385,18 @@ func findIndexPred(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*s
 				continue
 			}
 			if tbl.HasIndex(ref.Col) {
-				return pi, ref.Col, try[1]
+				return tbl, i, ref.Col, try[1]
 			}
 		}
 	}
-	return nil, 0, nil
+	return nil, 0, 0, nil
 }
 
 // indexBind performs an index (nested-loop) join: for each tuple, probe the
 // base table's hash index, then filter remaining local predicates.
-func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred *selPred, bound map[*qgm.Quantifier]bool, preds []*selPred, tuples []*Env) ([]*Env, error) {
-	ipred.applied = true
-	var local []*selPred
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil {
-			continue
-		}
-		if pi.deps[q] && depsSubset(pi.deps, bound, q) {
-			local = append(local, pi)
-			pi.applied = true
-		}
-	}
+func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred int, st *selState, tuples []*Env) ([]*Env, error) {
+	st.applied[ipred] = true
+	local := st.takeJoinable(q)
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
 		v, err := ex.EvalExpr(other, t)
 		if err != nil {
@@ -539,7 +438,8 @@ func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other 
 	return out, nil
 }
 
-// depsSubset reports whether deps ⊆ bound ∪ {q}.
+// depsSubset reports whether deps ⊆ bound ∪ {q}; a nil q asks whether
+// deps are all bound.
 func depsSubset(deps, bound map[*qgm.Quantifier]bool, q *qgm.Quantifier) bool {
 	for d := range deps {
 		if d != q && !bound[d] {

@@ -242,7 +242,7 @@ func (it *RowIterator) start() error {
 			return it.startScan(consts)
 		}
 		it.mode = modeTuples
-		if ex.colEnabled() && ex.colSel[root] {
+		if ex.colEnabled() && ex.colPlanned(root) {
 			batch, err := ex.colSelectBatch(root, nil)
 			if err != nil {
 				return err
@@ -312,37 +312,21 @@ func (ex *Exec) scanStreamPlan(b *qgm.Box) (q *qgm.Quantifier, consts, locals []
 		return nil, nil, nil, false
 	}
 	q = b.Quants[0]
-	if q.Kind != qgm.QForEach || q.Input.Kind != qgm.BoxBase {
+	if q.Kind != qgm.QForEach || q.Input.Kind != qgm.BoxBase || ex.db.Table(q.Input.Table.Name) == nil {
 		return nil, nil, nil, false
 	}
-	tbl := ex.db.Table(q.Input.Table.Name)
-	if tbl == nil {
+	plan := ex.planOf(b)
+	// An index-eligible equality would take the IndexLookups path in
+	// bindForEach; decline so stats stay identical.
+	if tbl, _, _, _ := ex.findIndexPred(q, plan.newState()); tbl != nil {
 		return nil, nil, nil, false
 	}
-	for _, p := range b.Preds {
-		qs := qgm.QuantSet(p)
-		refsQ := false
-		for qq := range qs {
-			if qq != q {
-				return nil, nil, nil, false
-			}
-			refsQ = true
+	for _, pi := range plan.preds {
+		if len(pi.deps) == 0 {
+			consts = append(consts, pi.expr)
+		} else {
+			locals = append(locals, pi.expr)
 		}
-		if !refsQ {
-			consts = append(consts, p)
-			continue
-		}
-		// An index-eligible equality would take the IndexLookups path in
-		// bindForEach; decline so stats stay identical.
-		if bin, isBin := p.(*qgm.Bin); isBin && bin.Op == qgm.OpEq {
-			for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-				if ref, isRef := try[0].(*qgm.ColRef); isRef && ref.Q == q &&
-					!qgm.RefsQuant(try[1], q) && tbl.HasIndex(ref.Col) {
-					return nil, nil, nil, false
-				}
-			}
-		}
-		locals = append(locals, p)
 	}
 	return q, consts, locals, true
 }

@@ -14,21 +14,13 @@ import (
 // decorrelated plan reaches) — with a hash fast path for equality tie
 // predicates — and evaluated per outer tuple under the run's reuse policy
 // otherwise (nested iteration).
-func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*Env, error) {
-	q := li.q
-	inputLocal := false // input depends on this box's own quantifiers
-	for _, r := range qgm.FreeRefs(q.Input) {
-		if r.Q.Owner == q.Owner && !r.Q.Kind.IsSubquery() {
-			inputLocal = true
-			break
-		}
-	}
-	if inputLocal {
+func (ex *Exec) bindSubqueryCheck(q *qgm.Quantifier, ties []*selPred, correlated bool, tuples []*Env, env *Env) ([]*Env, error) {
+	if correlated {
 		// Correlated to sibling quantifiers. The quantifier condition is
 		// order-insensitive over each tuple's rows, so it reads the same
 		// under every reuse policy.
 		pass, err := correlatedMap(ex, q, tuples, env, func(t *Env, rows []storage.Row) (bool, error) {
-			return ex.quantCond(q, li.ties, rows, t)
+			return ex.quantCond(q, ties, rows, t)
 		})
 		if err != nil {
 			return nil, err
@@ -49,7 +41,7 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 
 	// Hash fast path: all ties are equalities between a probe expression
 	// (bound/outer side) and a subquery-side expression.
-	probeExprs, subExprs, hashable := splitTies(li.ties, q)
+	probeExprs, subExprs, hashable := splitTies(ties, q)
 	if hashable && (q.Kind == qgm.QExists || q.Kind == qgm.QNotExists || q.Kind == qgm.QAny) {
 		if err := ex.hashBuildCheck(rows); err != nil {
 			return nil, err
@@ -94,7 +86,7 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 
 	// General slow path over the materialized rows.
 	return parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-		return ex.quantCond(q, li.ties, rows, t)
+		return ex.quantCond(q, ties, rows, t)
 	})
 }
 

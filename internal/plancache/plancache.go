@@ -112,10 +112,11 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
+	v := e.v // read under the lock: Put overwrites an existing entry's value in place
 	s.mu.Unlock()
 	c.hits.Inc()
 	c.hitLat.Observe(time.Since(start).Nanoseconds())
-	return e.v, true
+	return v, true
 }
 
 // Put stores v under key at the given epoch, replacing any existing entry
