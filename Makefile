@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test strategy-guard plan-guard bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard plan-guard auto-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
-# under the race detector, plus the two grep guards against a declaration
+# under the race detector, plus the grep guards against a declaration
 # growing a second copy.
-check: vet build test strategy-guard plan-guard
+check: vet build test strategy-guard plan-guard auto-guard
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +40,25 @@ plan-guard:
 	if grep -n '\.JoinOrder(' $$src; then \
 		echo "internal/exec re-derives a join order instead of reading the box's selectPlan"; exit 1; \
 	fi
+
+# auto-guard is the cheapest check that Auto stays one costed race over
+# strategy-table rows (engine.prepareAuto): the post-hoc NI -> NIBatch
+# upgrade, its graph scan and the flat per-invocation overhead the race
+# and exec/cost.go's boxStartup replaced must not come back.
+auto-guard:
+	@if grep -rn --include='*.go' -e 'autoBatchNI' -e 'hasBatchableCorrelation' -e 'correlatedEvalOverhead' . | grep -v '_test\.go:'; then \
+		echo "Auto's plan choice has grown a second path beside the strategy-table race"; exit 1; \
+	fi
+
+# cost-audit prints the §7 cost model beside what execution did — per
+# paper statement and raced strategy: estimated cost, estimated and actual
+# row operations, box evaluations and invocations, and the measurements
+# behind cost.go's constants — and fails when an estimate leaves its band
+# (TestCostAudit). AUDIT_SF=1 reprints EXPERIMENTS.md's table; the bands
+# are asserted at the default scale only.
+AUDIT_SF ?= 0.1
+cost-audit:
+	$(GO) test -run 'TestCostAudit|TestAuto' -v -count=1 ./internal/engine -audit-sf $(AUDIT_SF)
 
 # bench regenerates every paper figure as a Go benchmark (shortened).
 bench:

@@ -28,6 +28,9 @@ type (
 	Engine = engine.Engine
 	// Prepared is a parsed, rewritten, validated query.
 	Prepared = engine.Prepared
+	// Alternative is one strategy the Auto strategy costed for a statement
+	// (Prepared.Alternatives).
+	Alternative = engine.Alternative
 	// Strategy selects the decorrelation algorithm.
 	Strategy = engine.Strategy
 	// Stats are the machine-independent work counters of one execution.

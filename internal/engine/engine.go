@@ -265,6 +265,9 @@ type Prepared struct {
 	Chosen Strategy
 	// EstimatedCost is the optimizer's abstract cost of the chosen plan.
 	EstimatedCost float64
+	// Alternatives is the race Auto ran, in strategy-table order, Chosen
+	// included; nil for every other strategy.
+	Alternatives []Alternative
 	// NumParams is the number of `?` placeholders the statement uses;
 	// RunParams must be given exactly that many values.
 	NumParams int
@@ -274,6 +277,14 @@ type Prepared struct {
 	// operator panic identifies the offending query.
 	Text   string
 	engine *Engine
+}
+
+// Alternative is one strategy Auto costed for a statement.
+type Alternative struct {
+	Strategy Strategy
+	// Cost is exec.EstimateCost of the strategy's plan under its reuse
+	// policy.
+	Cost float64
 }
 
 // Prepare parses sql and applies the strategy's rewrite.
@@ -294,16 +305,24 @@ func (e *Engine) prepare(sql string, q ast.QueryExpr, s Strategy, traced bool) (
 	if s == Auto {
 		return e.prepareAuto(sql, q, traced)
 	}
+	p, _, err := e.prepareRow(sql, q, s, traced)
+	return p, err
+}
+
+// prepareRow runs one strategy's pipeline under a prepare span. Beside the
+// plan it returns the estimator that priced it, for Auto to cost further
+// reuse policies on.
+func (e *Engine) prepareRow(sql string, q ast.QueryExpr, s Strategy, traced bool) (*Prepared, *exec.Exec, error) {
 	trace.Metrics.Counter("engine.prepares").Inc()
 	prep := e.Tracer.Begin("prepare", "engine", trace.Str("strategy", s.String()))
-	p, err := e.prepareStagesGuarded(sql, q, s, traced)
+	p, ex, err := e.prepareStagesGuarded(sql, q, s, traced)
 	if err != nil {
 		trace.Metrics.Counter("engine.prepare_errors").Inc()
 		prep.End(trace.Str("error", err.Error()))
-		return nil, err
+		return nil, nil, err
 	}
 	prep.End()
-	return p, nil
+	return p, ex, nil
 }
 
 // queryText picks the text identifying a statement in diagnostics: the
@@ -336,18 +355,29 @@ func (e *Engine) notePanic(phase, text string, pe *exec.PanicError) {
 		trace.Str("stack", string(stack)))
 }
 
-// prepareStagesGuarded isolates panics in the prepare pipeline: a rewrite
-// or binder bug surfaces as a *exec.PanicError instead of killing the
-// process, and the engine (views, plan cache, storage) stays usable.
-func (e *Engine) prepareStagesGuarded(sql string, q ast.QueryExpr, s Strategy, traced bool) (p *Prepared, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &exec.PanicError{Val: r, Stack: debug.Stack()}
-			e.notePanic("prepare", queryText(sql, q), pe)
-			p, err = nil, pe
-		}
-	}()
-	return e.prepareStages(sql, q, s, traced)
+// recoverPrepare isolates panics in the prepare pipeline: deferred, it
+// turns a rewrite, binder or estimator bug into a *exec.PanicError instead
+// of killing the process, and the engine (views, plan cache, storage) stays
+// usable.
+func (e *Engine) recoverPrepare(sql string, q ast.QueryExpr, p **Prepared, err *error) {
+	if r := recover(); r != nil {
+		pe := &exec.PanicError{Val: r, Stack: debug.Stack()}
+		e.notePanic("prepare", queryText(sql, q), pe)
+		*p, *err = nil, pe
+	}
+}
+
+// prepareStagesGuarded runs the pipeline stages and prices the plan they
+// produce, behind recoverPrepare. The estimator comes back with the plan,
+// its cardinality memo and select plans warm.
+func (e *Engine) prepareStagesGuarded(sql string, q ast.QueryExpr, s Strategy, traced bool) (p *Prepared, ex *exec.Exec, err error) {
+	defer e.recoverPrepare(sql, q, &p, &err)
+	if p, err = e.prepareStages(sql, q, s, traced); err != nil {
+		return nil, nil, err
+	}
+	ex = exec.New(e.DB, exec.Options{MaterializeCSE: e.MaterializeCSE})
+	p.EstimatedCost = e.planCost(ex, p, s.row())
+	return p, ex, nil
 }
 
 // prepareStages runs the pipeline stages under the prepare span.
@@ -414,10 +444,15 @@ func (e *Engine) prepareStages(sql string, q ast.QueryExpr, s Strategy, traced b
 	p.Columns = g.Root.OutNames()
 	p.Chosen = s
 	p.NumParams = g.Params
-	sp = e.Tracer.Begin("plan-cost", "prepare")
-	p.EstimatedCost = exec.New(e.DB, exec.Options{MaterializeCSE: e.MaterializeCSE}).EstimateCost(g)
-	sp.End()
 	return p, nil
+}
+
+// planCost prices p's graph as row would execute it, under a plan-cost
+// span.
+func (e *Engine) planCost(ex *exec.Exec, p *Prepared, row *strategyRow) float64 {
+	sp := e.Tracer.Begin("plan-cost", "prepare", trace.Str("strategy", row.label))
+	defer sp.End()
+	return ex.EstimateCostUnder(p.Graph, row.reuse)
 }
 
 // cleanup runs the cleanup rule set under a named span; wall time records
@@ -435,78 +470,77 @@ func (e *Engine) cleanup(g *qgm.Graph, stage string) error {
 	return err
 }
 
-// prepareAuto implements §7's plan choice: prepare the query as written
-// (nested iteration) and magic decorrelated, estimate both, keep the
-// cheaper plan. The query is parsed once and bound twice (the binder
-// never mutates the AST).
-func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (*Prepared, error) {
+// prepareAuto implements §7's plan choice as a race over the strategy
+// table's auto rows: each is prepared and costed under its own reuse
+// policy, and the cheapest runs. The query is parsed once; rows without a
+// rewrite share the first such row's prepared graph and warm estimator (a
+// further row is one more cost walk), a row with a rewrite binds again
+// (the binder never mutates the AST). What cannot differ is not raced: a
+// graph with no nested-iteration fan-out (exec.FanOut) is prepared once
+// and runs as bound, and one whose only fan-out is lateral skips the reuse
+// policies, which never share a lateral's evaluations.
+//
+// Ties go to the later row. Within the nested-iteration family the table
+// runs from least to most sharing, the batched estimate is the per-tuple
+// one with invocations capped at the distinct bindings, and sharing never
+// adds a subquery execution — so on equal estimates the sharing row can
+// only do better than estimated.
+func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (p *Prepared, err error) {
+	defer e.recoverPrepare(sql, q, &p, &err)
 	if q == nil {
 		sp := e.Tracer.Begin("parse", "engine")
-		var err error
 		q, err = parseQuery(sql)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	ni, err := e.prepare("", q, NI, false)
-	if err != nil {
-		return nil, err
-	}
-	mag, err := e.prepare("", q, OptMagic, traced)
-	if err != nil {
-		// A non-converging rewrite rule set is an engine bug, not a query
-		// the strategy merely cannot handle: surface it instead of
-		// silently executing the NI plan.
-		if errors.Is(err, rewrite.ErrNoFixpoint) {
-			return nil, err
-		}
-		// Decorrelation failing is not fatal for Auto; fall back to NI.
-		ni.Strategy = Auto
-		autoBatchNI(ni)
-		return ni, nil
-	}
-	best := ni
-	if mag.EstimatedCost < ni.EstimatedCost {
-		best = mag
-	}
-	best.Strategy = Auto
-	if best == ni {
-		autoBatchNI(best)
-	}
-	return best, nil
-}
-
-// autoBatchNI upgrades an Auto-selected NI plan to runtime batching when
-// the graph still contains sibling-correlated subqueries — the mid-point
-// between full nested iteration and full rewrite. The batched executor
-// produces bit-identical rows and falls back to plain per-tuple NI for
-// shapes it cannot serve, so the upgrade never changes results; it only
-// collapses the per-outer-row fan-out the cost model picked NI despite.
-func autoBatchNI(p *Prepared) {
-	if hasBatchableCorrelation(p.Graph) {
-		p.Chosen = NIBatch
-	}
-}
-
-// hasBatchableCorrelation reports whether any scalar/existential/universal
-// quantifier's input is correlated to sibling quantifiers of its own box —
-// exactly the executor's nested-iteration fan-out condition (laterals
-// excluded: their evaluation is order-sensitive and never batched).
-func hasBatchableCorrelation(g *qgm.Graph) bool {
-	for _, b := range qgm.Boxes(g.Root) {
-		for _, q := range b.Quants {
-			if q.Kind == qgm.QForEach {
-				continue
+	var (
+		bound                *Prepared  // the as-bound pipeline
+		ex                   *exec.Exec // its estimator
+		subqueries, laterals int        // its fan-out sites
+		alts                 []Alternative
+		plans                []*Prepared // plans[i] runs alts[i]
+	)
+	for i := range strategyTable {
+		row := &strategyTable[i]
+		switch {
+		case !row.auto:
+		case bound == nil:
+			if bound, ex, err = e.prepareRow("", q, row.id, false); err != nil {
+				return nil, err
 			}
-			for _, r := range qgm.FreeRefs(q.Input) {
-				if r.Q.Owner == q.Owner && !r.Q.Kind.IsSubquery() {
-					return true
-				}
+			subqueries, laterals = ex.FanOut(bound.Graph)
+			alts, plans = append(alts, Alternative{row.id, bound.EstimatedCost}), append(plans, bound)
+		case subqueries+laterals == 0:
+			// Nothing to share and nothing to decorrelate.
+		case row.rewrite == nil:
+			if subqueries > 0 {
+				alts, plans = append(alts, Alternative{row.id, e.planCost(ex, bound, row)}), append(plans, bound)
+			}
+		default:
+			rewritten, _, err := e.prepareRow("", q, row.id, traced)
+			switch {
+			case err == nil:
+				alts, plans = append(alts, Alternative{row.id, rewritten.EstimatedCost}), append(plans, rewritten)
+			case errors.Is(err, rewrite.ErrNoFixpoint):
+				// A non-converging rule set is an engine bug, not a query the
+				// strategy merely cannot handle: surface it instead of
+				// silently running another row's plan.
+				return nil, err
 			}
 		}
 	}
-	return false
+	best := 0
+	for i := range alts {
+		if alts[i].Cost <= alts[best].Cost {
+			best = i
+		}
+	}
+	p = plans[best]
+	p.Strategy, p.Chosen, p.EstimatedCost, p.Alternatives = Auto, alts[best].Strategy, alts[best].Cost, alts
+	trace.Metrics.Counter("engine.auto_choice." + p.Chosen.Name()).Inc()
+	return p, nil
 }
 
 // orderer exposes the executor's static nested-iteration join order to the
@@ -549,8 +583,27 @@ func (p *Prepared) RunParamsContext(ctx context.Context, params []sqltypes.Value
 	return rows, &s.ex.Stats, nil
 }
 
-// Explain renders the rewritten plan.
-func (p *Prepared) Explain() string { return qgm.Format(p.Graph) }
+// Explain renders the rewritten plan; an Auto plan leads with the race
+// that picked it.
+func (p *Prepared) Explain() string { return p.autoLine() + qgm.Format(p.Graph) }
+
+// autoLine renders Auto's race as one line — "auto: chose optmagic 64600
+// over ni 129200, nibatch 129200" — and is empty for other strategies.
+func (p *Prepared) autoLine() string {
+	if p.Alternatives == nil {
+		return ""
+	}
+	var lost []string
+	for _, a := range p.Alternatives {
+		if a.Strategy != p.Chosen {
+			lost = append(lost, fmt.Sprintf("%s %.0f", a.Strategy.Name(), a.Cost))
+		}
+	}
+	if lost == nil {
+		return fmt.Sprintf("auto: chose %s %.0f, nothing to race\n", p.Chosen.Name(), p.EstimatedCost)
+	}
+	return fmt.Sprintf("auto: chose %s %.0f over %s\n", p.Chosen.Name(), p.EstimatedCost, strings.Join(lost, ", "))
+}
 
 // ExplainAnalyze runs the query with per-box profiling and renders the
 // plan annotated with actual evaluation counts and row counts. Correlated

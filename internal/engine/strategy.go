@@ -36,12 +36,12 @@ const (
 	// OptMagic is magic decorrelation with the supplementary-table
 	// common-subexpression elimination (OptMag in §5.1).
 	OptMagic
-	// Auto optimizes the query twice — once as written, once magic
-	// decorrelated — estimates both plans, and keeps the cheaper (§7:
-	// "The better of the two optimized plans is chosen"). When the NI
-	// plan wins and still contains correlated subqueries, Auto executes
-	// it with runtime batching (NIBatch) — the mid-point between full
-	// nested iteration and full rewrite.
+	// Auto is §7's plan choice ("the better of the two optimized plans is
+	// chosen") as a race over the table rows marked auto: the query as
+	// bound under per-tuple and under batched nested iteration, and magic
+	// decorrelated with supplementary-table elimination. Each is costed by
+	// exec.EstimateCost under its own reuse policy; the cheapest runs, and
+	// Prepared.Alternatives records the race. See prepareAuto.
 	Auto
 	// NIBatch is nested iteration with runtime subquery batching: the
 	// graph runs as bound (no rewrite), but correlated subqueries
@@ -70,6 +70,10 @@ type strategyRow struct {
 	rewrite func(e *Engine, p *Prepared) error
 	// reuse is the executor's correlated-subquery policy for the plan.
 	reuse exec.Reuse
+	// auto enters the row in the Auto strategy's race. The first such row
+	// must run the graph as bound: it is the plan a statement with nothing
+	// to decorrelate gets.
+	auto bool
 }
 
 // strategyTable is the one place a strategy is declared, in presentation
@@ -79,15 +83,15 @@ type strategyRow struct {
 // handshake and the differential harness. Adding a strategy is one row here
 // plus its constant above (and a re-export in the root api.go).
 var strategyTable = []strategyRow{
-	{NI, "ni", "NI", nil, exec.ReuseNone},
-	{NIMemo, "nimemo", "NIMemo", nil, exec.ReuseMemo},
-	{NIBatch, "nibatch", "NIBatch", nil, exec.ReuseBatch},
-	{Kim, "kim", "Kim", func(_ *Engine, p *Prepared) error { return classic.ApplyKim(p.Graph) }, exec.ReuseNone},
-	{Dayal, "dayal", "Dayal", func(_ *Engine, p *Prepared) error { return classic.ApplyDayal(p.Graph) }, exec.ReuseNone},
-	{GanskiWong, "gw", "GW", func(e *Engine, p *Prepared) error { return classic.ApplyGanskiWong(p.Graph, e.orderer()) }, exec.ReuseNone},
-	{Magic, "magic", "Mag", magicRewrite(false), exec.ReuseNone},
-	{OptMagic, "optmagic", "OptMag", magicRewrite(true), exec.ReuseNone},
-	{Auto, "auto", "Auto", nil, exec.ReuseNone},
+	{NI, "ni", "NI", nil, exec.ReuseNone, true},
+	{NIMemo, "nimemo", "NIMemo", nil, exec.ReuseMemo, false},
+	{NIBatch, "nibatch", "NIBatch", nil, exec.ReuseBatch, true},
+	{Kim, "kim", "Kim", func(_ *Engine, p *Prepared) error { return classic.ApplyKim(p.Graph) }, exec.ReuseNone, false},
+	{Dayal, "dayal", "Dayal", func(_ *Engine, p *Prepared) error { return classic.ApplyDayal(p.Graph) }, exec.ReuseNone, false},
+	{GanskiWong, "gw", "GW", func(e *Engine, p *Prepared) error { return classic.ApplyGanskiWong(p.Graph, e.orderer()) }, exec.ReuseNone, false},
+	{Magic, "magic", "Mag", magicRewrite(false), exec.ReuseNone, false},
+	{OptMagic, "optmagic", "OptMag", magicRewrite(true), exec.ReuseNone, true},
+	{Auto, "auto", "Auto", nil, exec.ReuseNone, false},
 }
 
 // magicRewrite is magic decorrelation under the engine's §4.4 knobs. The

@@ -172,7 +172,7 @@ func (ex *Exec) colBindForEach(q *qgm.Quantifier, st *selState, batch *colBatch,
 		} else {
 			vecs = colsFromRows(scanned, len(tbl.Def.Columns))
 		}
-	} else if in := q.Input; in.Kind == qgm.BoxSelect && ex.colPlanned(in) && !in.Distinct &&
+	} else if in := q.Input; in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct &&
 		ex.opts.Tracer == nil {
 		// Fused select→select: the derived input is itself a vectorizable
 		// select, so its output columns project straight into dense vectors

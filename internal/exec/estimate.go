@@ -51,6 +51,9 @@ func (ex *Exec) estBoxRows(b *qgm.Box) float64 {
 		for _, p := range b.Preds {
 			v *= ex.predSel(p)
 		}
+		if b.Distinct {
+			v = math.Min(v, ex.estDistinctRows(b))
+		}
 		v = math.Max(1, v)
 	case qgm.BoxGroup:
 		if len(b.GroupBy) == 0 {
@@ -82,6 +85,39 @@ func (ex *Exec) estBoxRows(b *qgm.Box) float64 {
 	return v
 }
 
+// estDistinctRows bounds the rows a DISTINCT select box can emit by the
+// product of its output columns' distinct counts — the [MAGIC] table of a
+// decorrelated plan holds one row per correlation value, not one per
+// supplementary row. +Inf when some column's count is unknown.
+func (ex *Exec) estDistinctRows(b *qgm.Box) float64 {
+	rows := 1.0
+	for _, c := range b.Cols {
+		rows *= ex.estColNDV(c.Expr)
+	}
+	return rows
+}
+
+// estColNDV is the distinct count of a column traced through select boxes
+// that pass it along unchanged down to its base table, capped by each
+// box's cardinality on the way; +Inf for anything it cannot trace.
+func (ex *Exec) estColNDV(e qgm.Expr) float64 {
+	r, ok := e.(*qgm.ColRef)
+	if !ok {
+		return math.Inf(1)
+	}
+	switch in := r.Q.Input; in.Kind {
+	case qgm.BoxBase:
+		if t := ex.db.Table(in.Table.Name); t != nil {
+			return math.Max(1, float64(t.NDV(r.Col)))
+		}
+	case qgm.BoxSelect:
+		if r.Col < len(in.Cols) { // JoinOrder plans boxes mid-rewrite
+			return math.Min(ex.estColNDV(in.Cols[r.Col].Expr), ex.estBoxRows(in))
+		}
+	}
+	return math.Inf(1)
+}
+
 // estNDV estimates the number of distinct values of an expression; exact
 // for base-table column references, a root heuristic otherwise.
 func (ex *Exec) estNDV(e qgm.Expr) float64 {
@@ -103,14 +139,17 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 	case *qgm.Bin:
 		switch x.Op {
 		case qgm.OpEq:
-			ndv := math.Max(ex.estNDV(x.L), ex.estNDV(x.R))
-			// Both sides non-columns: generic equality.
-			if _, lc := x.L.(*qgm.ColRef); !lc {
-				if _, rc := x.R.(*qgm.ColRef); !rc {
-					return selEqDefault
-				}
+			_, lc := x.L.(*qgm.ColRef)
+			_, rc := x.R.(*qgm.ColRef)
+			switch {
+			case lc && rc:
+				return 1 / math.Max(ex.estNDV(x.L), ex.estNDV(x.R))
+			case lc: // column = value: one of the column's distinct values
+				return 1 / ex.estNDV(x.L)
+			case rc:
+				return 1 / ex.estNDV(x.R)
 			}
-			return 1 / ndv
+			return selEqDefault // both sides non-columns: generic equality
 		case qgm.OpNe:
 			return selNe
 		case qgm.OpLt, qgm.OpLe, qgm.OpGt, qgm.OpGe:
@@ -138,14 +177,25 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 // selectivity against the bound set; disconnected quantifiers pay a cross
 // penalty.
 func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, st *selState) float64 {
+	_, growth := ex.estQuantRows(q, st)
+	return growth
+}
+
+// estQuantRows is estQuantGrowth together with local, q's input size
+// after its local predicates alone: what a join step with nothing to hash
+// or probe on pairs every bound tuple with.
+func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth float64) {
 	base := ex.estBoxRows(q.Input)
+	local = base
 	connected := len(st.bound) == 0
 	for i, pi := range st.preds {
 		if st.applied[i] || pi.sub != nil || !pi.deps[q] {
 			continue
 		}
 		if len(pi.deps) == 1 {
-			base *= ex.predSel(pi.expr) // local predicate
+			sel := ex.predSel(pi.expr) // local predicate
+			base *= sel
+			local *= sel
 			continue
 		}
 		if depsSubset(pi.deps, st.bound, q) {
@@ -156,7 +206,7 @@ func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, st *selState) float64 {
 	if !connected && len(st.bound) > 0 {
 		base *= crossPenalty
 	}
-	return math.Max(base, 1e-6)
+	return local, math.Max(base, 1e-6)
 }
 
 // EstimateGrowth exposes the per-tuple growth estimate of binding q next

@@ -104,9 +104,8 @@ type Exec struct {
 
 	// mu guards the cross-worker memo state (cse, memo, bindings) and the
 	// profile map. freeRefs and refCount are written only by analyze
-	// (before any fan-out) and read-only afterwards; est and costMemo have
-	// their own lock (estMu) because they are read from the scheduling
-	// hot path.
+	// (before any fan-out) and read-only afterwards; est has its own lock
+	// (estMu) because it is read from the scheduling hot path.
 	mu sync.Mutex
 
 	freeRefs map[*qgm.Box][]qgm.RefKey
@@ -121,9 +120,8 @@ type Exec struct {
 	memo        map[*qgm.Box]map[string]memoEntry
 	bindings    map[*qgm.Box]map[string]bool
 
-	estMu    sync.Mutex
-	est      map[*qgm.Box]float64
-	costMemo map[*qgm.Box]float64
+	estMu sync.Mutex
+	est   map[*qgm.Box]float64
 
 	profile map[*qgm.Box]*BoxProfile
 
@@ -340,9 +338,9 @@ func (ex *Exec) analyze(root *qgm.Box) {
 	}
 }
 
-// colPlanned reports whether analyze planned select box b for the
+// Columnar reports whether analyze planned select box b for the
 // vectorized engine.
-func (ex *Exec) colPlanned(b *qgm.Box) bool {
+func (ex *Exec) Columnar(b *qgm.Box) bool {
 	p := ex.plans[b]
 	return p != nil && p.col
 }
@@ -554,7 +552,7 @@ func (ex *Exec) dispatch(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		}
 		return rows, nil
 	case qgm.BoxSelect:
-		if ex.colEnabled() && ex.colPlanned(b) {
+		if ex.colEnabled() && ex.Columnar(b) {
 			return ex.colEvalSelect(b, env)
 		}
 		return ex.evalSelect(b, env)

@@ -242,7 +242,7 @@ func (it *RowIterator) start() error {
 			return it.startScan(consts)
 		}
 		it.mode = modeTuples
-		if ex.colEnabled() && ex.colPlanned(root) {
+		if ex.colEnabled() && ex.Columnar(root) {
 			batch, err := ex.colSelectBatch(root, nil)
 			if err != nil {
 				return err

@@ -30,11 +30,11 @@ import (
 func PlanCost(db *storage.DB, g *qgm.Graph, cfg Config) Metrics {
 	cfg = cfg.normalized()
 	ex := exec.New(db, exec.Options{})
-	_ = ex.EstimateCost(g) // primes reference counts and the cost memo
+	rowOps, _ := ex.EstimateWork(g, exec.ReuseNone) // also primes the reference counts
 	m := &Metrics{}
 	w := &planWalker{db: db, ex: ex, cfg: cfg, m: m, seen: map[*qgm.Box]relInfo{}}
 	w.walk(g.Root)
-	m.Work = int64(ex.EstimateCost(g))
+	m.Work = int64(rowOps)
 	return *m
 }
 
