@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test strategy-guard plan-guard auto-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
 # under the race detector, plus the grep guards against a declaration
 # growing a second copy.
-check: vet build test strategy-guard plan-guard auto-guard
+check: vet build test strategy-guard plan-guard auto-guard join-guard
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,26 @@ plan-guard:
 auto-guard:
 	@if grep -rn --include='*.go' -e 'autoBatchNI' -e 'hasBatchableCorrelation' -e 'correlatedEvalOverhead' . | grep -v '_test\.go:'; then \
 		echo "Auto's plan choice has grown a second path beside the strategy-table race"; exit 1; \
+	fi
+
+# join-guard is the cheapest check that a join is still built in one place:
+# in non-test Go outside bench/, only qgm.SplitEq unwraps an `=` predicate
+# into its two sides (every "is this a join key" question is SplitEq plus
+# the caller's side tests), only exec.rowHash passes the hash-build gate,
+# and the build-key type it fills is declared once.
+join-guard:
+	@src=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
+	files=$$(grep -l -e '!= qgm\.OpEq' -e '!= OpEq' $$src); \
+	if [ "$$files" != "./internal/qgm/expr.go" ]; then \
+		echo "an equality is decomposed outside qgm.SplitEq:"; grep -n -e '!= qgm\.OpEq' -e '!= OpEq' $$src; exit 1; \
+	fi; \
+	n=$$(cat $$src | grep 'hashBuildCheck(' | grep -vc '^func '); \
+	if [ "$$n" != 1 ]; then \
+		echo "hashBuildCheck has $$n callers, want 1 (exec.rowHash):"; grep -n 'hashBuildCheck(' $$src; exit 1; \
+	fi; \
+	n=$$(cat $$src | grep -c 'type buildKey'); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "buildKey declared $$n times, want at most 1:"; grep -n 'type buildKey' $$src; exit 1; \
 	fi
 
 # cost-audit prints the §7 cost model beside what execution did — per

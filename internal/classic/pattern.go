@@ -104,16 +104,11 @@ func (p *aggPattern) decompose() error {
 			kept = append(kept, pred)
 			continue
 		}
-		bin, ok := pred.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			return fmt.Errorf("%w: correlated predicate is not a simple equality", ErrNotApplicable)
-		}
-		l, r := bin.L, bin.R
-		if sideIsOuterRef(r, p.outer) && exprOverBody(l, p.body) {
-			l, r = r, l
-		}
-		if !sideIsOuterRef(l, p.outer) || !exprOverBody(r, p.body) {
-			return fmt.Errorf("%w: correlated equality mixes inner and outer columns", ErrNotApplicable)
+		l, r, ok := qgm.SplitEq(pred,
+			func(e qgm.Expr) bool { return sideIsOuterRef(e, p.outer) },
+			func(e qgm.Expr) bool { return exprOverBody(e, p.body) })
+		if !ok {
+			return fmt.Errorf("%w: correlated predicate is not a simple equality of an outer column and an inner expression", ErrNotApplicable)
 		}
 		p.outerRefs = append(p.outerRefs, l.(*qgm.ColRef))
 		p.innerExprs = append(p.innerExprs, r)

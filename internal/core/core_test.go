@@ -37,6 +37,14 @@ func diff(t *testing.T, db *storage.DB, sql string, tune func(*engine.Engine)) *
 	return stats
 }
 
+// optsFor is full decorrelation with the executor's join order, wired the
+// way the engine wires it: Decorrelate has no order of its own.
+func optsFor(db *storage.DB) core.Options {
+	opts := core.DefaultOptions()
+	opts.Order = exec.New(db, exec.Options{}).JoinOrder
+	return opts
+}
+
 func render(rows []storage.Row) string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -196,12 +204,13 @@ func TestTraceCapturesEveryStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := semant.Bind(q, tpcd.EmpDept().Catalog)
+	db := tpcd.EmpDept()
+	g, err := semant.Bind(q, db.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &core.Trace{}
-	if err := core.Decorrelate(g, core.DefaultOptions(), tr); err != nil {
+	if err := core.Decorrelate(g, optsFor(db), tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Steps) < 5 {
@@ -243,11 +252,15 @@ func TestValidAfterDecorrelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := semant.Bind(q, tpcd.EmpDept().Catalog)
+		db := tpcd.EmpDept()
+		g, err := semant.Bind(q, db.Catalog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.Decorrelate(g, core.DefaultOptions(), nil); err != nil {
+		if err := core.Decorrelate(g, core.DefaultOptions(), nil); err == nil {
+			t.Fatal("Decorrelate accepted a nil Options.Order")
+		}
+		if err := core.Decorrelate(g, optsFor(db), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := qgm.Validate(g); err != nil {
@@ -261,12 +274,13 @@ func TestUncorrelatedQueryUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := semant.Bind(q, tpcd.EmpDept().Catalog)
+	db := tpcd.EmpDept()
+	g, err := semant.Bind(q, db.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := len(qgm.Boxes(g.Root))
-	if err := core.Decorrelate(g, core.DefaultOptions(), nil); err != nil {
+	if err := core.Decorrelate(g, optsFor(db), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(qgm.Boxes(g.Root)); got != before {

@@ -13,6 +13,9 @@ import (
 // rewrite rules afterwards to merge the helper boxes the algorithm
 // introduces, and Validate the graph.
 func Decorrelate(g *qgm.Graph, opts Options, tr *Trace) error {
+	if opts.Order == nil {
+		return fmt.Errorf("core: Options.Order is required (the executor's JoinOrder)")
+	}
 	d := &decorrelator{
 		g:    g,
 		opts: opts,
@@ -164,88 +167,6 @@ func (d *decorrelator) compensationPlan(b *qgm.Box, q *qgm.Quantifier) compPlan 
 	return compPlan{ok: true}
 }
 
-// orderOf returns the NI binding order of b's quantifiers.
-func (d *decorrelator) orderOf(b *qgm.Box) []*qgm.Quantifier {
-	if d.opts.Order != nil {
-		return d.opts.Order(b)
-	}
-	// Fallback: declared order, respecting lateral dependencies among
-	// ForEach quantifiers, with late quantifiers (scalar/existential) at
-	// their earliest dependency position.
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
-	type entry struct {
-		q    *qgm.Quantifier
-		row  bool // ForEach quantifiers join rows; others are "late"
-		deps map[*qgm.Quantifier]bool
-	}
-	var entries []entry
-	for _, q := range b.Quants {
-		deps := map[*qgm.Quantifier]bool{}
-		for _, r := range qgm.FreeRefs(q.Input) {
-			if own[r.Q] && !r.Q.Kind.IsSubquery() {
-				deps[r.Q] = true
-			}
-		}
-		if q.Kind != qgm.QForEach {
-			for _, p := range b.Preds {
-				if qgm.RefsQuant(p, q) {
-					for x := range qgm.QuantSet(p) {
-						if own[x] && !x.Kind.IsSubquery() {
-							deps[x] = true
-						}
-					}
-				}
-			}
-		}
-		entries = append(entries, entry{q: q, row: q.Kind == qgm.QForEach, deps: deps})
-	}
-	var out []*qgm.Quantifier
-	boundSet := map[*qgm.Quantifier]bool{}
-	ready := func(e entry) bool {
-		for x := range e.deps {
-			if !boundSet[x] {
-				return false
-			}
-		}
-		return true
-	}
-	emit := func(i int) {
-		out = append(out, entries[i].q)
-		boundSet[entries[i].q] = true
-		entries = append(entries[:i], entries[i+1:]...)
-	}
-	for len(entries) > 0 {
-		progressed := false
-		// Late quantifiers first (earliest placement), then the first
-		// ready row quantifier in declared order.
-		for i := 0; i < len(entries); i++ {
-			if !entries[i].row && ready(entries[i]) {
-				emit(i)
-				progressed = true
-				break
-			}
-		}
-		if progressed {
-			continue
-		}
-		for i := 0; i < len(entries); i++ {
-			if entries[i].row && ready(entries[i]) {
-				emit(i)
-				progressed = true
-				break
-			}
-		}
-		if !progressed {
-			// Dependency cycle: emit in declared order to terminate.
-			emit(0)
-		}
-	}
-	return out
-}
-
 // feed runs the FEED stage for child quantifier q of cur, then absorbs the
 // magic table into the child and ties the decorrelated view back to the
 // outer block (the paper's Figures 2–4 in one pass, with the CI merge
@@ -255,7 +176,7 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 
 	// 1. NI order and the supplementary split: everything bound before the
 	// subquery goes into SUPP.
-	order := d.orderOf(cur)
+	order := d.opts.Order(cur)
 	pos := -1
 	for i, oq := range order {
 		if oq == q {

@@ -95,26 +95,21 @@ func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
 	// Collect equality predicates joining q to the other quantifiers,
 	// where the q side is a bare column of the child.
 	var ties []msTie
-	for _, p := range cur.Preds {
-		bin, ok := p.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
+	qCol := func(e qgm.Expr) bool {
+		ref, ok := e.(*qgm.ColRef)
+		return ok && ref.Q == q
+	}
+	feeds := func(e qgm.Expr) bool { // over the other row quantifiers only
+		for oq := range qgm.QuantSet(e) {
+			if oq == q || (oq.Owner == cur && oq.Kind.IsSubquery()) {
+				return false
+			}
 		}
-		for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-			ref, ok := try[0].(*qgm.ColRef)
-			if !ok || ref.Q != q || qgm.RefsQuant(try[1], q) {
-				continue
-			}
-			otherOK := true
-			for oq := range qgm.QuantSet(try[1]) {
-				if oq.Owner == cur && oq.Kind.IsSubquery() {
-					otherOK = false
-				}
-			}
-			if otherOK {
-				ties = append(ties, msTie{col: ref.Col, other: try[1]})
-			}
-			break
+		return true
+	}
+	for _, p := range cur.Preds {
+		if ref, other, ok := qgm.SplitEq(p, qCol, feeds); ok {
+			ties = append(ties, msTie{col: ref.(*qgm.ColRef).Col, other: other})
 		}
 	}
 	if len(ties) == 0 {

@@ -46,8 +46,9 @@ type Options struct {
 	// it — so a value placed in Engine.CoreOpts is overwritten and is not
 	// part of the plan-cache key.
 	EliminateSupplementary bool
-	// Order overrides the join-order oracle; nil uses declared order with
-	// subqueries placed at their earliest dependency point.
+	// Order is the join-order oracle, required: the executor's JoinOrder,
+	// so the supplementary table splits where nested iteration would have
+	// run the subquery. The engine sets it per rewrite.
 	Order Orderer
 	// Tracer, when non-nil, receives one instant event per decorrelation
 	// step (the same titles the Trace snapshots carry).

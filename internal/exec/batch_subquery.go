@@ -10,10 +10,10 @@ package exec
 //
 //   - Single-execution path: when the correlation enters the subtree only
 //     through root-level equalities (qgm.ExtractBatchSignature), the
-//     subtree runs ONCE with those predicates stripped, its rows are
-//     partitioned by the subquery-side key, and each distinct binding
-//     probes its partition — one decorrelated execution instead of one
-//     per binding.
+//     subtree runs ONCE with those predicates stripped and each distinct
+//     binding probes the row engine's shared hash build (rowHash) over its
+//     rows, keyed by the subquery side — one decorrelated execution
+//     instead of one per binding.
 //   - Per-binding path: otherwise the subtree runs once per DISTINCT
 //     binding (plain nested iteration over the bindings relation), which
 //     is always sound — group boxes keep their per-binding COUNT-bug
@@ -169,10 +169,9 @@ func (ex *Exec) varyingQuants(b *qgm.Box, owner *qgm.Box) map[*qgm.Quantifier]bo
 
 // batchSingleExec is the single-execution path: run subtree b once under
 // the run-constant env with the signature's correlated predicates
-// stripped, key and project every phase-1 tuple, partition the projected
-// rows, and probe one partition per distinct binding. The partition build
-// is the moral equivalent of a hash-join build side and goes through the
-// same fault-injection and byte-budget gate.
+// stripped, key and project every phase-1 tuple, hash the projected rows
+// (rowHash, the build every join-shaped operator shares), and probe once
+// per distinct binding; the probe hands back the binding's whole chain.
 func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env, env *Env) ([][]storage.Row, error) {
 	// This bypasses evalBox for the root (the stripped predicate set is
 	// not the box's own evaluation), so it carries evalBox's governance
@@ -186,20 +185,16 @@ func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env
 	if err != nil {
 		return nil, err
 	}
+	// A NULL key component can never satisfy the stripped equality: the
+	// tuple belongs to no binding's result and is not projected (row nil).
 	type keyedRow struct {
-		key  string
-		skip bool
-		row  storage.Row
+		key string
+		row storage.Row
 	}
 	outs, err := parallelMap(ex, tuples, rowMorsel, func(t *Env) (keyedRow, error) {
 		key, null, kerr := ex.keyFor(sig.Inner, t)
-		if kerr != nil {
+		if kerr != nil || null {
 			return keyedRow{}, kerr
-		}
-		if null {
-			// A NULL key component can never satisfy the stripped
-			// equality: the row belongs to no binding's result.
-			return keyedRow{skip: true}, nil
 		}
 		row := make(storage.Row, len(b.Cols))
 		for i, c := range b.Cols {
@@ -214,34 +209,26 @@ func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env
 	if err != nil {
 		return nil, err
 	}
-	built := make([]storage.Row, 0, len(outs))
-	for _, kr := range outs {
-		if !kr.skip {
-			built = append(built, kr.row)
-		}
+	built := make([]storage.Row, len(outs))
+	for i, kr := range outs {
+		built[i] = kr.row
 	}
-	if err := ex.hashBuildCheck(built); err != nil {
+	// The keys were evaluated with the projection, under the tuple each row
+	// came from. Chains fill in tuple order, so each binding's rows come
+	// back in the exact order the per-binding NI evaluation would have
+	// produced them.
+	parts, err := ex.rowHash(built, func(i int) (string, bool, error) {
+		return outs[i].key, outs[i].row == nil, nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	bump(&ex.Stats.HashBuilds, 1)
-	// Partitions fill sequentially in tuple order, so each binding's rows
-	// come back in the exact order the per-binding NI evaluation would
-	// have produced them.
-	parts := make(map[string][]storage.Row, len(built))
-	for _, kr := range outs {
-		if !kr.skip {
-			parts[kr.key] = append(parts[kr.key], kr.row)
-		}
 	}
 	return parallelMap(ex, reps, rowMorsel, func(rep *Env) ([]storage.Row, error) {
 		key, null, kerr := ex.keyFor(sig.Outer, rep)
-		if kerr != nil {
-			return nil, kerr
-		}
-		if null {
+		if kerr != nil || null {
 			// NULL probe keys match nothing, same as the stripped
 			// predicate evaluating UNKNOWN for every subtree row.
-			return nil, nil
+			return nil, kerr
 		}
 		return parts[key], nil
 	})

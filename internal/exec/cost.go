@@ -161,11 +161,8 @@ func (w *costWalk) box(b *qgm.Box) float64 {
 		ql, qr := b.Quants[0], b.Quants[1]
 		l, r := ex.estBoxRows(ql.Input), ex.estBoxRows(qr.Input)
 		pairs := l * r // no equality to hash on: every left row meets every right row
-		for _, p := range b.Preds {
-			if _, _, ok := equiSides(p, ql, qr); ok {
-				pairs = l + r
-				break
-			}
+		if keys, _, _ := qgm.LojKeys(b); len(keys) > 0 {
+			pairs = l + r
 		}
 		c = w.startup + w.box(ql.Input) + w.box(qr.Input) + pairs
 	}

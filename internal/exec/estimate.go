@@ -215,10 +215,27 @@ func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth flo
 // predicates connecting it to the bound set; predicates already applicable
 // before q binds do not count against q's growth.
 func (ex *Exec) EstimateGrowth(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) float64 {
+	return ex.estQuantGrowth(q, ex.stateAt(b, bound))
+}
+
+// stateAt is a walk over b's plan advanced to where bound is bound and the
+// predicates over it alone are consumed.
+func (ex *Exec) stateAt(b *qgm.Box, bound map[*qgm.Quantifier]bool) *selState {
 	st := ex.planOf(b).newState()
 	st.bound = bound
 	st.takeReady()
-	return ex.estQuantGrowth(q, st)
+	return st
+}
+
+// EquiJoinKeys exposes the hash keys the row evaluator would join q to an
+// already-bound set on in box b (q side, bound side; empty = a cross
+// product), so the shared-nothing plan model repartitions on what the
+// executor hashes. Like bindForEach, q's local predicates are consumed
+// first: `q.a = 5` filters q's rows, it is not a join key.
+func (ex *Exec) EquiJoinKeys(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSides, boundSides []qgm.Expr) {
+	st := ex.stateAt(b, bound)
+	st.takeLocal(q)
+	return st.takeEquiJoin(q)
 }
 
 // histogramSel estimates a range comparison between a base-table column

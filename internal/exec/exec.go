@@ -873,46 +873,15 @@ func (ex *Exec) evalLeftJoin(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		return nil, err
 	}
 	left, right := ins[0], ins[1]
-	// Split ON predicates into hashable equalities and residual filters.
-	var lKeys, rKeys []qgm.Expr
-	var residual []qgm.Expr
-	for _, p := range b.Preds {
-		if l, r, ok := equiSides(p, ql, qr); ok {
-			lKeys = append(lKeys, l)
-			rKeys = append(rKeys, r)
-		} else {
-			residual = append(residual, p)
-		}
-	}
+	lKeys, rKeys, residual := qgm.LojKeys(b)
 	nullRight := nullRow(len(qr.Input.Cols))
-	var rHash map[string][]int
+	var rHash map[string][]storage.Row
 	if len(lKeys) > 0 {
-		if err := ex.hashBuildCheck(right); err != nil {
-			return nil, err
-		}
-		bump(&ex.Stats.HashBuilds, 1)
-		// Build: key expressions evaluate in parallel; the table fills
-		// sequentially in row order so bucket chains are deterministic.
-		type buildKey struct {
-			key  string
-			skip bool
-		}
-		keys, err := parallelMap(ex, right, rowMorsel, func(rr storage.Row) (buildKey, error) {
-			renv := Bind(env, qr, rr)
-			key, null, err := ex.keyFor(rKeys, renv)
-			if err != nil {
-				return buildKey{}, err
-			}
-			return buildKey{key: key, skip: null}, nil // NULL join keys never match
+		rHash, err = ex.rowHash(right, func(i int) (string, bool, error) {
+			return ex.keyFor(rKeys, Bind(env, qr, right[i]))
 		})
 		if err != nil {
 			return nil, err
-		}
-		rHash = make(map[string][]int, len(right))
-		for i, bk := range keys {
-			if !bk.skip {
-				rHash[bk.key] = append(rHash[bk.key], i)
-			}
 		}
 	}
 	// Probe: each morsel of left rows emits into its own slot; slots
@@ -938,27 +907,13 @@ func (ex *Exec) evalLeftJoin(b *qgm.Box, env *Env) ([]storage.Row, error) {
 			matched := false
 			candidates := right
 			if rHash != nil {
-				keys := make([]sqltypes.Value, len(lKeys))
-				nullKey := false
-				for ki, ke := range lKeys {
-					v, err := ex.EvalExpr(ke, lenv)
-					if err != nil {
-						return nil, err
-					}
-					if v.IsNull() {
-						nullKey = true
-						break
-					}
-					keys[ki] = v
+				key, null, err := ex.keyFor(lKeys, lenv)
+				if err != nil {
+					return nil, err
 				}
-				if nullKey {
+				candidates = rHash[key]
+				if null { // matches nothing: the left row null-extends
 					candidates = nil
-				} else {
-					ids := rHash[sqltypes.Key(keys)]
-					candidates = make([]storage.Row, len(ids))
-					for i, id := range ids {
-						candidates[i] = right[id]
-					}
 				}
 			}
 			for _, rr := range candidates {
@@ -1000,6 +955,48 @@ func (ex *Exec) evalLeftJoin(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	return out, nil
 }
 
+// buildKey is one build row's hash key; skip marks a NULL component, which
+// no equality matches.
+type buildKey struct {
+	key  string
+	skip bool
+}
+
+// rowHash is the row engine's one hash-table build, shared by the inner
+// join, the left outer join, the EXISTS/IN semi-join and the batched
+// subquery partition: build[i] filed under key(i), rows with a NULL key
+// component left out. The gate and the HashBuilds count come
+// first; keys evaluate in parallel; the table fills sequentially in row
+// order, so every bucket chain — and with it whatever a probe emits — is
+// the same at every worker count. What a probe emits is the caller's.
+func (ex *Exec) rowHash(build []storage.Row, key func(i int) (string, bool, error)) (map[string][]storage.Row, error) {
+	if err := ex.hashBuildCheck(build); err != nil {
+		return nil, err
+	}
+	bump(&ex.Stats.HashBuilds, 1)
+	keys := make([]buildKey, len(build))
+	_, err := parallelChunks(ex, len(build), rowMorsel, func(lo, hi int) (struct{}, error) {
+		for i := lo; i < hi; i++ {
+			k, null, err := key(i)
+			if err != nil {
+				return struct{}{}, err
+			}
+			keys[i] = buildKey{key: k, skip: null}
+		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	h := make(map[string][]storage.Row, len(build))
+	for i, bk := range keys {
+		if !bk.skip {
+			h[bk.key] = append(h[bk.key], build[i])
+		}
+	}
+	return h, nil
+}
+
 // hashBuildCheck gates every hash-table build: the fault-injection
 // hash-build point fires first, then the build side is charged against the
 // byte budget — a hash join's dominant allocation is its build table.
@@ -1008,22 +1005,4 @@ func (ex *Exec) hashBuildCheck(build []storage.Row) error {
 		return err
 	}
 	return ex.govBytes(build)
-}
-
-// equiSides decomposes p as an equality whose sides reference exactly ql
-// and qr respectively (in either order); outer references are allowed on
-// both sides.
-func equiSides(p qgm.Expr, ql, qr *qgm.Quantifier) (lSide, rSide qgm.Expr, ok bool) {
-	b, isBin := p.(*qgm.Bin)
-	if !isBin || b.Op != qgm.OpEq {
-		return nil, nil, false
-	}
-	lq, rq := qgm.QuantSet(b.L), qgm.QuantSet(b.R)
-	switch {
-	case lq[ql] && !lq[qr] && rq[qr] && !rq[ql]:
-		return b.L, b.R, true
-	case lq[qr] && !lq[ql] && rq[ql] && !rq[qr]:
-		return b.R, b.L, true
-	}
-	return nil, nil, false
 }

@@ -243,33 +243,11 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env 
 	}
 	qSides, boundSides := st.takeEquiJoin(q)
 	if len(qSides) > 0 {
-		if err := ex.hashBuildCheck(rows); err != nil {
-			return nil, err
-		}
-		bump(&ex.Stats.HashBuilds, 1)
-		// Build side: hash keys evaluate in parallel, the table fills
-		// sequentially in row order so every bucket chain — and therefore
-		// probe emission order — is deterministic.
-		type buildKey struct {
-			key  string
-			skip bool
-		}
-		keys, err := parallelMap(ex, rows, rowMorsel, func(r storage.Row) (buildKey, error) {
-			renv := Bind(env, q, r)
-			key, null, err := ex.keyFor(qSides, renv)
-			if err != nil {
-				return buildKey{}, err
-			}
-			return buildKey{key: key, skip: null}, nil
+		h, err := ex.rowHash(rows, func(i int) (string, bool, error) {
+			return ex.keyFor(qSides, Bind(env, q, rows[i]))
 		})
 		if err != nil {
 			return nil, err
-		}
-		h := make(map[string][]int, len(rows))
-		for i, bk := range keys {
-			if !bk.skip {
-				h[bk.key] = append(h[bk.key], i)
-			}
 		}
 		out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
 			key, null, err := ex.keyFor(boundSides, t)
@@ -279,10 +257,10 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env 
 			if null {
 				return nil, nil
 			}
-			ids := h[key]
-			matched := make([]*Env, len(ids))
-			for i, id := range ids {
-				matched[i] = Bind(t, q, rows[id])
+			rs := h[key]
+			matched := make([]*Env, len(rs))
+			for i, r := range rs {
+				matched[i] = Bind(t, q, r)
 			}
 			return matched, nil
 		})
@@ -365,6 +343,13 @@ func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, 
 	if tbl == nil {
 		return nil, 0, 0, nil
 	}
+	// The probe side is a bare indexed column of q; the other side is
+	// evaluated per tuple and must not read q.
+	indexed := func(e qgm.Expr) bool {
+		ref, ok := e.(*qgm.ColRef)
+		return ok && ref.Q == q && tbl.HasIndex(ref.Col)
+	}
+	notQ := func(e qgm.Expr) bool { return !qgm.RefsQuant(e, q) }
 	for i, pi := range st.preds {
 		if st.applied[i] || pi.sub != nil || !pi.deps[q] {
 			continue
@@ -372,21 +357,8 @@ func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, 
 		if !depsSubset(pi.deps, st.bound, q) {
 			continue
 		}
-		bin, ok := pi.expr.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
-		}
-		for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-			ref, ok := try[0].(*qgm.ColRef)
-			if !ok || ref.Q != q {
-				continue
-			}
-			if qgm.RefsQuant(try[1], q) {
-				continue
-			}
-			if tbl.HasIndex(ref.Col) {
-				return tbl, i, ref.Col, try[1]
-			}
+		if ref, other, ok := qgm.SplitEq(pi.expr, indexed, notQ); ok {
+			return tbl, i, ref.(*qgm.ColRef).Col, other
 		}
 	}
 	return nil, 0, 0, nil
@@ -453,10 +425,6 @@ func depsSubset(deps, bound map[*qgm.Quantifier]bool, q *qgm.Quantifier) bool {
 // references q (and possibly outer quantifiers) and the bound side only
 // bound/outer quantifiers.
 func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSide, boundSide qgm.Expr, ok bool) {
-	bin, isBin := p.(*qgm.Bin)
-	if !isBin || bin.Op != qgm.OpEq {
-		return nil, nil, false
-	}
 	sideOK := func(e qgm.Expr, wantQ bool) bool {
 		hasQ := false
 		for qq := range qgm.QuantSet(e) {
@@ -468,11 +436,7 @@ func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (q
 		}
 		return hasQ == wantQ
 	}
-	if sideOK(bin.L, true) && sideOK(bin.R, false) {
-		return bin.L, bin.R, true
-	}
-	if sideOK(bin.R, true) && sideOK(bin.L, false) {
-		return bin.R, bin.L, true
-	}
-	return nil, nil, false
+	return qgm.SplitEq(p,
+		func(e qgm.Expr) bool { return sideOK(e, true) },
+		func(e qgm.Expr) bool { return sideOK(e, false) })
 }

@@ -43,31 +43,11 @@ func (ex *Exec) bindSubqueryCheck(q *qgm.Quantifier, ties []*selPred, correlated
 	// (bound/outer side) and a subquery-side expression.
 	probeExprs, subExprs, hashable := splitTies(ties, q)
 	if hashable && (q.Kind == qgm.QExists || q.Kind == qgm.QNotExists || q.Kind == qgm.QAny) {
-		if err := ex.hashBuildCheck(rows); err != nil {
-			return nil, err
-		}
-		bump(&ex.Stats.HashBuilds, 1)
-		type buildKey struct {
-			key  string
-			skip bool
-		}
-		keys, err := parallelMap(ex, rows, rowMorsel, func(r storage.Row) (buildKey, error) {
-			renv := Bind(env, q, r)
-			key, null, err := ex.keyFor(subExprs, renv)
-			if err != nil {
-				return buildKey{}, err
-			}
-			// A NULL component can never satisfy the equality.
-			return buildKey{key: key, skip: null}, nil
+		h, err := ex.rowHash(rows, func(i int) (string, bool, error) {
+			return ex.keyFor(subExprs, Bind(env, q, rows[i]))
 		})
 		if err != nil {
 			return nil, err
-		}
-		h := make(map[string]bool, len(rows))
-		for _, bk := range keys {
-			if !bk.skip {
-				h[bk.key] = true
-			}
 		}
 		return parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
 			key, null, err := ex.keyFor(probeExprs, t)
@@ -76,9 +56,9 @@ func (ex *Exec) bindSubqueryCheck(q *qgm.Quantifier, ties []*selPred, correlated
 			}
 			switch q.Kind {
 			case qgm.QExists, qgm.QAny:
-				return !null && h[key], nil
+				return !null && len(h[key]) > 0, nil
 			case qgm.QNotExists:
-				return null || !h[key], nil
+				return null || len(h[key]) == 0, nil
 			}
 			return false, nil
 		})
@@ -94,22 +74,15 @@ func (ex *Exec) bindSubqueryCheck(q *qgm.Quantifier, ties []*selPred, correlated
 // expression pairs; ok=false when any tie is not such an equality (then the
 // slow path runs). A bare EXISTS has zero ties and is trivially hashable.
 func splitTies(ties []*selPred, q *qgm.Quantifier) (probe, sub []qgm.Expr, ok bool) {
+	notQ := func(e qgm.Expr) bool { return !qgm.RefsQuant(e, q) }
+	hasQ := func(e qgm.Expr) bool { return qgm.RefsQuant(e, q) }
 	for _, pi := range ties {
-		bin, isBin := pi.expr.(*qgm.Bin)
-		if !isBin || bin.Op != qgm.OpEq {
+		p, s, ok := qgm.SplitEq(pi.expr, notQ, hasQ)
+		if !ok {
 			return nil, nil, false
 		}
-		lq, rq := qgm.RefsQuant(bin.L, q), qgm.RefsQuant(bin.R, q)
-		switch {
-		case rq && !lq:
-			probe = append(probe, bin.L)
-			sub = append(sub, bin.R)
-		case lq && !rq:
-			probe = append(probe, bin.R)
-			sub = append(sub, bin.L)
-		default:
-			return nil, nil, false
-		}
+		probe = append(probe, p)
+		sub = append(sub, s)
 	}
 	return probe, sub, true
 }

@@ -174,21 +174,19 @@ func (w *planWalker) walk(b *qgm.Box) relInfo {
 	return r
 }
 
+// lojKeys returns the canonical keys of the first equality the executor's
+// left outer join hashes on (left side, right side); "" when it hashes on
+// none and meets every pair.
 func (w *planWalker) lojKeys(b *qgm.Box) (string, string) {
-	ql, qr := b.Quants[0], b.Quants[1]
-	for _, p := range b.Preds {
-		bin, ok := p.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
-		}
-		if qgm.RefsQuant(bin.L, ql) && qgm.RefsQuant(bin.R, qr) {
-			return keyOf(bin.L), keyOf(bin.R)
-		}
-		if qgm.RefsQuant(bin.L, qr) && qgm.RefsQuant(bin.R, ql) {
-			return keyOf(bin.R), keyOf(bin.L)
-		}
+	left, right, _ := qgm.LojKeys(b)
+	return firstKeys(left, right)
+}
+
+func firstKeys(a, b []qgm.Expr) (string, string) {
+	if len(a) == 0 {
+		return "", ""
 	}
-	return "", ""
+	return keyOf(a[0]), keyOf(b[0])
 }
 
 func (w *planWalker) walkGroup(b *qgm.Box) relInfo {
@@ -301,30 +299,10 @@ func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 	return out
 }
 
-// joinKeys finds an equality predicate connecting q to the bound set and
-// returns the canonical keys of (bound side, q side).
+// joinKeys returns the canonical keys of the first equality the executor
+// would hash on when binding q to the bound set (bound side, q side); ""
+// when it has none and builds the cross product.
 func (w *planWalker) joinKeys(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (string, string) {
-	for _, p := range b.Preds {
-		bin, ok := p.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
-		}
-		for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-			qs, bs := try[0], try[1]
-			if !qgm.RefsQuant(qs, q) || qgm.RefsQuant(bs, q) {
-				continue
-			}
-			usable := true
-			for oq := range qgm.QuantSet(bs) {
-				if oq.Owner == b && !bound[oq] {
-					usable = false
-					break
-				}
-			}
-			if usable {
-				return keyOf(bs), keyOf(qs)
-			}
-		}
-	}
-	return "", ""
+	qSides, boundSides := w.ex.EquiJoinKeys(b, q, bound)
+	return firstKeys(boundSides, qSides)
 }

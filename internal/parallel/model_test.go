@@ -1,6 +1,7 @@
 package parallel_test
 
 import (
+	"fmt"
 	"testing"
 
 	"decorr/internal/engine"
@@ -71,5 +72,28 @@ func TestPlanCostUncorrelated(t *testing.T) {
 	m := planFor(t, db, "select p_brand, count(*) from parts group by p_brand", engine.NI)
 	if m.Fragments > int64(8*4) {
 		t.Errorf("simple aggregate scheduled %d fragments", m.Fragments)
+	}
+}
+
+// The model repartitions on what the executor hashes, not on its own
+// reading of the predicates. `l.a + r.b = r.c` has a side that mixes both
+// inputs: qgm.LojKeys (and so evalLeftJoin) finds no hash key and meets
+// every pair, so the plan ships both inputs exactly like the same join
+// under an inequality. The simulator's private splitter used to take r.c
+// for a key and, suppliers being partitioned on it, shipped parts alone.
+func TestPlanCostMixedSideEqualityIsNoJoinKey(t *testing.T) {
+	db := tpcd.Generate(tpcd.Config{SF: 0.02, Seed: 1})
+	const loj = "select p.p_partkey, s.s_suppkey from parts p left join suppliers s on p.p_partkey + s.s_suppkey %s s.s_suppkey"
+	mixed := fmt.Sprintf(loj, "=")
+	if _, stats, err := engine.New(db).Query(mixed, engine.NI); err != nil {
+		t.Fatal(err)
+	} else if stats.HashBuilds != 0 {
+		t.Fatalf("executor hashed the mixed-side equality (%d builds); the test's premise is gone", stats.HashBuilds)
+	}
+	eq := planFor(t, db, mixed, engine.NI)
+	ge := planFor(t, db, fmt.Sprintf(loj, ">="), engine.NI)
+	if eq.RowsShipped != ge.RowsShipped || eq.Messages != ge.Messages {
+		t.Errorf("cross-product outer join ships %d rows / %d messages under =, %d / %d under >=: the simulator found a key the executor does not hash",
+			eq.RowsShipped, eq.Messages, ge.RowsShipped, ge.Messages)
 	}
 }

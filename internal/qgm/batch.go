@@ -6,10 +6,10 @@ package qgm
 // batched-bindings evaluation of Guravannavar & Sudarshan, applied at
 // runtime rather than by rewrite. That is only sound when the correlation
 // enters the subtree exclusively through root-level equality predicates:
-// then the subtree can run once with those predicates stripped, its rows
-// partitioned by the subquery-side key, and each outer binding probes its
-// partition — exactly a hash join against the synthesized bindings
-// relation.
+// then the subtree can run once with those predicates stripped and be hash
+// joined to the synthesized bindings relation on the stripped equalities —
+// through the same build (exec.rowHash) and the same splitter (SplitEq) as
+// every other join.
 
 // BatchSignature describes how a correlated BoxSelect subtree can be
 // evaluated once for many outer bindings. Outer[i] = Inner[i] are the
@@ -126,10 +126,6 @@ func batchCheckedSlots(box, root *Box, sig *BatchSignature) []Expr {
 // run-constant ancestors (neither varying nor inside) are allowed on both
 // sides — they evaluate identically under every binding.
 func splitBatchEq(p Expr, varying map[*Quantifier]bool, inside map[*Box]bool) (outer, inner Expr, ok bool) {
-	bin, isBin := p.(*Bin)
-	if !isBin || bin.Op != OpEq {
-		return nil, nil, false
-	}
 	side := func(e Expr) (hasVarying, hasInside bool) {
 		for q := range QuantSet(e) {
 			if varying[q] {
@@ -141,13 +137,7 @@ func splitBatchEq(p Expr, varying map[*Quantifier]bool, inside map[*Box]bool) (o
 		}
 		return
 	}
-	lv, li := side(bin.L)
-	rv, ri := side(bin.R)
-	switch {
-	case lv && !li && !rv:
-		return bin.L, bin.R, true
-	case rv && !ri && !lv:
-		return bin.R, bin.L, true
-	}
-	return nil, nil, false
+	return SplitEq(p,
+		func(e Expr) bool { v, in := side(e); return v && !in },
+		func(e Expr) bool { v, _ := side(e); return !v })
 }

@@ -181,6 +181,45 @@ func NewNullEq(l, r Expr) Expr {
 			R: &IsNull{E: CloneExpr(r)}}}
 }
 
+// SplitEq decomposes p as aSide = bSide in whichever orientation has one
+// side satisfying a and the other satisfying b; ok=false when p is not an
+// equality or neither orientation fits. Every "is this predicate a join
+// key" question in the repository is this function plus the caller's two
+// side tests (make join-guard).
+func SplitEq(p Expr, a, b func(Expr) bool) (aSide, bSide Expr, ok bool) {
+	bin, isBin := p.(*Bin)
+	if !isBin || bin.Op != OpEq {
+		return nil, nil, false
+	}
+	switch {
+	case a(bin.L) && b(bin.R):
+		return bin.L, bin.R, true
+	case a(bin.R) && b(bin.L):
+		return bin.R, bin.L, true
+	}
+	return nil, nil, false
+}
+
+// LojKeys decomposes a left-outer-join box's ON predicates into the hash
+// keys — equalities with one side over the left quantifier only and the
+// other over the right only, outer references allowed on both — and the
+// residual predicates evaluated per candidate pair. The executor, the cost
+// model and the shared-nothing simulator all read this one decomposition.
+func LojKeys(b *Box) (left, right, residual []Expr) {
+	ql, qr := b.Quants[0], b.Quants[1]
+	onlyL := func(e Expr) bool { return RefsQuant(e, ql) && !RefsQuant(e, qr) }
+	onlyR := func(e Expr) bool { return RefsQuant(e, qr) && !RefsQuant(e, ql) }
+	for _, p := range b.Preds {
+		if l, r, ok := SplitEq(p, onlyL, onlyR); ok {
+			left = append(left, l)
+			right = append(right, r)
+		} else {
+			residual = append(residual, p)
+		}
+	}
+	return left, right, residual
+}
+
 // Ref builds a column reference.
 func Ref(q *Quantifier, col int) *ColRef { return &ColRef{Q: q, Col: col} }
 

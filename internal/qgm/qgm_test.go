@@ -260,3 +260,66 @@ func TestRemoveQuant(t *testing.T) {
 		t.Error("double removal changed the box")
 	}
 }
+
+// SplitEq is the repository's one `=` decomposer and LojKeys its first
+// reader: the table pins both through a left-outer-join box over l(a,b)
+// and r(c,d) nested under a box that binds o(x).
+func TestSplitEqAndLojKeys(t *testing.T) {
+	g := NewGraph()
+	outer := g.NewBox(BoxSelect, "outer")
+	qo := g.AddQuant(outer, QForEach, g.NewBaseBox(demoTable("o", "x")))
+	loj := g.NewBox(BoxLeftJoin, "loj")
+	ql := g.AddQuant(loj, QForEach, g.NewBaseBox(demoTable("l", "a", "b")))
+	qr := g.AddQuant(loj, QForEach, g.NewBaseBox(demoTable("r", "c", "d")))
+	la, rc, rd, ox := Ref(ql, 0), Ref(qr, 0), Ref(qr, 1), Ref(qo, 0)
+	plus := func(l, r Expr) Expr { return &Bin{Op: OpAdd, L: l, R: r} }
+
+	cases := []struct {
+		name        string
+		pred        Expr
+		left, right Expr // nil: not a hash key, the predicate is residual
+	}{
+		{"left = right", NewEq(la, rc), la, rc},
+		{"right = left is turned round", NewEq(rc, la), la, rc},
+		{"a constant rides on either side", NewEq(plus(la, ConstInt(1)), rc), plus(la, ConstInt(1)), rc},
+		{"an outer reference rides on the left side", NewEq(plus(la, ox), rc), plus(la, ox), rc},
+		{"an outer reference rides on the right side", NewEq(plus(rc, ox), la), la, plus(rc, ox)},
+		{"a side mixing both inputs declines", NewEq(plus(la, rd), rc), nil, nil},
+		{"a side reading neither input declines", NewEq(la, ox), nil, nil},
+		{"left = constant is a filter, not a key", NewEq(la, ConstInt(5)), nil, nil},
+		{"an inequality declines", &Bin{Op: OpLt, L: la, R: rc}, nil, nil},
+		{"a non-Bin declines", &IsNull{E: la}, nil, nil},
+		{"the null-safe equality is an OR, not (yet) a key", NewNullEq(la, rc), nil, nil},
+	}
+	for _, c := range cases {
+		loj.Preds = []Expr{c.pred}
+		left, right, residual := LojKeys(loj)
+		if c.left == nil {
+			if len(left) != 0 || len(right) != 0 || len(residual) != 1 || residual[0] != c.pred {
+				t.Errorf("%s: keys %d/%d, residual %d; want the predicate left residual", c.name, len(left), len(right), len(residual))
+			}
+			continue
+		}
+		if len(left) != 1 || len(right) != 1 || len(residual) != 0 {
+			t.Errorf("%s: keys %d/%d, residual %d; want one key pair", c.name, len(left), len(right), len(residual))
+			continue
+		}
+		if got, want := FormatExpr(left[0])+" | "+FormatExpr(right[0]), FormatExpr(c.left)+" | "+FormatExpr(c.right); got != want {
+			t.Errorf("%s: split %s, want %s", c.name, got, want)
+		}
+	}
+
+	// The side tests are the caller's: SplitEq itself only unwraps `=` and
+	// tries both orientations, first the written one.
+	anySide := func(Expr) bool { return true }
+	isRef := func(e Expr) bool { _, ok := e.(*ColRef); return ok }
+	if a, b, ok := SplitEq(NewEq(la, rc), anySide, anySide); !ok || a != Expr(la) || b != Expr(rc) {
+		t.Errorf("both orientations fit: want the written one, got %v %v %v", a, b, ok)
+	}
+	if a, _, ok := SplitEq(NewEq(ConstInt(5), la), isRef, anySide); !ok || a != Expr(la) {
+		t.Errorf("5 = l.a with a bare column wanted first: got %v %v", a, ok)
+	}
+	if _, _, ok := SplitEq(NewEq(ConstInt(5), ConstInt(6)), isRef, anySide); ok {
+		t.Error("no side is a bare column, yet SplitEq accepted")
+	}
+}
