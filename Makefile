@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard observe-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
 # under the race detector, plus the grep guards against a declaration
 # growing a second copy.
-check: vet build test strategy-guard plan-guard auto-guard join-guard
+check: vet build test strategy-guard plan-guard auto-guard join-guard observe-guard
 
 vet:
 	$(GO) vet ./...
@@ -68,6 +68,29 @@ join-guard:
 	n=$$(cat $$src | grep -c 'type buildKey'); \
 	if [ "$$n" -gt 1 ]; then \
 		echo "buildKey declared $$n times, want at most 1:"; grep -n 'type buildKey' $$src; exit 1; \
+	fi
+
+# observe-guard is the cheapest check that observing a run cannot change
+# which path runs it: in non-test internal/exec, only profile.go (the box
+# envelope's observe half) reads the profiler or the tracer, apart from
+# exec.New pinning a traced run to one worker; a box evaluation is counted
+# in one place (enterBox); and the CSE cache is one map.
+observe-guard:
+	@src=$$(ls internal/exec/*.go | grep -v '_test\.go$$'); \
+	rest=$$(echo "$$src" | grep -v '/profile\.go$$'); \
+	if grep -n 'ex\.profile' $$rest; then \
+		echo "internal/exec reads the profiler outside profile.go"; exit 1; \
+	fi; \
+	n=$$(cat $$rest | grep -c 'opts\.Tracer'); \
+	if [ "$$n" != 1 ] || ! grep -q '^	if opts\.Tracer != nil {$$' internal/exec/exec.go; then \
+		echo "opts.Tracer read $$n times outside profile.go, want 1 (exec.New's w = 1 override):"; grep -n 'opts\.Tracer' $$rest; exit 1; \
+	fi; \
+	n=$$(cat $$src | grep -c 'bump(&ex\.Stats\.BoxEvals'); \
+	if [ "$$n" != 1 ]; then \
+		echo "BoxEvals counted in $$n places, want 1 (enterBox):"; grep -n 'bump(&ex\.Stats\.BoxEvals' $$src; exit 1; \
+	fi; \
+	if grep -n 'cseVecs' $$src; then \
+		echo "a second CSE cache grew back beside ex.cse"; exit 1; \
 	fi
 
 # cost-audit prints the §7 cost model beside what execution did — per

@@ -24,18 +24,11 @@ func (d *decorrelator) absorb(b *qgm.Box, m *qgm.Box, refMap map[qgm.RefKey]int)
 		// the rewrite cannot touch M's own internals (SUPP references).
 		snapshot := qgm.Boxes(b)
 		qm := d.g.AddQuant(b, qgm.QForEach, m)
-		for _, box := range snapshot {
-			box.ExprSlots(func(slot *qgm.Expr) {
-				*slot = qgm.Rewrite(*slot, func(e qgm.Expr) qgm.Expr {
-					if r, ok := e.(*qgm.ColRef); ok {
-						if j, ok := refMap[qgm.RefKey{Q: r.Q, Col: r.Col}]; ok {
-							return qgm.Ref(qm, j)
-						}
-					}
-					return e
-				})
-			})
+		mapping := map[qgm.RefKey]qgm.Expr{}
+		for rk, j := range refMap {
+			mapping[rk] = qgm.Ref(qm, j)
 		}
+		qgm.RedirectRefsIn(snapshot, mapping)
 		base := len(b.Cols)
 		pos := make([]int, k)
 		for j := 0; j < k; j++ {
@@ -53,16 +46,11 @@ func (d *decorrelator) absorb(b *qgm.Box, m *qgm.Box, refMap map[qgm.RefKey]int)
 		// The group box's own expressions (aggregate arguments, grouping
 		// expressions) may hold correlated references too; they now read
 		// the magic columns through the child.
-		b.ExprSlots(func(slot *qgm.Expr) {
-			*slot = qgm.Rewrite(*slot, func(e qgm.Expr) qgm.Expr {
-				if r, ok := e.(*qgm.ColRef); ok {
-					if j, ok := refMap[qgm.RefKey{Q: r.Q, Col: r.Col}]; ok {
-						return qgm.Ref(qd, childPos[j])
-					}
-				}
-				return e
-			})
-		})
+		mapping := map[qgm.RefKey]qgm.Expr{}
+		for rk, j := range refMap {
+			mapping[rk] = qgm.Ref(qd, childPos[j])
+		}
+		qgm.RedirectRefsIn([]*qgm.Box{b}, mapping)
 		base := len(b.Cols)
 		pos := make([]int, k)
 		for j := 0; j < k; j++ {

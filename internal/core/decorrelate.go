@@ -268,18 +268,7 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 	for k, p := range outPos {
 		mapping[k] = qgm.Ref(qsupp, p)
 	}
-	for _, box := range outside {
-		box.ExprSlots(func(slot *qgm.Expr) {
-			*slot = qgm.Rewrite(*slot, func(e qgm.Expr) qgm.Expr {
-				if r, ok := e.(*qgm.ColRef); ok {
-					if repl, ok := mapping[qgm.RefKey{Q: r.Q, Col: r.Col}]; ok {
-						return qgm.CloneExpr(repl)
-					}
-				}
-				return e
-			})
-		})
-	}
+	qgm.RedirectRefsIn(outside, mapping)
 	d.snap(fmt.Sprintf("FEED: supplementary table SUPP collected for %s (Fig 2b)", q.Name()))
 
 	// 4. Correlation columns: the SUPP outputs the child actually uses.

@@ -45,18 +45,7 @@ func (d *decorrelator) optFeed(cur *qgm.Box, q *qgm.Quantifier, qsupp *qgm.Quant
 		}
 		targets = append(targets, qgm.Boxes(rq.Input)...)
 	}
-	for _, box := range targets {
-		box.ExprSlots(func(slot *qgm.Expr) {
-			*slot = qgm.Rewrite(*slot, func(e qgm.Expr) qgm.Expr {
-				if r, ok := e.(*qgm.ColRef); ok {
-					if repl, ok := mapping[qgm.RefKey{Q: r.Q, Col: r.Col}]; ok {
-						return qgm.CloneExpr(repl)
-					}
-				}
-				return e
-			})
-		})
-	}
+	qgm.RedirectRefsIn(targets, mapping)
 	if q.Kind == qgm.QScalar {
 		q.Kind = qgm.QForEach
 	}

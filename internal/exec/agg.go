@@ -9,32 +9,9 @@ import (
 type aggAcc interface {
 	// add feeds the evaluated argument (ignored value for COUNT(*)).
 	add(v sqltypes.Value)
-	// merge folds another accumulator of the same concrete type into this
-	// one (the morsel scheduler's partial-aggregate combine). Only the
-	// order-insensitive accumulators admitted by mergeableAggs are merged
-	// in practice; the float-accumulating ones implement merge for
-	// completeness but never take that path.
-	merge(o aggAcc)
 	// result returns the aggregate value; SQL semantics over empty input
 	// (COUNT 0, others NULL).
 	result() sqltypes.Value
-}
-
-// mergeableAggs reports whether every aggregate combines associatively
-// with *bit-identical* results: COUNT, COUNT(*), MIN, MAX (plus their
-// DISTINCT forms). SUM and AVG are excluded — they may accumulate doubles,
-// and reassociating float additions shifts the last ulp, which would make
-// results depend on morsel boundaries; those aggregates use the
-// sequential-fold group path instead.
-func mergeableAggs(aggs []*qgm.Agg) bool {
-	for _, a := range aggs {
-		switch a.Op {
-		case qgm.AggCountStar, qgm.AggCount, qgm.AggMin, qgm.AggMax:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func newAggAcc(a *qgm.Agg) aggAcc {
@@ -56,7 +33,7 @@ func newAggAcc(a *qgm.Agg) aggAcc {
 		inner = &countAcc{}
 	}
 	if a.Distinct {
-		return &distinctAcc{inner: inner, seen: map[string]sqltypes.Value{}}
+		return &distinctAcc{inner: inner, seen: map[string]bool{}}
 	}
 	return inner
 }
@@ -64,7 +41,6 @@ func newAggAcc(a *qgm.Agg) aggAcc {
 type countStarAcc struct{ n int64 }
 
 func (a *countStarAcc) add(sqltypes.Value)     { a.n++ }
-func (a *countStarAcc) merge(o aggAcc)         { a.n += o.(*countStarAcc).n }
 func (a *countStarAcc) result() sqltypes.Value { return sqltypes.NewInt(a.n) }
 
 type countAcc struct{ n int64 }
@@ -74,7 +50,6 @@ func (a *countAcc) add(v sqltypes.Value) {
 		a.n++
 	}
 }
-func (a *countAcc) merge(o aggAcc)         { a.n += o.(*countAcc).n }
 func (a *countAcc) result() sqltypes.Value { return sqltypes.NewInt(a.n) }
 
 type sumAcc struct {
@@ -107,18 +82,6 @@ func (a *sumAcc) add(v sqltypes.Value) {
 	a.seen = true
 }
 
-func (a *sumAcc) merge(o aggAcc) {
-	b := o.(*sumAcc)
-	if !b.seen {
-		return
-	}
-	if b.isFloat {
-		a.add(sqltypes.NewFloat(b.f))
-	} else {
-		a.add(sqltypes.NewInt(b.i))
-	}
-}
-
 func (a *sumAcc) result() sqltypes.Value {
 	if !a.seen {
 		return sqltypes.Null
@@ -140,12 +103,6 @@ func (a *avgAcc) add(v sqltypes.Value) {
 	}
 	a.n++
 	a.sum += v.AsFloat()
-}
-
-func (a *avgAcc) merge(o aggAcc) {
-	b := o.(*avgAcc)
-	a.n += b.n
-	a.sum += b.sum
 }
 
 func (a *avgAcc) result() sqltypes.Value {
@@ -177,22 +134,13 @@ func (a *minmaxAcc) add(v sqltypes.Value) {
 	}
 }
 
-func (a *minmaxAcc) merge(o aggAcc) {
-	b := o.(*minmaxAcc)
-	if !b.best.IsNull() {
-		a.add(b.best)
-	}
-}
-
 func (a *minmaxAcc) result() sqltypes.Value { return a.best }
 
 // distinctAcc wraps another accumulator, feeding it each distinct non-NULL
-// argument once. The seen map keeps the value alongside its key so that
-// merge can re-feed the inner accumulator with arguments first observed in
-// another partial.
+// argument once.
 type distinctAcc struct {
 	inner aggAcc
-	seen  map[string]sqltypes.Value
+	seen  map[string]bool
 }
 
 func (a *distinctAcc) add(v sqltypes.Value) {
@@ -200,23 +148,11 @@ func (a *distinctAcc) add(v sqltypes.Value) {
 		return
 	}
 	k := sqltypes.Key([]sqltypes.Value{v})
-	if _, ok := a.seen[k]; ok {
+	if a.seen[k] {
 		return
 	}
-	a.seen[k] = v
+	a.seen[k] = true
 	a.inner.add(v)
-}
-
-func (a *distinctAcc) merge(o aggAcc) {
-	// Map iteration order is random, which is fine here: only
-	// order-insensitive inner accumulators reach the merge path.
-	for k, v := range o.(*distinctAcc).seen {
-		if _, ok := a.seen[k]; ok {
-			continue
-		}
-		a.seen[k] = v
-		a.inner.add(v)
-	}
 }
 
 func (a *distinctAcc) result() sqltypes.Value { return a.inner.result() }

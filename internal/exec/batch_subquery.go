@@ -21,12 +21,11 @@ package exec
 //
 // Either way, results fan back to outer tuples in the original stream
 // order, so rows, ordering, and typed errors are bit-identical to NI at
-// every worker count. Batching declines entirely (ok=false) for profiled
-// runs — EXPLAIN ANALYZE's per-box invocation counts are the row
-// interpreter's observability contract — and for subtrees over sys.*
-// synthetic tables or missing storage, whose row sources may change
-// between evaluations (the same volatility rule that gates the NI-memo
-// cache in evalSubqueryInput).
+// every worker count. Batching declines entirely (ok=false) only for
+// subtrees over sys.* synthetic tables or missing storage, whose row
+// sources may change between evaluations (the same volatility rule that
+// gates the NI-memo cache in evalSubqueryInput). A profiled or traced run
+// batches like any other: EXPLAIN ANALYZE shows the batched plan.
 
 import (
 	"decorr/internal/qgm"
@@ -71,7 +70,7 @@ func correlatedMap[T any](ex *Exec, q *qgm.Quantifier, tuples []*Env, env *Env, 
 // batchEligible reports whether the batched evaluation path may serve
 // subtree b for this Run.
 func (ex *Exec) batchEligible(b *qgm.Box) bool {
-	return ex.opts.Reuse == ReuseBatch && ex.profile == nil && !ex.subtreeVolatile(b)
+	return ex.opts.Reuse == ReuseBatch && !ex.subtreeVolatile(b)
 }
 
 // batchSubqueryRows evaluates the correlated subtree q.Input for every
@@ -167,45 +166,53 @@ func (ex *Exec) varyingQuants(b *qgm.Box, owner *qgm.Box) map[*qgm.Quantifier]bo
 	return varying
 }
 
-// batchSingleExec is the single-execution path: run subtree b once under
-// the run-constant env with the signature's correlated predicates
-// stripped, key and project every phase-1 tuple, hash the projected rows
-// (rowHash, the build every join-shaped operator shares), and probe once
-// per distinct binding; the probe hands back the binding's whole chain.
-func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env, env *Env) ([][]storage.Row, error) {
-	// This bypasses evalBox for the root (the stripped predicate set is
-	// not the box's own evaluation), so it carries evalBox's governance
-	// checkpoint and box accounting itself.
-	if err := ex.gov.checkpoint(); err != nil {
-		return nil, err
-	}
-	bump(&ex.Stats.BoxEvals, 1)
-	bump(&ex.Stats.BatchExecutions, 1)
-	tuples, err := ex.selectTuplesSkip(b, env, sig.Skip)
-	if err != nil {
-		return nil, err
-	}
-	// A NULL key component can never satisfy the stripped equality: the
-	// tuple belongs to no binding's result and is not projected (row nil).
-	type keyedRow struct {
-		key string
-		row storage.Row
-	}
-	outs, err := parallelMap(ex, tuples, rowMorsel, func(t *Env) (keyedRow, error) {
-		key, null, kerr := ex.keyFor(sig.Inner, t)
-		if kerr != nil || null {
-			return keyedRow{}, kerr
+// keyedRow is one phase-1 tuple of a stripped root, keyed by the
+// signature's subquery side and projected. A NULL key component can never
+// satisfy the stripped equality: the tuple belongs to no binding's result
+// and is not projected (row nil).
+type keyedRow struct {
+	key string
+	row storage.Row
+}
+
+// strippedRows runs subtree b once under the run-constant env with the
+// signature's correlated predicates stripped, and keys and projects every
+// phase-1 tuple. The stripped root is not the box's own evaluation, so it
+// does not go through evalBox — but it is one evaluation of b, inside the
+// box envelope. (A function of its own for the reason colSelectBatchIn is.)
+func (ex *Exec) strippedRows(b *qgm.Box, sig *qgm.BatchSignature, env *Env) (outs []keyedRow, err error) {
+	_, err = ex.inBox(b, false, func() (boxOut, error) {
+		bump(&ex.Stats.BatchExecutions, 1)
+		tuples, err := ex.selectTuplesSkip(b, env, sig.Skip)
+		if err != nil {
+			return boxOut{}, err
 		}
-		row := make(storage.Row, len(b.Cols))
-		for i, c := range b.Cols {
-			v, verr := ex.EvalExpr(c.Expr, t)
-			if verr != nil {
-				return keyedRow{}, verr
+		outs, err = parallelMap(ex, tuples, rowMorsel, func(t *Env) (keyedRow, error) {
+			key, null, kerr := ex.keyFor(sig.Inner, t)
+			if kerr != nil || null {
+				return keyedRow{}, kerr
 			}
-			row[i] = v
-		}
-		return keyedRow{key: key, row: row}, nil
+			row := make(storage.Row, len(b.Cols))
+			for i, c := range b.Cols {
+				v, verr := ex.EvalExpr(c.Expr, t)
+				if verr != nil {
+					return keyedRow{}, verr
+				}
+				row[i] = v
+			}
+			return keyedRow{key: key, row: row}, nil
+		})
+		return boxOut{n: len(outs)}, err
 	})
+	return outs, err
+}
+
+// batchSingleExec is the single-execution path: evaluate the stripped
+// subtree once (strippedRows), hash the projected rows (rowHash, the build
+// every join-shaped operator shares), and probe once per distinct binding;
+// the probe hands back the binding's whole chain.
+func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env, env *Env) ([][]storage.Row, error) {
+	outs, err := ex.strippedRows(b, sig, env)
 	if err != nil {
 		return nil, err
 	}

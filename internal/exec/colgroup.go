@@ -213,18 +213,13 @@ func addGroupRow(gs *groupState, aggs []*qgm.Agg, ch grpChunk, k int) {
 
 // colGroupChunks produces the evaluated per-morsel grouping state and the
 // input row count. A vectorizable, exclusively-owned select input bypasses
-// row materialization (its evalBox bookkeeping — checkpoint and BoxEvals —
-// is replicated here); everything else materializes through evalBox and
-// re-columnarizes at the boundary.
+// row materialization: its phase 1 runs inside the box envelope and its
+// output columns project per chunk; everything else materializes through
+// evalBox and re-columnarizes at the boundary.
 func (ex *Exec) colGroupChunks(b *qgm.Box, qg *qgm.Quantifier, aggs []*qgm.Agg, env *Env) ([]grpChunk, int, error) {
 	in := qg.Input
-	if in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct &&
-		ex.refCount[in] <= 1 && ex.opts.Tracer == nil {
-		if err := ex.gov.checkpoint(); err != nil {
-			return nil, 0, err
-		}
-		bump(&ex.Stats.BoxEvals, 1)
-		batch, err := ex.colSelectBatch(in, env)
+	if in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct && ex.refCount[in] <= 1 {
+		batch, err := ex.colSelectBatchIn(in, env)
 		if err != nil {
 			return nil, 0, err
 		}

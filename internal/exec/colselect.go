@@ -115,6 +115,23 @@ func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
 	return batch, st.checkDone(b)
 }
 
+// colSelectBatchIn is colSelectBatch as one evaluation of b inside the box
+// envelope: the fused group input, whose phase 1 is the box's evaluation
+// (its output columns project per chunk, in the consumer). It is a function
+// of its own so that batch, which the envelope's closure assigns, is not
+// also captured by the consumer's escaping chunk closure and moved to the
+// heap on every evaluation.
+func (ex *Exec) colSelectBatchIn(b *qgm.Box, env *Env) (batch *colBatch, err error) {
+	_, err = ex.inBox(b, true, func() (boxOut, error) {
+		var err error
+		if batch, err = ex.colSelectBatch(b, env); batch == nil {
+			return boxOut{}, err
+		}
+		return boxOut{n: len(batch.sel)}, err
+	})
+	return batch, err
+}
+
 // colFilterBatch narrows the batch's selection vector to the rows where e
 // is TRUE. Column data is never copied — only the index list shrinks.
 func (ex *Exec) colFilterBatch(b *colBatch, e qgm.Expr, env *Env) error {
@@ -141,29 +158,23 @@ func (ex *Exec) colFilterBatch(b *colBatch, e qgm.Expr, env *Env) error {
 
 // colBindForEach is the vectorized bindForEach: index lookup (base tables
 // only), then hash join, then cross product, with the same predicate
-// consumption and the same statistics at each exit. Derived inputs
-// materialize through evalBox — the row path's exact call, so its
-// bookkeeping carries over — and re-columnarize at the boundary.
+// consumption and the same statistics at each exit. Base tables are read
+// through scanBase and derived inputs evaluate inside the box envelope,
+// exactly as on the row path; a vectorizable select input hands over its
+// output vectors, anything else re-columnarizes its rows at the boundary.
 func (ex *Exec) colBindForEach(q *qgm.Quantifier, st *selState, batch *colBatch, env *Env) (*colBatch, error) {
 	if tbl, ipred, col, other := ex.findIndexPred(q, st); tbl != nil {
 		return ex.colIndexBind(q, tbl, col, other, ipred, st, batch, env)
 	}
 	var vecs []colvec.Vec
 	var phys int
-	if q.Input.Kind == qgm.BoxBase {
-		tbl := ex.db.Table(q.Input.Table.Name)
-		if tbl == nil {
-			return nil, fmt.Errorf("exec: table %q has no storage", q.Input.Table.Name)
-		}
-		// Scan. Table.Scan stays the fault-injection point; the cached
-		// column vectors carry the same rows (eligibility excluded synthetic
+	switch in := q.Input; {
+	case in.Kind == qgm.BoxBase:
+		// Table.Scan stays the fault-injection point; the cached column
+		// vectors carry the same rows (eligibility excluded synthetic
 		// tables, whose vectors could go stale).
-		scanned, err := tbl.Scan()
+		tbl, scanned, err := ex.scanBase(in)
 		if err != nil {
-			return nil, err
-		}
-		bump(&ex.Stats.RowsScanned, int64(len(scanned)))
-		if err := ex.govRows(len(scanned)); err != nil {
 			return nil, err
 		}
 		vecs, phys = nil, len(scanned)
@@ -172,22 +183,29 @@ func (ex *Exec) colBindForEach(q *qgm.Quantifier, st *selState, batch *colBatch,
 		} else {
 			vecs = colsFromRows(scanned, len(tbl.Def.Columns))
 		}
-	} else if in := q.Input; in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct &&
-		ex.opts.Tracer == nil {
+	case in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct:
 		// Fused select→select: the derived input is itself a vectorizable
 		// select, so its output columns project straight into dense vectors
-		// — no row materialization and re-columnarization round trip.
-		var err error
-		vecs, phys, err = ex.colInputVecs(in, env)
+		// — no row materialization and re-columnarization round trip. The
+		// envelope caches them (CSE) in this form.
+		out, err := ex.inBox(in, true, func() (boxOut, error) {
+			batch, err := ex.colSelectBatch(in, env)
+			if err != nil {
+				return boxOut{}, err
+			}
+			vecs, n, err := ex.colProjectVecs(in, batch, env)
+			return boxOut{vecs: vecs, n: n}, err
+		})
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		rows, err := ex.evalBox(q.Input, env)
+		vecs, phys = out.vecs, out.n
+	default:
+		rows, err := ex.evalBox(in, env)
 		if err != nil {
 			return nil, err
 		}
-		vecs, phys = colsFromRows(rows, len(q.Input.Cols)), len(rows)
+		vecs, phys = colsFromRows(rows, len(in.Cols)), len(rows)
 	}
 	qb := &colBatch{phys: phys, sel: ex.identity(phys),
 		quants: []*qgm.Quantifier{q}, cols: [][]colvec.Vec{vecs}}
@@ -670,82 +688,8 @@ func (ex *Exec) colIndexBind(q *qgm.Quantifier, tbl *storage.Table, col int, oth
 	if err := ex.govRows(len(joined.sel)); err != nil {
 		return nil, err
 	}
+	ex.recordProfile(q.Input, len(joined.sel), 0)
 	return joined, nil
-}
-
-// cseVecEntry is the columnar form of a CSE cache entry: the dense output
-// vectors of a shared uncorrelated select, cached so every fused consumer
-// skips the row round trip. Content-identical to the rows ex.cse would
-// hold, so the two caches can coexist — whichever consumer evaluates the
-// box first decides which representation materializes.
-type cseVecEntry struct {
-	vecs []colvec.Vec
-	phys int
-}
-
-// colInputVecs returns the dense output vectors of a vectorizable select
-// input — the fused select→select boundary. It replicates evalBox's
-// bookkeeping exactly (cancellation checkpoint, BoxEvals, CSE policy and
-// byte-budget charge for shared uncorrelated boxes) so statistics,
-// governance, and typed errors stay bit-identical to the row path while
-// rows never materialize.
-func (ex *Exec) colInputVecs(in *qgm.Box, env *Env) ([]colvec.Vec, int, error) {
-	if err := ex.gov.checkpoint(); err != nil {
-		return nil, 0, err
-	}
-	bump(&ex.Stats.BoxEvals, 1)
-	shared := ex.refCount[in] > 1
-	uncorrelated := !ex.isCorrelated(in)
-	if shared && uncorrelated {
-		ex.mu.Lock()
-		rows, rok := ex.cse[in]
-		ve := ex.cseVecs[in]
-		ex.mu.Unlock()
-		if rok || ve != nil {
-			if ex.opts.MaterializeCSE {
-				if ve != nil {
-					return ve.vecs, ve.phys, nil
-				}
-				// A row consumer materialized first; columnarize its rows
-				// once and cache the vectors for later fused consumers.
-				ve = &cseVecEntry{vecs: colsFromRows(rows, len(in.Cols)), phys: len(rows)}
-				ex.mu.Lock()
-				if prior := ex.cseVecs[in]; prior != nil {
-					ve = prior
-				} else {
-					ex.cseVecs[in] = ve
-				}
-				ex.mu.Unlock()
-				return ve.vecs, ve.phys, nil
-			}
-			bump(&ex.Stats.CSERecomputes, 1)
-		}
-	}
-	batch, err := ex.colSelectBatch(in, env)
-	if err != nil {
-		return nil, 0, err
-	}
-	vecs, phys, err := ex.colProjectVecs(in, batch, env)
-	if err != nil {
-		return nil, 0, err
-	}
-	if shared && uncorrelated {
-		// The row path charges every compute of a shared box against the
-		// byte budget; colBytes reproduces rowsBytes bit for bit.
-		if ex.gov != nil && ex.gov.maxBytes != 0 {
-			if err := ex.gov.addBytes(colBytes(vecs, ex.identity(phys))); err != nil {
-				return nil, 0, err
-			}
-		}
-		ex.mu.Lock()
-		if prior := ex.cseVecs[in]; prior != nil {
-			vecs, phys = prior.vecs, prior.phys // a racing store won
-		} else {
-			ex.cseVecs[in] = &cseVecEntry{vecs: vecs, phys: phys}
-		}
-		ex.mu.Unlock()
-	}
-	return vecs, phys, nil
 }
 
 // colProjectVecs projects a select batch's output expressions to dense

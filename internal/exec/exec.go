@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"decorr/internal/colvec"
 	"decorr/internal/faultinject"
@@ -115,8 +114,7 @@ type Exec struct {
 	// bindings. Written only by analyze (before any fan-out) and
 	// read-only afterwards, like freeRefs.
 	volatileBox map[*qgm.Box]bool
-	cse         map[*qgm.Box][]storage.Row
-	cseVecs     map[*qgm.Box]*cseVecEntry
+	cse         map[*qgm.Box]boxOut
 	memo        map[*qgm.Box]map[string]memoEntry
 	bindings    map[*qgm.Box]map[string]bool
 
@@ -162,13 +160,6 @@ func (ex *Exec) identity(n int) []int32 {
 	}
 }
 
-// colEnabled reports whether this Run may take columnar paths. Profiled
-// runs (EXPLAIN ANALYZE) stay on the row path: per-box timings are the
-// row interpreter's observability contract.
-func (ex *Exec) colEnabled() bool {
-	return ex.colOK && ex.profile == nil
-}
-
 // New creates an executor over db.
 func New(db *storage.DB, opts Options) *Exec {
 	w := resolveWorkers(opts.Workers)
@@ -177,7 +168,8 @@ func New(db *storage.DB, opts Options) *Exec {
 		// trace tests (and anyone reading a trace) expect parent/child
 		// nesting to mirror the plan. The tracer's LIFO depth tracking
 		// cannot express interleaved concurrent box spans, so attaching a
-		// tracer serializes execution. Profiling and metrics do not.
+		// tracer serializes execution. It is the one thing an observer
+		// changes: the plan, the engine and the work stay the same.
 		w = 1
 	}
 	return &Exec{
@@ -188,8 +180,7 @@ func New(db *storage.DB, opts Options) *Exec {
 		freeRefs:    map[*qgm.Box][]qgm.RefKey{},
 		refCount:    map[*qgm.Box]int{},
 		volatileBox: map[*qgm.Box]bool{},
-		cse:         map[*qgm.Box][]storage.Row{},
-		cseVecs:     map[*qgm.Box]*cseVecEntry{},
+		cse:         map[*qgm.Box]boxOut{},
 		memo:        map[*qgm.Box]map[string]memoEntry{},
 		bindings:    map[*qgm.Box]map[string]bool{},
 		est:         map[*qgm.Box]float64{},
@@ -461,103 +452,164 @@ func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	return rows, err
 }
 
-// evalBox evaluates any box under env, applying CSE policy for shared
-// uncorrelated boxes.
+// evalBox evaluates any box under env, inside the box envelope.
 func (ex *Exec) evalBox(b *qgm.Box, env *Env) ([]storage.Row, error) {
-	// Every box evaluation is a cancellation point: nested-iteration plans
-	// re-evaluate correlated boxes per outer tuple, so this check alone
-	// bounds their trip latency to one subquery invocation.
+	out, err := ex.inBox(b, false, func() (boxOut, error) {
+		rows, err := ex.dispatch(b, env)
+		return boxOut{rows: rows, n: len(rows)}, err
+	})
+	return out.rows, err
+}
+
+// boxOut is one box evaluation's result: rows, or — for a fused columnar
+// consumer — the box's dense output vectors (vecs != nil), n rows long. A
+// CSE entry holds whichever form was computed first, plus the other once
+// some consumer asked for it; a nil rows beside non-nil vecs is "not
+// materialized yet".
+type boxOut struct {
+	rows []storage.Row
+	vecs []colvec.Vec
+	n    int
+}
+
+// inBox is the box-evaluation envelope: every entry that evaluates a box —
+// evalBox, the fused columnar inputs (colBindForEach, colGroupChunks) and
+// the batched subquery's stripped root (batchSingleExec) — runs eval inside
+// it, and the streamed root opens it from start to finish (enterBox,
+// observe). In order: the governance checkpoint and the BoxEvals count
+// (enterBox); the CSE policy of a shared uncorrelated box — under
+// MaterializeCSE a cached result is served, otherwise counted as a
+// CSERecompute; the tracer span and profile record (observe), and the CSE
+// store with its byte charge. vecs says which form the caller reads.
+func (ex *Exec) inBox(b *qgm.Box, vecs bool, eval func() (boxOut, error)) (boxOut, error) {
+	if err := ex.enterBox(); err != nil {
+		return boxOut{}, err
+	}
+	cse := ex.refCount[b] > 1 && !ex.isCorrelated(b)
+	if cse {
+		if out, ok, err := ex.cseLookup(b, vecs); ok || err != nil {
+			return out, err
+		}
+	}
+	o := ex.observe(b)
+	out, err := eval()
+	o.end(ex, b, out.n, err)
+	if err != nil {
+		return boxOut{}, err
+	}
+	if cse {
+		return ex.cseStore(b, out)
+	}
+	return out, nil
+}
+
+// enterBox opens one box evaluation. Every box evaluation is a
+// cancellation point: nested-iteration plans re-evaluate correlated boxes
+// per outer tuple, so this check alone bounds their trip latency to one
+// subquery invocation.
+func (ex *Exec) enterBox() error {
 	if err := ex.gov.checkpoint(); err != nil {
-		return nil, err
+		return err
 	}
 	bump(&ex.Stats.BoxEvals, 1)
-	shared := ex.refCount[b] > 1
-	uncorrelated := !ex.isCorrelated(b)
-	if uncorrelated && shared {
-		ex.mu.Lock()
-		rows, ok := ex.cse[b]
-		ve := ex.cseVecs[b]
-		ex.mu.Unlock()
-		if ok || ve != nil {
-			if ex.opts.MaterializeCSE {
-				if !ok {
-					// A fused columnar consumer cached this box's output
-					// as vectors; materialize rows once and share them.
-					rows, err := ex.colMaterialize(ve.vecs, ve.phys)
-					if err != nil {
-						return nil, err
-					}
-					ex.mu.Lock()
-					if prior, dup := ex.cse[b]; dup {
-						rows = prior
-					} else {
-						ex.cse[b] = rows
-					}
-					ex.mu.Unlock()
-					return rows, nil
-				}
-				return rows, nil
-			}
-			bump(&ex.Stats.CSERecomputes, 1)
+	return nil
+}
+
+// cseLookup applies the CSE policy to a shared uncorrelated box that was
+// evaluated before: ok=true serves the cached result in the form the
+// caller reads (converting once and keeping the conversion); under the
+// recompute policy the hit only counts.
+func (ex *Exec) cseLookup(b *qgm.Box, vecs bool) (out boxOut, ok bool, err error) {
+	ex.mu.Lock()
+	out, ok = ex.cse[b]
+	ex.mu.Unlock()
+	if !ok {
+		return boxOut{}, false, nil
+	}
+	if !ex.opts.MaterializeCSE {
+		bump(&ex.Stats.CSERecomputes, 1)
+		return boxOut{}, false, nil
+	}
+	switch {
+	case vecs && out.vecs == nil:
+		out.vecs = colsFromRows(out.rows, len(b.Cols))
+	case !vecs && out.rows == nil && out.vecs != nil:
+		if out.rows, err = ex.colMaterialize(out.vecs, out.n); err != nil {
+			return boxOut{}, true, err
+		}
+	default:
+		return out, true, nil
+	}
+	return ex.cseKeep(b, out), true, nil
+}
+
+// cseStore charges a freshly computed shared box against the byte budget —
+// every compute, hit or not, as the recompute policy holds each copy — and
+// caches it.
+func (ex *Exec) cseStore(b *qgm.Box, out boxOut) (boxOut, error) {
+	if ex.gov != nil && ex.gov.maxBytes != 0 {
+		n := rowsBytes(out.rows)
+		if out.vecs != nil {
+			n = colBytes(out.vecs, ex.identity(out.n))
+		}
+		if err := ex.gov.addBytes(n); err != nil {
+			return boxOut{}, err
 		}
 	}
-	// Timing is gated on a pointer check so that plain execution (no
-	// profile, no tracer) pays nothing here.
-	var sp *trace.Span
-	var start time.Time
-	if ex.opts.Tracer != nil {
-		sp = ex.opts.Tracer.Begin(boxSpanName(b), "exec",
-			trace.Int("box", int64(b.ID)), trace.Str("kind", b.Kind.String()))
+	return ex.cseKeep(b, out), nil
+}
+
+// cseKeep merges out into b's cache entry: a form the entry already holds
+// wins (a racing evaluation stored first; the contents are identical), a
+// form it lacks is added.
+func (ex *Exec) cseKeep(b *qgm.Box, out boxOut) boxOut {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if prior, ok := ex.cse[b]; ok {
+		if prior.rows != nil {
+			out.rows = prior.rows
+		}
+		if prior.vecs != nil {
+			out.vecs = prior.vecs
+		}
 	}
-	if ex.profile != nil || sp != nil {
-		start = time.Now()
+	ex.cse[b] = out
+	return out
+}
+
+// scanBase is the one base-table read: the table lookup (a table without
+// storage is an error), the Table.Scan fault point, RowsScanned and the
+// intermediate-row charge, and the box's profile line (untimed: a scan
+// hands back the stored rows).
+func (ex *Exec) scanBase(b *qgm.Box) (*storage.Table, []storage.Row, error) {
+	t := ex.db.Table(b.Table.Name)
+	if t == nil {
+		return nil, nil, fmt.Errorf("exec: table %q has no storage", b.Table.Name)
 	}
-	rows, err := ex.dispatch(b, env)
+	rows, err := t.Scan()
 	if err != nil {
-		sp.End(trace.Str("error", err.Error()))
-		return nil, err
+		return nil, nil, err
 	}
-	if ex.profile != nil || sp != nil {
-		elapsed := time.Since(start)
-		ex.recordProfile(b, len(rows), elapsed)
-		sp.End(trace.Int("rows", int64(len(rows))))
+	bump(&ex.Stats.RowsScanned, int64(len(rows)))
+	if err := ex.govRows(len(rows)); err != nil {
+		return nil, nil, err
 	}
-	if uncorrelated && shared {
-		if err := ex.govBytes(rows); err != nil {
-			return nil, err
-		}
-		ex.mu.Lock()
-		if _, ok := ex.cse[b]; !ok {
-			ex.cse[b] = rows
-		}
-		ex.mu.Unlock()
-	}
-	return rows, nil
+	ex.recordProfile(b, len(rows), 0)
+	return t, rows, nil
 }
 
 func (ex *Exec) dispatch(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	switch b.Kind {
 	case qgm.BoxBase:
-		t := ex.db.Table(b.Table.Name)
-		if t == nil {
-			return nil, fmt.Errorf("exec: table %q has no storage", b.Table.Name)
-		}
-		rows, err := t.Scan()
-		if err != nil {
-			return nil, err
-		}
-		bump(&ex.Stats.RowsScanned, int64(len(rows)))
-		if err := ex.govRows(len(rows)); err != nil {
-			return nil, err
-		}
-		return rows, nil
+		_, rows, err := ex.scanBase(b)
+		return rows, err
 	case qgm.BoxSelect:
-		if ex.colEnabled() && ex.Columnar(b) {
+		if ex.Columnar(b) {
 			return ex.colEvalSelect(b, env)
 		}
 		return ex.evalSelect(b, env)
 	case qgm.BoxGroup:
-		if ex.colEnabled() && ex.colGrp[b] {
+		if ex.colGrp[b] {
 			return ex.colEvalGroup(b, env)
 		}
 		return ex.evalGroup(b, env)
@@ -670,13 +722,7 @@ func (ex *Exec) evalGroup(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		return nil, err
 	}
 	aggs, aggIndex := collectAggs(b)
-	var groups map[string]*groupState
-	var order []string
-	if mergeableAggs(aggs) {
-		groups, order, err = ex.groupByPartials(b, qg, aggs, input, env)
-	} else {
-		groups, order, err = ex.groupBySequentialFold(b, qg, aggs, input, env)
-	}
+	groups, order, err := ex.groupBySequentialFold(b, qg, aggs, input, env)
 	if err != nil {
 		return nil, err
 	}
@@ -707,73 +753,12 @@ func (ex *Exec) groupKeyVals(b *qgm.Box, renv *Env) (string, error) {
 	return sqltypes.Key(keyVals), nil
 }
 
-// groupByPartials is the morsel-style aggregation path: each worker folds
-// its morsels into private partial groups, and the partials merge in morsel
-// order, preserving first-appearance group order. It requires every
-// aggregate to merge exactly (see mergeableAggs).
-func (ex *Exec) groupByPartials(b *qgm.Box, qg *qgm.Quantifier, aggs []*qgm.Agg, input []storage.Row, env *Env) (map[string]*groupState, []string, error) {
-	type partial struct {
-		groups map[string]*groupState
-		order  []string
-	}
-	parts, err := parallelChunks(ex, len(input), rowMorsel, func(lo, hi int) (partial, error) {
-		p := partial{groups: map[string]*groupState{}}
-		for _, row := range input[lo:hi] {
-			renv := Bind(env, qg, row)
-			k, err := ex.groupKeyVals(b, renv)
-			if err != nil {
-				return partial{}, err
-			}
-			gs := p.groups[k]
-			if gs == nil {
-				gs = &groupState{rep: renv, accs: make([]aggAcc, len(aggs))}
-				for i, a := range aggs {
-					gs.accs[i] = newAggAcc(a)
-				}
-				p.groups[k] = gs
-				p.order = append(p.order, k)
-			}
-			for i, a := range aggs {
-				var v sqltypes.Value
-				if a.Op != qgm.AggCountStar {
-					v, err = ex.EvalExpr(a.Arg, renv)
-					if err != nil {
-						return partial{}, err
-					}
-				}
-				gs.accs[i].add(v)
-			}
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	groups := map[string]*groupState{}
-	var order []string
-	for _, p := range parts {
-		for _, k := range p.order {
-			pg := p.groups[k]
-			gs, ok := groups[k]
-			if !ok {
-				groups[k] = pg
-				order = append(order, k)
-				continue
-			}
-			for i := range gs.accs {
-				gs.accs[i].merge(pg.accs[i])
-			}
-		}
-	}
-	return groups, order, nil
-}
-
-// groupBySequentialFold parallelizes only the per-row expression work (key
-// and aggregate arguments) and folds the accumulators sequentially in input
-// row order. SUM and AVG take this path: they may accumulate doubles, and
-// floating-point addition order changes the last ulp, so merging per-worker
-// partials would break the engine's bit-identical-at-any-worker-count
-// guarantee (and silently diverge from the differential oracle).
+// groupBySequentialFold is the row engine's one GROUP BY algorithm — the
+// columnar engine's too (colgroup.go): the per-row expression work (key and
+// aggregate arguments) runs in parallel, and the accumulators fold
+// sequentially in input row order, so SUM/AVG float accumulation order —
+// and with it the result, to the last ulp — is the same at every worker
+// count and in both engines.
 func (ex *Exec) groupBySequentialFold(b *qgm.Box, qg *qgm.Quantifier, aggs []*qgm.Agg, input []storage.Row, env *Env) (map[string]*groupState, []string, error) {
 	type rowEval struct {
 		key  string

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"decorr/internal/qgm"
+	"decorr/internal/trace"
 )
 
 // BoxProfile accumulates per-box runtime counters when profiling is on.
@@ -29,6 +30,46 @@ func (ex *Exec) EnableProfiling() {
 	if ex.profile == nil {
 		ex.profile = map[*qgm.Box]*BoxProfile{}
 	}
+}
+
+// boxObs is an attached observer's view of one box evaluation in flight:
+// the tracer span and the start time. The zero value — no tracer, no
+// profiler — records nothing and costs nothing.
+type boxObs struct {
+	sp    *trace.Span
+	start time.Time
+}
+
+// observe opens the observed part of one box evaluation; it is the
+// envelope's (inBox's and the streamed root's) only tracer or profiler
+// hook, so observing a run never changes which path evaluates a box.
+func (ex *Exec) observe(b *qgm.Box) boxObs {
+	var o boxObs
+	if ex.opts.Tracer != nil {
+		o.sp = ex.opts.Tracer.Begin(boxSpanName(b), "exec",
+			trace.Int("box", int64(b.ID)), trace.Str("kind", b.Kind.String()))
+	}
+	if ex.profile != nil || o.sp != nil {
+		o.start = time.Now()
+	}
+	return o
+}
+
+// end closes the span and records the profile line of an evaluation that
+// produced rows rows (or failed with err). A base box's profile line is
+// written by its read (scanBase, an index bind), never here.
+func (o boxObs) end(ex *Exec, b *qgm.Box, rows int, err error) {
+	if err != nil {
+		o.sp.End(trace.Str("error", err.Error()))
+		return
+	}
+	if o.start.IsZero() {
+		return
+	}
+	if b.Kind != qgm.BoxBase {
+		ex.recordProfile(b, rows, time.Since(o.start))
+	}
+	o.sp.End(trace.Int("rows", int64(rows)))
 }
 
 func (ex *Exec) recordProfile(b *qgm.Box, rows int, elapsed time.Duration) {

@@ -44,10 +44,11 @@ func mustBind(t *testing.T, db *storage.DB, sql string) *qgm.Graph {
 
 // TestParallelDeterminism pins the engine's central parallelism guarantee:
 // the same query produces the same rows in the same order at workers 1, 2,
-// and 8 — covering union dedup, both group-by paths (mergeable partials
-// and the SUM/AVG sequential fold), set operations, outer joins, and
-// correlated subquery fan-out. This is the regression test for the
-// dedupeRows/evalUnion/group-merge ordering requirement.
+// and 8, in both engines — covering union dedup, group-by (COUNT, MIN, MAX,
+// COUNT DISTINCT, and the float-accumulating SUM/AVG) through the one
+// sequential fold, set operations, outer joins, and correlated subquery
+// fan-out. This is the regression test for the dedupeRows/evalUnion/group
+// ordering requirement.
 func TestParallelDeterminism(t *testing.T) {
 	queries := []struct {
 		name, sql string
@@ -96,14 +97,19 @@ func TestParallelDeterminism(t *testing.T) {
 		for _, q := range queries {
 			t.Run(dbName+"/"+q.name, func(t *testing.T) {
 				want := runWorkers(t, db, q.sql, 1, exec.Options{})
-				for _, w := range []int{2, 8} {
-					got := runWorkers(t, db, q.sql, w, exec.Options{})
-					if len(got) != len(want) {
-						t.Fatalf("workers=%d: %d rows, want %d", w, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("workers=%d row %d: got %q want %q", w, i, got[i], want[i])
+				for _, w := range []int{1, 2, 8} {
+					for _, rowMode := range []bool{false, true} {
+						if w == 1 && !rowMode {
+							continue // the reference run
+						}
+						got := runWorkers(t, db, q.sql, w, exec.Options{DisableColumnar: rowMode})
+						if len(got) != len(want) {
+							t.Fatalf("workers=%d rowmode=%v: %d rows, want %d", w, rowMode, len(got), len(want))
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("workers=%d rowmode=%v row %d: got %q want %q", w, rowMode, i, got[i], want[i])
+							}
 						}
 					}
 				}

@@ -215,29 +215,16 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env 
 	}
 	// Materialize and filter by local predicates.
 	var rows []storage.Row
+	var err error
 	if q.Input.Kind == qgm.BoxBase {
-		tbl := ex.db.Table(q.Input.Table.Name)
-		if tbl == nil {
-			return nil, fmt.Errorf("exec: table %q has no storage", q.Input.Table.Name)
-		}
-		scanned, err := tbl.Scan()
-		if err != nil {
-			return nil, err
-		}
-		bump(&ex.Stats.RowsScanned, int64(len(scanned)))
-		if err := ex.govRows(len(scanned)); err != nil {
-			return nil, err
-		}
-		ex.recordProfile(q.Input, len(scanned), 0)
-		rows = scanned
+		_, rows, err = ex.scanBase(q.Input)
 	} else {
-		var err error
 		rows, err = ex.evalBox(q.Input, env)
-		if err != nil {
-			return nil, err
-		}
 	}
-	rows, err := ex.filterLocal(q, st, rows, env)
+	if err != nil {
+		return nil, err
+	}
+	rows, err = ex.filterLocal(q, st, rows, env)
 	if err != nil {
 		return nil, err
 	}

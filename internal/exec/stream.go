@@ -14,8 +14,11 @@
 //     eagerly as in Run; the final projection (and DISTINCT dedup) then
 //     streams per batch, eliminating the projected-output buffer.
 //   - materialized: roots that need a global view (GROUP BY, set
-//     operations, ORDER BY, LIMIT) or a serialized run (tracer, profiler)
-//     fall back to the exact Run pipeline and serve the slice in batches.
+//     operations, ORDER BY, LIMIT) fall back to the exact Run pipeline and
+//     serve the slice in batches.
+//
+// An attached tracer or profiler picks no mode: a streamed root's one box
+// evaluation is observed from start to finish.
 //
 // Batches are a fixed multiple of the morsel size and are claimed in
 // order, so morsel boundaries — and with them the scheduler's min-index
@@ -65,10 +68,14 @@ type RowIterator struct {
 
 	mode streamMode
 
+	// box is the streamed root (nil in materialized mode) and obs its
+	// observed evaluation, which ends at finish.
+	box *qgm.Box
+	obs boxObs
+
 	// tuple mode: phase-1 bindings awaiting projection. When the root
 	// select is vectorized, cbatch replaces tuples: the bound column batch
 	// streams through colProjectRows one selection-vector range at a time.
-	box    *qgm.Box
 	tuples []*Env
 	tpos   int
 	cbatch *colBatch
@@ -226,15 +233,16 @@ func (it *RowIterator) start() error {
 	ex.analyze(it.g.Root)
 	root := it.g.Root
 	// Streaming requires a root whose output needs no global pass: a plain
-	// select with no ORDER BY or LIMIT, and no tracer or profiler (both
-	// observe whole box evaluations).
-	if root.Kind == qgm.BoxSelect && len(it.g.OrderBy) == 0 && it.g.Limit < 0 &&
-		ex.opts.Tracer == nil && ex.profile == nil {
+	// select with no ORDER BY or LIMIT. The root's one evaluation stays
+	// inside the box envelope from here to finish.
+	if root.Kind == qgm.BoxSelect && len(it.g.OrderBy) == 0 && it.g.Limit < 0 {
+		if err := ex.enterBox(); err != nil {
+			return err
+		}
+		it.box, it.obs = root, ex.observe(root)
 		if root.Distinct {
 			it.seen = make(map[string]bool)
 		}
-		it.box = root
-		bump(&ex.Stats.BoxEvals, 1) // the root evaluation evalBox would count
 		if q, consts, locals, ok := ex.scanStreamPlan(root); ok {
 			it.mode = modeScan
 			it.q = q
@@ -242,7 +250,7 @@ func (it *RowIterator) start() error {
 			return it.startScan(consts)
 		}
 		it.mode = modeTuples
-		if ex.colEnabled() && ex.Columnar(root) {
+		if ex.Columnar(root) {
 			batch, err := ex.colSelectBatch(root, nil)
 			if err != nil {
 				return err
@@ -286,6 +294,9 @@ func (it *RowIterator) finish(err error) {
 	}
 	it.finished = true
 	it.err = err
+	if it.box != nil {
+		it.obs.end(it.ex, it.box, int(it.emitted), err)
+	}
 	it.tuples, it.scan, it.rows = nil, nil, nil
 	it.cbatch = nil
 	it.seen = nil
@@ -352,17 +363,9 @@ func (it *RowIterator) startScan(consts []qgm.Expr) error {
 			return nil // empty scan, stream exhausts immediately
 		}
 	}
-	tbl := ex.db.Table(it.q.Input.Table.Name)
-	rows, err := tbl.Scan()
-	if err != nil {
-		return err
-	}
-	bump(&ex.Stats.RowsScanned, int64(len(rows)))
-	if err := ex.govRows(len(rows)); err != nil {
-		return err
-	}
+	_, rows, err := ex.scanBase(it.q.Input)
 	it.scan = rows
-	return nil
+	return err
 }
 
 // scanBatch filters and projects the next batch of scanned rows. The fused

@@ -62,28 +62,29 @@ func CorrelatedTo(b, owner *Box) bool {
 	return false
 }
 
-// RewriteSubtree applies f (bottom-up, per Rewrite) to every expression of
-// every box in root's subtree.
-func RewriteSubtree(root *Box, f func(Expr) Expr) {
-	for _, b := range Boxes(root) {
-		b.ExprSlots(func(slot *Expr) {
-			*slot = Rewrite(*slot, f)
-		})
-	}
-}
-
 // RedirectRefs rewrites, across root's whole subtree, every reference to a
 // (quantifier, column) pair present in the mapping, replacing it with the
 // mapped expression. Keys are encoded by refKey.
 func RedirectRefs(root *Box, mapping map[RefKey]Expr) {
-	RewriteSubtree(root, func(e Expr) Expr {
-		if r, ok := e.(*ColRef); ok {
-			if repl, ok := mapping[RefKey{r.Q, r.Col}]; ok {
-				return CloneExpr(repl)
-			}
-		}
-		return e
-	})
+	RedirectRefsIn(Boxes(root), mapping)
+}
+
+// RedirectRefsIn is RedirectRefs over an explicit box list: every
+// expression of every listed box (and no other) has its mapped references
+// replaced by a fresh copy of the mapped expression.
+func RedirectRefsIn(boxes []*Box, mapping map[RefKey]Expr) {
+	for _, b := range boxes {
+		b.ExprSlots(func(slot *Expr) {
+			*slot = Rewrite(*slot, func(e Expr) Expr {
+				if r, ok := e.(*ColRef); ok {
+					if repl, ok := mapping[RefKey{r.Q, r.Col}]; ok {
+						return CloneExpr(repl)
+					}
+				}
+				return e
+			})
+		})
+	}
 }
 
 // RefKey identifies a (quantifier, column) pair for rewrite maps.
