@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard observe-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard observe-guard rewrite-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
-# under the race detector, plus the grep guards against a declaration
-# growing a second copy.
-check: vet build test strategy-guard plan-guard auto-guard join-guard observe-guard
+# under the race detector, plus the grep guards, each against something a
+# refactor removed growing back.
+check: vet build test strategy-guard plan-guard auto-guard join-guard observe-guard rewrite-guard
 
 vet:
 	$(GO) vet ./...
@@ -91,6 +91,16 @@ observe-guard:
 	fi; \
 	if grep -n 'cseVecs' $$src; then \
 		echo "a second CSE cache grew back beside ex.cse"; exit 1; \
+	fi
+
+# rewrite-guard is the cheapest check that the cleanup fixpoint does not
+# print expressions to compare them: non-test internal/rewrite never calls
+# FormatExpr. A rule reports a change it made, and predicates compare with
+# qgm.EqualExpr, which unlike a printed name tells two same-named columns
+# apart.
+rewrite-guard:
+	@if grep -n 'FormatExpr(' $$(ls internal/rewrite/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/rewrite prints expressions to compare them; report the change structurally or use qgm.EqualExpr"; exit 1; \
 	fi
 
 # cost-audit prints the §7 cost model beside what execution did — per

@@ -20,6 +20,14 @@ package differ_test
 //     table is only sound when the fed quantifier contributes rows;
 //     doing it for IN/EXISTS left the outer block with no range and an
 //     invalid graph. Fixed by gating optFeed on row-contributing kinds.
+//
+//   - The same-named columns of a self-join: cleanup's duplicate-predicate
+//     rule compared predicates by their printed form, which names a column,
+//     not its ordinal. Decorrelating over `emp o1, emp o2` gives SUPP and
+//     MAGIC two columns named `building`, so a tie predicate and an LOJ key
+//     over different columns looked identical and one was dropped. Fixed by
+//     comparing structurally (qgm.EqualExpr). Written by hand: the
+//     generator's outer block ranges over a single table.
 
 import (
 	"math"
@@ -202,5 +210,27 @@ func TestDifferRegression_bindingkey_int_float_zero(t *testing.T) {
 	const sql = `select o.id, (select count(*) from innr i where i.k = o.k) from outr o`
 	for _, variant := range []string{"nimemo", "nibatch"} {
 		differ.CheckSQLOnDB(t, bindingKeyNumericDB(), "bindingkey-numeric", variant, sql)
+	}
+}
+
+// The self-join pins (see the header): each subquery correlates with both
+// o1.building and o2.building, which decorrelation carries side by side
+// under one name.
+
+func TestDifferRegression_selfjoin_empdept_1(t *testing.T) {
+	for _, variant := range []string{"magic", "optmagic", "auto"} {
+		differ.CheckSQL(t,
+			differ.DBSpec{Schema: "empdept", Seed: 1, Size: 4},
+			variant,
+			`select o1.name, o2.name from emp o1, emp o2 where 0 < (select count(*) from dept i1 where i1.building = o1.building or i1.building = o2.building)`)
+	}
+}
+
+func TestDifferRegression_selfjoin_lateral_empdept_1(t *testing.T) {
+	for _, variant := range []string{"magic", "optmagic", "auto"} {
+		differ.CheckSQL(t,
+			differ.DBSpec{Schema: "empdept", Seed: 1, Size: 4},
+			variant,
+			`select o1.name, o2.name, x.n from emp o1, emp o2, (select count(*) from dept i1 where i1.building = o1.building and i1.name <> o2.building) as x(n)`)
 	}
 }

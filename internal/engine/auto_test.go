@@ -196,25 +196,26 @@ func TestAutoRecordsRace(t *testing.T) {
 	}
 }
 
-// Auto does not race what cannot differ: a statement with no
-// nested-iteration fan-out runs one pipeline; a correlated one binds twice
-// (as bound, decorrelated) and prices the as-bound graph once per
-// nested-iteration row on one estimator.
+// Auto does not race what cannot differ, and shares what its rows have in
+// common: every statement is parsed, bound and cleaned once under one
+// prepare span; a correlated one is decorrelated on a copy of the cleaned
+// graph and prices the as-bound graph once per nested-iteration row on one
+// estimator. The plan records the caller's SQL, as every strategy's does.
 func TestAutoPrepareStages(t *testing.T) {
 	db := tpcd.Generate(tpcd.Config{SF: 0.01, Seed: 42})
 	for _, c := range []struct {
-		name, sql            string
-		chosen               []engine.Strategy
-		binds, rewrites, est int
+		name, sql     string
+		chosen        []engine.Strategy
+		rewrites, est int
 	}{
 		{"scan", `select ps_partkey from partsupp where ps_availqty >= 1`,
-			[]engine.Strategy{engine.NI}, 1, 0, 1},
+			[]engine.Strategy{engine.NI}, 0, 1},
 		{"uncorrelated subquery", `select p_partkey from parts where p_size > (select avg(p_size) from parts)`,
-			[]engine.Strategy{engine.NI}, 1, 0, 1},
+			[]engine.Strategy{engine.NI}, 0, 1},
 		{"correlated subquery", tpcd.Query2,
-			[]engine.Strategy{engine.NI, engine.NIBatch, engine.OptMagic}, 2, 1, 3},
+			[]engine.Strategy{engine.NI, engine.NIBatch, engine.OptMagic}, 1, 3},
 		{"lateral", tpcd.Query3,
-			[]engine.Strategy{engine.NI, engine.OptMagic}, 2, 1, 2},
+			[]engine.Strategy{engine.NI, engine.OptMagic}, 1, 2},
 	} {
 		sink := trace.NewRingSink(1 << 14)
 		e := engine.New(db)
@@ -227,11 +228,11 @@ func TestAutoPrepareStages(t *testing.T) {
 		for _, ev := range sink.Events() {
 			spans[ev.Name]++
 		}
-		if spans["parse"] != 1 || spans["semant"] != c.binds || spans["cleanup-pre"] != c.binds ||
+		if spans["prepare"] != 1 || spans["parse"] != 1 || spans["semant"] != 1 || spans["cleanup-pre"] != 1 ||
 			spans["decorrelate"] != c.rewrites || spans["plan-cost"] != c.est {
-			t.Errorf("%s: parse=%d semant=%d cleanup-pre=%d decorrelate=%d plan-cost=%d, want 1 %d %d %d %d", c.name,
-				spans["parse"], spans["semant"], spans["cleanup-pre"], spans["decorrelate"], spans["plan-cost"],
-				c.binds, c.binds, c.rewrites, c.est)
+			t.Errorf("%s: prepare=%d parse=%d semant=%d cleanup-pre=%d decorrelate=%d plan-cost=%d, want 1 1 1 1 %d %d", c.name,
+				spans["prepare"], spans["parse"], spans["semant"], spans["cleanup-pre"], spans["decorrelate"], spans["plan-cost"],
+				c.rewrites, c.est)
 		}
 		var raced []engine.Strategy
 		for _, a := range p.Alternatives {
@@ -239,6 +240,9 @@ func TestAutoPrepareStages(t *testing.T) {
 		}
 		if fmt.Sprint(raced) != fmt.Sprint(c.chosen) {
 			t.Errorf("%s: raced %v, want %v", c.name, raced, c.chosen)
+		}
+		if p.Text != c.sql {
+			t.Errorf("%s: Text = %q, want the caller's SQL", c.name, p.Text)
 		}
 	}
 }

@@ -99,3 +99,39 @@ func TestCreateViewFailureLeavesStateUntouched(t *testing.T) {
 		t.Fatalf("failed view resolvable: %v", qerr)
 	}
 }
+
+// Auto's rows each finish their own copy of the statement's cleaned graph,
+// which is a value of one prepare, never engine state: a server prepares
+// many statements on one engine at once. Every concurrent prepare must
+// give the plan a lone prepare gives. Run under -race.
+func TestConcurrentAutoPrepare(t *testing.T) {
+	e := engine.New(tpcd.Generate(tpcd.Config{SF: 0.01, Seed: 42}))
+	stmts := []string{tpcd.Query1, tpcd.Query1b, tpcd.Query2, tpcd.Query3}
+	want := make([]string, len(stmts))
+	for i, sql := range stmts {
+		p, err := e.Prepare(sql, engine.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p.Explain()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range stmts {
+				i := (w + k) % len(stmts)
+				p, err := e.Prepare(stmts[i], engine.Auto)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := p.Explain(); got != want[i] {
+					t.Errorf("goroutine %d, statement %d: concurrent plan differs\n--- got ---\n%s--- want ---\n%s", w, i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

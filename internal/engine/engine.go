@@ -271,10 +271,11 @@ type Prepared struct {
 	// NumParams is the number of `?` placeholders the statement uses;
 	// RunParams must be given exactly that many values.
 	NumParams int
-	// Text is the statement text the plan was prepared from (the original
-	// SQL when available, the AST's normalized rendering otherwise). The
-	// panic-isolation path attaches it to trace events so a recovered
-	// operator panic identifies the offending query.
+	// Text is the statement text the plan was prepared from: the caller's
+	// SQL, or for a plan the cache serves to every spelling of a statement,
+	// the AST's normalized rendering. The panic-isolation path attaches it
+	// to trace events so a recovered operator panic identifies the
+	// offending query.
 	Text   string
 	engine *Engine
 }
@@ -298,44 +299,40 @@ func (e *Engine) PrepareTraced(sql string, s Strategy) (*Prepared, error) {
 	return e.prepare(sql, nil, s, true)
 }
 
-// prepare dispatches to the pipeline. Exactly one of sql/q is used: when q
-// is nil, sql is parsed inside the prepare span (so traces show the full
-// pipeline); otherwise the pre-parsed query is bound directly.
-func (e *Engine) prepare(sql string, q ast.QueryExpr, s Strategy, traced bool) (*Prepared, error) {
-	if s == Auto {
-		return e.prepareAuto(sql, q, traced)
-	}
-	p, _, err := e.prepareRow(sql, q, s, traced)
-	return p, err
-}
-
-// prepareRow runs one strategy's pipeline under a prepare span. Beside the
-// plan it returns the estimator that priced it, for Auto to cost further
-// reuse policies on.
-func (e *Engine) prepareRow(sql string, q ast.QueryExpr, s Strategy, traced bool) (*Prepared, *exec.Exec, error) {
+// prepare runs the pipeline under one prepare span, behind recoverPrepare:
+// the front half (parse, bind, cleanup-pre) once, then the strategy's back
+// half, or for Auto a back half per raced row. sql is the statement's text,
+// which the plan records; q, when non-nil, is its parse, and otherwise sql
+// is parsed inside the span (so traces show the full pipeline).
+func (e *Engine) prepare(sql string, q ast.QueryExpr, s Strategy, traced bool) (p *Prepared, err error) {
 	trace.Metrics.Counter("engine.prepares").Inc()
 	prep := e.Tracer.Begin("prepare", "engine", trace.Str("strategy", s.String()))
-	p, ex, err := e.prepareStagesGuarded(sql, q, s, traced)
+	defer func() {
+		if err != nil {
+			trace.Metrics.Counter("engine.prepare_errors").Inc()
+			prep.End(trace.Str("error", err.Error()))
+			return
+		}
+		prep.End()
+	}()
+	defer e.recoverPrepare(sql, &p, &err)
+	if q == nil {
+		sp := e.Tracer.Begin("parse", "prepare")
+		q, err = parseQuery(sql)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	g, err := e.prepareFront(q)
 	if err != nil {
-		trace.Metrics.Counter("engine.prepare_errors").Inc()
-		prep.End(trace.Str("error", err.Error()))
-		return nil, nil, err
+		return nil, err
 	}
-	prep.End()
-	return p, ex, nil
-}
-
-// queryText picks the text identifying a statement in diagnostics: the
-// original SQL when the caller supplied it, the AST's normalized rendering
-// otherwise.
-func queryText(sql string, q ast.QueryExpr) string {
-	if sql != "" {
-		return sql
+	if s == Auto {
+		return e.prepareAuto(sql, g, traced)
 	}
-	if q != nil {
-		return ast.FormatQuery(q)
-	}
-	return ""
+	p, _, err = e.prepareBack(sql, g, s, traced)
+	return p, err
 }
 
 // notePanic records one recovered panic: the engine.panics counter moves
@@ -359,92 +356,79 @@ func (e *Engine) notePanic(phase, text string, pe *exec.PanicError) {
 // turns a rewrite, binder or estimator bug into a *exec.PanicError instead
 // of killing the process, and the engine (views, plan cache, storage) stays
 // usable.
-func (e *Engine) recoverPrepare(sql string, q ast.QueryExpr, p **Prepared, err *error) {
+func (e *Engine) recoverPrepare(sql string, p **Prepared, err *error) {
 	if r := recover(); r != nil {
 		pe := &exec.PanicError{Val: r, Stack: debug.Stack()}
-		e.notePanic("prepare", queryText(sql, q), pe)
+		e.notePanic("prepare", sql, pe)
 		*p, *err = nil, pe
 	}
 }
 
-// prepareStagesGuarded runs the pipeline stages and prices the plan they
-// produce, behind recoverPrepare. The estimator comes back with the plan,
-// its cardinality memo and select plans warm.
-func (e *Engine) prepareStagesGuarded(sql string, q ast.QueryExpr, s Strategy, traced bool) (p *Prepared, ex *exec.Exec, err error) {
-	defer e.recoverPrepare(sql, q, &p, &err)
-	if p, err = e.prepareStages(sql, q, s, traced); err != nil {
-		return nil, nil, err
-	}
-	ex = exec.New(e.DB, exec.Options{MaterializeCSE: e.MaterializeCSE})
-	p.EstimatedCost = e.planCost(ex, p, s.row())
-	return p, ex, nil
-}
-
-// prepareStages runs the pipeline stages under the prepare span.
-func (e *Engine) prepareStages(sql string, q ast.QueryExpr, s Strategy, traced bool) (*Prepared, error) {
-	if q == nil {
-		sp := e.Tracer.Begin("parse", "prepare")
-		var err error
-		q, err = parseQuery(sql)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
+// prepareFront is the half of the pipeline every strategy shares: bind q
+// and normalize the graph before any strategy rewrite, as the paper applied
+// "all Starburst query transformations that were unrelated to
+// decorrelation ... to all queries" (§5.1). Merging trivial wrapper boxes
+// here also lets the FEED stage see aggregate subqueries directly instead
+// of through projection shells.
+func (e *Engine) prepareFront(q ast.QueryExpr) (*qgm.Graph, error) {
 	sp := e.Tracer.Begin("semant", "prepare")
 	g, err := semant.BindWithViews(q, e.DB.Catalog, e.viewsSnapshot())
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Graph: g, Strategy: s, Text: queryText(sql, q), engine: e}
-	if traced {
-		p.Trace = &core.Trace{}
-	}
-	// Normalize before the strategy rewrite: the paper applied "all
-	// Starburst query transformations that were unrelated to
-	// decorrelation ... to all queries" (§5.1). Merging trivial wrapper
-	// boxes here also lets the FEED stage see aggregate subqueries
-	// directly instead of through projection shells.
 	if err := e.cleanup(g, "cleanup-pre"); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// prepareBack is strategy s's half of the pipeline over g, a graph the
+// front half cleaned: the strategy rewrite, cleanup-post, magic sets and
+// validation. It prices the plan, and returns beside it the estimator with
+// its cardinality memo and select plans warm, for Auto to cost further
+// reuse policies on.
+func (e *Engine) prepareBack(text string, g *qgm.Graph, s Strategy, traced bool) (*Prepared, *exec.Exec, error) {
 	row := s.row()
 	if row == nil {
-		return nil, fmt.Errorf("engine: unknown strategy %v", s)
+		return nil, nil, fmt.Errorf("engine: unknown strategy %v", s)
+	}
+	p := &Prepared{Graph: g, Strategy: s, Chosen: s, NumParams: g.Params, Text: text, engine: e}
+	if traced {
+		p.Trace = &core.Trace{}
 	}
 	if row.rewrite != nil {
 		// The strategy rewrite. Rows without one (the nested-iteration
 		// family) run the graph as bound and differ only in executor reuse
 		// policy; they stay out of stage.decorrelate, where they would only
 		// pollute the low buckets.
-		sp = e.Tracer.Begin("decorrelate", "prepare", trace.Str("strategy", row.label))
+		sp := e.Tracer.Begin("decorrelate", "prepare", trace.Str("strategy", row.label))
 		start := time.Now()
 		err := row.rewrite(e, p)
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		histDecorrelate.Observe(time.Since(start).Nanoseconds())
 	}
 	if err := e.cleanup(g, "cleanup-post"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if e.MagicSets {
 		if err := core.ApplyMagicSets(g, e.orderer()); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := e.cleanup(g, "cleanup-magicsets"); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := qgm.Validate(g); err != nil {
-		return nil, fmt.Errorf("engine: %s rewrite produced an invalid graph: %w", s, err)
+		return nil, nil, fmt.Errorf("engine: %s rewrite produced an invalid graph: %w", s, err)
 	}
 	p.Columns = g.Root.OutNames()
-	p.Chosen = s
-	p.NumParams = g.Params
-	return p, nil
+	ex := exec.New(e.DB, exec.Options{MaterializeCSE: e.MaterializeCSE})
+	p.EstimatedCost = e.planCost(ex, p, row)
+	return p, ex, nil
 }
 
 // planCost prices p's graph as row would execute it, under a plan-cost
@@ -472,29 +456,23 @@ func (e *Engine) cleanup(g *qgm.Graph, stage string) error {
 
 // prepareAuto implements §7's plan choice as a race over the strategy
 // table's auto rows: each is prepared and costed under its own reuse
-// policy, and the cheapest runs. The query is parsed once; rows without a
-// rewrite share the first such row's prepared graph and warm estimator (a
-// further row is one more cost walk), a row with a rewrite binds again
-// (the binder never mutates the AST). What cannot differ is not raced: a
-// graph with no nested-iteration fan-out (exec.FanOut) is prepared once
-// and runs as bound, and one whose only fan-out is lateral skips the reuse
-// policies, which never share a lateral's evaluations.
+// policy, and the cheapest runs. The rows share the front half, so a
+// statement is parsed, bound and cleaned once: clean is that graph, and
+// each row finishes its own qgm.CloneGraph of it, which keeps every ID, so
+// a row's plan is the one it gets prepared alone. (The as-bound row needs
+// its copy too: magic sets may rewrite it.) Rows without a rewrite share
+// the first such row's finished graph and warm estimator, so a further row
+// is one more cost walk. What cannot differ is not raced: a graph with no
+// nested-iteration fan-out (exec.FanOut) runs as bound, and one whose only
+// fan-out is lateral skips the reuse policies, which never share a
+// lateral's evaluations.
 //
 // Ties go to the later row. Within the nested-iteration family the table
 // runs from least to most sharing, the batched estimate is the per-tuple
 // one with invocations capped at the distinct bindings, and sharing never
 // adds a subquery execution — so on equal estimates the sharing row can
 // only do better than estimated.
-func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (p *Prepared, err error) {
-	defer e.recoverPrepare(sql, q, &p, &err)
-	if q == nil {
-		sp := e.Tracer.Begin("parse", "engine")
-		q, err = parseQuery(sql)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
+func (e *Engine) prepareAuto(text string, clean *qgm.Graph, traced bool) (*Prepared, error) {
 	var (
 		bound                *Prepared  // the as-bound pipeline
 		ex                   *exec.Exec // its estimator
@@ -507,7 +485,8 @@ func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (p *Prepa
 		switch {
 		case !row.auto:
 		case bound == nil:
-			if bound, ex, err = e.prepareRow("", q, row.id, false); err != nil {
+			var err error
+			if bound, ex, err = e.prepareBack(text, qgm.CloneGraph(clean), row.id, false); err != nil {
 				return nil, err
 			}
 			subqueries, laterals = ex.FanOut(bound.Graph)
@@ -519,7 +498,7 @@ func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (p *Prepa
 				alts, plans = append(alts, Alternative{row.id, e.planCost(ex, bound, row)}), append(plans, bound)
 			}
 		default:
-			rewritten, _, err := e.prepareRow("", q, row.id, traced)
+			rewritten, _, err := e.prepareBack(text, qgm.CloneGraph(clean), row.id, traced)
 			switch {
 			case err == nil:
 				alts, plans = append(alts, Alternative{row.id, rewritten.EstimatedCost}), append(plans, rewritten)
@@ -537,7 +516,7 @@ func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (p *Prepa
 			best = i
 		}
 	}
-	p = plans[best]
+	p := plans[best]
 	p.Strategy, p.Chosen, p.EstimatedCost, p.Alternatives = Auto, alts[best].Strategy, alts[best].Cost, alts
 	trace.Metrics.Counter("engine.auto_choice." + p.Chosen.Name()).Inc()
 	return p, nil
@@ -790,7 +769,8 @@ func (e *Engine) prepareStatement(sql string, s Strategy) (*Prepared, *ast.Creat
 // (another spelling of the same query may already be cached), prepare on
 // a true miss, and store the plan under both keys.
 func (e *Engine) prepareAndCache(rawKey string, q ast.QueryExpr, s Strategy, epoch uint64) (*Prepared, error) {
-	normKey := e.cacheKey(ast.FormatQuery(q), s)
+	norm := ast.FormatQuery(q)
+	normKey := e.cacheKey(norm, s)
 	if normKey != rawKey {
 		if v, ok := e.planCache.Get(normKey, epoch); ok {
 			p := v.(*Prepared)
@@ -798,7 +778,8 @@ func (e *Engine) prepareAndCache(rawKey string, q ast.QueryExpr, s Strategy, epo
 			return p, nil
 		}
 	}
-	p, err := e.prepare("", q, s, false)
+	// The plan serves every spelling of q, so it records the normal form.
+	p, err := e.prepare(norm, q, s, false)
 	if err != nil {
 		return nil, err
 	}

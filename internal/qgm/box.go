@@ -12,6 +12,7 @@ package qgm
 
 import (
 	"fmt"
+	"slices"
 
 	"decorr/internal/schema"
 )
@@ -173,6 +174,58 @@ type OrderKey struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{nextBox: 1, nextQuant: 1, Limit: -1} }
+
+// CloneGraph deep-copies g: every box, quantifier and expression of the
+// copy is new, and each keeps its ID, as do the graph's ID counters — so a
+// rewrite of the copy allocates exactly the IDs it would have allocated on
+// the original, and prints the same plan. Base tables (schema.Table) are
+// catalog state and stay shared.
+func CloneGraph(g *Graph) *Graph {
+	c := *g
+	c.OrderBy = slices.Clone(g.OrderBy)
+	old := Boxes(g.Root)
+	boxes := make(map[*Box]*Box, len(old))
+	quants := make(map[*Quantifier]*Quantifier, len(old))
+	for _, b := range old {
+		nb := *b // every slice is replaced below
+		boxes[b] = &nb
+	}
+	for _, b := range old {
+		nb := boxes[b]
+		nb.Quants = make([]*Quantifier, len(b.Quants))
+		for i, q := range b.Quants {
+			nb.Quants[i] = &Quantifier{ID: q.ID, Kind: q.Kind, Input: boxes[q.Input], Owner: nb}
+			quants[q] = nb.Quants[i]
+		}
+	}
+	// Expressions last: a correlated reference names a quantifier of an
+	// ancestor box, which the loop above has copied by now.
+	expr := func(e Expr) Expr {
+		return Rewrite(e, func(x Expr) Expr {
+			if r, ok := x.(*ColRef); ok {
+				r.Q = quants[r.Q]
+			}
+			return x
+		})
+	}
+	for _, b := range old {
+		nb := boxes[b]
+		nb.Preds = make([]Expr, len(b.Preds))
+		for i, p := range b.Preds {
+			nb.Preds[i] = expr(p)
+		}
+		nb.Cols = make([]OutCol, len(b.Cols))
+		for i, col := range b.Cols {
+			nb.Cols[i] = OutCol{Name: col.Name, Expr: expr(col.Expr)}
+		}
+		nb.GroupBy = make([]Expr, len(b.GroupBy))
+		for i, e := range b.GroupBy {
+			nb.GroupBy[i] = expr(e)
+		}
+	}
+	c.Root = boxes[g.Root]
+	return &c
+}
 
 // NewBox allocates a box of the given kind.
 func (g *Graph) NewBox(kind BoxKind, label string) *Box {

@@ -297,6 +297,65 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	return f(e)
 }
 
+// EqualExpr reports whether a and b are the same expression: the same
+// shape and operators, the same quantifier and column ordinal at every
+// reference, and constants of one kind that are sqltypes.Identical. Unlike
+// comparing FormatExpr renderings, it never takes two columns that share a
+// name for one.
+func EqualExpr(a, b Expr) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case *ColRef:
+		y, ok := b.(*ColRef)
+		return ok && x.Q == y.Q && x.Col == y.Col
+	case *Const:
+		y, ok := b.(*Const)
+		return ok && x.V.K == y.V.K && sqltypes.Identical(x.V, y.V)
+	case *Param:
+		y, ok := b.(*Param)
+		return ok && x.Idx == y.Idx
+	case *Bin:
+		y, ok := b.(*Bin)
+		return ok && x.Op == y.Op && EqualExpr(x.L, y.L) && EqualExpr(x.R, y.R)
+	case *Not:
+		y, ok := b.(*Not)
+		return ok && EqualExpr(x.E, y.E)
+	case *IsNull:
+		y, ok := b.(*IsNull)
+		return ok && x.Negate == y.Negate && EqualExpr(x.E, y.E)
+	case *Like:
+		y, ok := b.(*Like)
+		return ok && x.Negate == y.Negate && EqualExpr(x.E, y.E) && EqualExpr(x.Pattern, y.Pattern)
+	case *Func:
+		y, ok := b.(*Func)
+		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !EqualExpr(x.Args[i], y.Args[i]) {
+				return false
+			}
+		}
+		return true
+	case *Case:
+		y, ok := b.(*Case)
+		if !ok || len(x.Whens) != len(y.Whens) || !EqualExpr(x.Else, y.Else) {
+			return false
+		}
+		for i := range x.Whens {
+			if !EqualExpr(x.Whens[i].Cond, y.Whens[i].Cond) || !EqualExpr(x.Whens[i].Result, y.Whens[i].Result) {
+				return false
+			}
+		}
+		return true
+	case *Agg:
+		y, ok := b.(*Agg)
+		return ok && x.Op == y.Op && x.Distinct == y.Distinct && EqualExpr(x.Arg, y.Arg)
+	}
+	return false
+}
+
 // Refs returns every ColRef in e in visit order.
 func Refs(e Expr) []*ColRef {
 	var out []*ColRef

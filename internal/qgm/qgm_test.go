@@ -323,3 +323,50 @@ func TestSplitEqAndLojKeys(t *testing.T) {
 		t.Error("no side is a bare column, yet SplitEq accepted")
 	}
 }
+
+func TestEqualExpr(t *testing.T) {
+	g := NewGraph()
+	// Two columns named alike, as the SUPP table of a decorrelated
+	// self-join carries o1.building and o2.building.
+	base := g.NewBaseBox(demoTable("supp", "building", "building"))
+	root := g.NewBox(BoxSelect, "r")
+	q := g.AddQuant(root, QForEach, base)
+	q2 := g.AddQuant(root, QForEach, base)
+	str := func(s string) Expr { return &Const{V: sqltypes.NewString(s)} }
+	rich := &Case{
+		Whens: []When{{
+			Cond: &Bin{Op: OpOr,
+				L: &Not{E: &Like{E: Ref(q, 0), Pattern: str("B%")}},
+				R: &IsNull{E: &Param{Idx: 0}, Negate: true}},
+			Result: &Func{Name: "coalesce", Args: []Expr{Ref(q, 1), str("x")}},
+		}},
+		Else: &Const{V: sqltypes.Null},
+	}
+	for _, c := range []struct {
+		name string
+		a, b Expr
+		want bool
+	}{
+		{"same-named columns at different ordinals", NewEq(Ref(q, 0), str("B1")), NewEq(Ref(q, 1), str("B1")), false},
+		{"one column of two quantifiers", Ref(q, 0), Ref(q2, 0), false},
+		{"a CloneExpr copy", rich, CloneExpr(rich), true},
+		{"an aggregate's copy", &Agg{Op: AggSum, Arg: Ref(q, 1), Distinct: true}, CloneExpr(&Agg{Op: AggSum, Arg: Ref(q, 1), Distinct: true}), true},
+		{"int and float constants", ConstInt(1), &Const{V: sqltypes.NewFloat(1)}, false},
+		{"NULL constants", &Const{V: sqltypes.Null}, &Const{V: sqltypes.Null}, true},
+		{"operators", NewEq(Ref(q, 0), str("B1")), &Bin{Op: OpNe, L: Ref(q, 0), R: str("B1")}, false},
+		{"DISTINCT aggregates", &Agg{Op: AggCount, Arg: Ref(q, 0)}, &Agg{Op: AggCount, Arg: Ref(q, 0), Distinct: true}, false},
+		{"a missing ELSE", &Case{Whens: rich.Whens}, rich, false},
+		{"nil", nil, nil, true},
+	} {
+		if got := EqualExpr(c.a, c.b); got != c.want {
+			t.Errorf("%s: EqualExpr = %v, want %v", c.name, got, c.want)
+		}
+		if got := EqualExpr(c.b, c.a); got != c.want {
+			t.Errorf("%s (swapped): EqualExpr = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The printed form is what the duplicate-predicate rule used to compare.
+	if FormatExpr(Ref(q, 0)) != FormatExpr(Ref(q, 1)) {
+		t.Error("the same-named columns no longer print alike; the first case lost its point")
+	}
+}

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"slices"
 	"sort"
 
 	"decorr/internal/qgm"
@@ -109,29 +110,41 @@ func (FoldConstants) Apply(g *qgm.Graph) (bool, error) {
 	changed := false
 	for _, b := range qgm.Boxes(g.Root) {
 		b.ExprSlots(func(slot *qgm.Expr) {
-			folded := qgm.Rewrite(*slot, foldConst)
-			if qgm.FormatExpr(folded) != qgm.FormatExpr(*slot) {
-				*slot = folded
+			if foldable(*slot) {
+				*slot = qgm.Rewrite(*slot, foldConst)
 				changed = true
 			}
 		})
-		if b.Kind != qgm.BoxSelect && b.Kind != qgm.BoxLeftJoin {
-			continue
-		}
-		kept := b.Preds[:0:0]
-		for _, p := range b.Preds {
-			if c, ok := p.(*qgm.Const); ok && c.V.K == sqltypes.KindBool && c.V.B {
-				changed = true
-				continue // constant TRUE conjunct
-			}
-			kept = append(kept, p)
-		}
 		// A LOJ's ON clause and an SPJ both tolerate losing TRUE conjuncts.
-		b.Preds = kept
+		if (b.Kind == qgm.BoxSelect || b.Kind == qgm.BoxLeftJoin) && slices.ContainsFunc(b.Preds, isTrue) {
+			b.Preds = slices.DeleteFunc(slices.Clone(b.Preds), isTrue)
+			changed = true
+		}
 	}
 	return changed, nil
 }
 
+// isTrue reports whether p is the constant TRUE.
+func isTrue(p qgm.Expr) bool {
+	c, ok := p.(*qgm.Const)
+	return ok && c.V.K == sqltypes.KindBool && c.V.B
+}
+
+// foldable reports whether rewriting e with foldConst changes it. The
+// lowest node that folds has children foldConst leaves alone, so it folds
+// in e as written: asking every node of e is enough, and allocates nothing
+// when the answer is no.
+func foldable(e qgm.Expr) bool {
+	found := false
+	qgm.Walk(e, func(x qgm.Expr) bool {
+		found = found || foldConst(x) != x
+		return !found
+	})
+	return found
+}
+
+// foldConst folds one node whose operands are constants; it returns e
+// itself when there is nothing to fold.
 func foldConst(e qgm.Expr) qgm.Expr {
 	switch x := e.(type) {
 	case *qgm.Bin:

@@ -10,6 +10,7 @@ package rewrite
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"decorr/internal/qgm"
 	"decorr/internal/trace"
@@ -258,7 +259,7 @@ func isTrivial(b *qgm.Box) bool {
 	return true
 }
 
-// PruneDuplicatePreds drops syntactically identical duplicate conjuncts
+// PruneDuplicatePreds drops structurally identical duplicate conjuncts
 // within a box (rewrites can leave behind repeated equality predicates).
 type PruneDuplicatePreds struct{}
 
@@ -269,18 +270,19 @@ func (PruneDuplicatePreds) Name() string { return "prune-duplicate-preds" }
 func (PruneDuplicatePreds) Apply(g *qgm.Graph) (bool, error) {
 	changed := false
 	for _, b := range qgm.Boxes(g.Root) {
-		seen := map[string]bool{}
+		if len(b.Preds) < 2 {
+			continue
+		}
 		kept := b.Preds[:0:0]
 		for _, p := range b.Preds {
-			k := qgm.FormatExpr(p)
-			if seen[k] {
-				changed = true
-				continue
+			if !slices.ContainsFunc(kept, func(k qgm.Expr) bool { return qgm.EqualExpr(k, p) }) {
+				kept = append(kept, p)
 			}
-			seen[k] = true
-			kept = append(kept, p)
 		}
-		b.Preds = kept
+		if len(kept) < len(b.Preds) {
+			b.Preds = kept
+			changed = true
+		}
 	}
 	return changed, nil
 }
