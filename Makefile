@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard observe-guard rewrite-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check vet build test strategy-guard plan-guard auto-guard join-guard observe-guard rewrite-guard core-guard cost-audit bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
 # check is the CI gate: static analysis, a full build, and the test suite
 # under the race detector, plus the grep guards, each against something a
 # refactor removed growing back.
-check: vet build test strategy-guard plan-guard auto-guard join-guard observe-guard rewrite-guard
+check: vet build test strategy-guard plan-guard auto-guard join-guard observe-guard rewrite-guard core-guard
 
 vet:
 	$(GO) vet ./...
@@ -101,6 +101,22 @@ observe-guard:
 rewrite-guard:
 	@if grep -n 'FormatExpr(' $$(ls internal/rewrite/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/rewrite prints expressions to compare them; report the change structurally or use qgm.EqualExpr"; exit 1; \
+	fi
+
+# core-guard is the cheapest check that magic decorrelation stays a rule
+# under rewrite.Engine, which validates the graph after every firing: non-test
+# internal/core calls qgm.Validate at most once (ApplyMagicSets, still a
+# single pass), and in non-test core, rewrite and exec "how many quantifiers
+# read this box" is qgm.RefCounts, not a hand-rolled count.
+core-guard:
+	@src=$$(ls internal/core/*.go | grep -v '_test\.go$$'); \
+	n=$$(cat $$src | grep -c 'qgm\.Validate('); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "internal/core calls qgm.Validate $$n times, want at most 1 (ApplyMagicSets); rewrite.Engine validates every feed firing:"; grep -n 'qgm\.Validate(' $$src; exit 1; \
+	fi; \
+	src=$$(ls internal/core/*.go internal/rewrite/*.go internal/exec/*.go | grep -v '_test\.go$$'); \
+	if grep -nE 'refs\+\+|refCount\[[^]]*\]\+\+' $$src; then \
+		echo "a hand-rolled reference count grew back; qgm.RefCounts(root)[b] is how many quantifiers read b"; exit 1; \
 	fi
 
 # cost-audit prints the §7 cost model beside what execution did — per

@@ -16,14 +16,14 @@ import (
 // first and then absorb: a group box adds the magic columns to its
 // grouping list, a union box pushes the magic table into every branch
 // (§4.3.1).
-func (d *decorrelator) absorb(b *qgm.Box, m *qgm.Box, refMap map[qgm.RefKey]int) ([]int, error) {
+func (f *feed) absorb(b *qgm.Box, m *qgm.Box, refMap map[qgm.RefKey]int) ([]int, error) {
 	k := len(m.Cols)
 	switch b.Kind {
 	case qgm.BoxSelect:
 		// Snapshot the subtree before attaching the magic quantifier so
 		// the rewrite cannot touch M's own internals (SUPP references).
 		snapshot := qgm.Boxes(b)
-		qm := d.g.AddQuant(b, qgm.QForEach, m)
+		qm := f.g.AddQuant(b, qgm.QForEach, m)
 		mapping := map[qgm.RefKey]qgm.Expr{}
 		for rk, j := range refMap {
 			mapping[rk] = qgm.Ref(qm, j)
@@ -39,7 +39,7 @@ func (d *decorrelator) absorb(b *qgm.Box, m *qgm.Box, refMap map[qgm.RefKey]int)
 
 	case qgm.BoxGroup:
 		qd := b.Quants[0]
-		childPos, err := d.absorb(qd.Input, m, refMap)
+		childPos, err := f.absorb(qd.Input, m, refMap)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func (d *decorrelator) absorb(b *qgm.Box, m *qgm.Box, refMap map[qgm.RefKey]int)
 		// this is sound because the magic tag partitions the rows:
 		// per-binding set operations equal the global tagged ones.
 		for _, qb := range b.Quants {
-			if _, err := d.absorb(qb.Input, m, refMap); err != nil {
+			if _, err := f.absorb(qb.Input, m, refMap); err != nil {
 				return nil, err
 			}
 		}

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -10,9 +13,11 @@ import (
 	"decorr/internal/exec"
 	"decorr/internal/parser"
 	"decorr/internal/qgm"
+	"decorr/internal/rewrite"
 	"decorr/internal/semant"
 	"decorr/internal/storage"
 	"decorr/internal/tpcd"
+	"decorr/internal/trace"
 )
 
 // diff runs sql under NI and under Magic (with the given engine knobs) and
@@ -199,29 +204,74 @@ func TestKnobNoOuterJoinPartialDecorrelation(t *testing.T) {
 	}
 }
 
+// TestTraceCapturesEveryStage checks both views of a decorrelation: the
+// Trace's QGM snapshots, and the tracer's rule spans — one rule:feed span
+// that fired per fed quantifier, then one that found nothing left to feed.
 func TestTraceCapturesEveryStage(t *testing.T) {
-	q, err := parser.Parse(tpcd.ExampleQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
 	db := tpcd.EmpDept()
-	g, err := semant.Bind(q, db.Catalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &core.Trace{}
-	if err := core.Decorrelate(g, optsFor(db), tr); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Steps) < 5 {
-		t.Fatalf("only %d stages captured", len(tr.Steps))
-	}
-	if tr.Steps[0].Title == "" || !strings.Contains(tr.Steps[0].Title, "initial") {
-		t.Errorf("first stage = %q", tr.Steps[0].Title)
-	}
-	for _, s := range tr.Steps {
-		if !strings.Contains(s.Plan, "Box") {
-			t.Errorf("stage %q has no plan", s.Title)
+	for _, c := range []struct {
+		sql string
+		fed int
+	}{
+		{tpcd.ExampleQuery, 1},
+		{`select d.name from dept d
+		  where d.num_emps > (select count(*) from emp e where e.building = d.building)
+		    and d.budget < (select sum(budget) from dept d2 where d2.building = d.building)`, 2},
+	} {
+		q, err := parser.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := semant.Bind(q, db.Catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rewrite.NewCleanup().Run(g); err != nil {
+			t.Fatal(err)
+		}
+		tr := &core.Trace{}
+		ring := trace.NewRingSink(0)
+		opts := optsFor(db)
+		opts.Tracer = trace.New(ring)
+		if err := core.Decorrelate(g, opts, tr); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Steps) < 5 {
+			t.Fatalf("only %d stages captured", len(tr.Steps))
+		}
+		if tr.Steps[0].Title == "" || !strings.Contains(tr.Steps[0].Title, "initial") {
+			t.Errorf("first stage = %q", tr.Steps[0].Title)
+		}
+		ties := 0
+		for _, s := range tr.Steps {
+			if !strings.Contains(s.Plan, "Box") {
+				t.Errorf("stage %q has no plan", s.Title)
+			}
+			if strings.Contains(s.Title, "tied to outer block") {
+				ties++
+			}
+		}
+		if ties != c.fed {
+			t.Fatalf("%d quantifiers tied to the outer block, want %d", ties, c.fed)
+		}
+		var fired []string
+		for _, ev := range ring.Events() {
+			if ev.Name != "rule:feed" {
+				continue
+			}
+			for _, a := range ev.Args {
+				if a.Key == "fired" {
+					fired = append(fired, fmt.Sprint(a.Value))
+				}
+			}
+		}
+		var want []string
+		for range c.fed {
+			want = append(want, "true")
+		}
+		want = append(want, "false")
+		if !slices.Equal(fired, want) {
+			t.Errorf("rule:feed spans fired %v, want %v", fired, want)
 		}
 	}
 }
@@ -285,5 +335,29 @@ func TestUncorrelatedQueryUntouched(t *testing.T) {
 	}
 	if got := len(qgm.Boxes(g.Root)); got != before {
 		t.Errorf("uncorrelated query rewritten: %d -> %d boxes", before, got)
+	}
+}
+
+// TestManySubqueriesDecorrelate: every firing of the feed rule is one pass
+// of the rewrite engine, so a statement with more correlated subqueries
+// than the engine's default 64 passes would stop at ErrNoFixpoint unless
+// Decorrelate sizes its run to the graph. Prepare only: run, the magic
+// plan recomputes its shared boxes per reference.
+func TestManySubqueriesDecorrelate(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("select e.name")
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&sb, ", (select count(*) from dept d where d.building = e.building) as c%d", i)
+	}
+	sb.WriteString(" from emp e")
+	p, err := engine.New(tpcd.EmpDept()).Prepare(sb.String(), engine.OptMagic)
+	if errors.Is(err, rewrite.ErrNoFixpoint) {
+		t.Fatalf("the feed rule ran out of passes: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := p.Explain(); strings.Contains(plan, "correlated") {
+		t.Errorf("plan still correlated:\n%s", plan)
 	}
 }

@@ -5,91 +5,86 @@ import (
 	"sort"
 
 	"decorr/internal/qgm"
+	"decorr/internal/rewrite"
 	"decorr/internal/sqltypes"
 )
 
 // Decorrelate rewrites the graph in place, eliminating (as far as the
-// options allow) all correlations. The caller should run the cleanup
-// rewrite rules afterwards to merge the helper boxes the algorithm
-// introduces, and Validate the graph.
+// options allow) all correlations. It runs the feed rule under the rewrite
+// engine, which validates the graph after every firing. The caller should
+// run the cleanup rewrite rules afterwards to merge the helper boxes the
+// algorithm introduces.
 func Decorrelate(g *qgm.Graph, opts Options, tr *Trace) error {
 	if opts.Order == nil {
 		return fmt.Errorf("core: Options.Order is required (the executor's JoinOrder)")
 	}
-	d := &decorrelator{
-		g:    g,
-		opts: opts,
-		tr:   tr,
-		fed:  map[*qgm.Quantifier]bool{},
-		done: map[*qgm.Box]bool{},
+	f := &feed{g: g, opts: opts, tr: tr, fed: map[*qgm.Quantifier]bool{}}
+	f.snap("initial correlated QGM (Fig 2a)")
+	// Every firing retires a quantifier the graph holds now, and one more
+	// pass finds nothing left to feed.
+	passes := 1
+	for _, b := range qgm.Boxes(g.Root) {
+		passes += len(b.Quants)
 	}
-	d.snap("initial correlated QGM (Fig 2a)")
-	if err := d.process(g.Root); err != nil {
+	e := rewrite.Engine{Rules: []rewrite.Rule{f}, MaxPasses: passes, Tracer: opts.Tracer}
+	if err := e.Run(g); err != nil {
 		return err
 	}
-	if err := qgm.Validate(g); err != nil {
-		return fmt.Errorf("core: decorrelation left inconsistent graph: %w", err)
-	}
-	d.snap("final decorrelated QGM")
+	f.snap("final decorrelated QGM")
 	return nil
 }
 
-type decorrelator struct {
+// feed is magic decorrelation as a rewrite rule: one firing feeds one
+// correlated quantifier of a SELECT box. Absorbed children may expose new
+// correlations one level down, fed by later firings — the paper's
+// level-by-level propagation of correlation bindings.
+type feed struct {
 	g    *qgm.Graph
 	opts Options
 	tr   *Trace
-	fed  map[*qgm.Quantifier]bool
-	done map[*qgm.Box]bool
+	// fed holds every quantifier considered so far, fed or declined, for
+	// the whole run: FEED can move a declined quantifier into SUPP, where
+	// asking canDecorrelate again could decide differently.
+	fed map[*qgm.Quantifier]bool
 }
 
-// process walks the graph top-down. At each SELECT box it feeds every
-// correlated child; absorbed children may expose new correlations one
-// level down, handled when recursion reaches them — this is the paper's
-// level-by-level propagation of correlation bindings.
-func (d *decorrelator) process(b *qgm.Box) error {
-	if d.done[b] {
-		return nil
-	}
-	d.done[b] = true
-	if b.Kind == qgm.BoxSelect {
-		for {
-			fed := false
-			for _, q := range append([]*qgm.Quantifier(nil), b.Quants...) {
-				if d.fed[q] || !qgm.CorrelatedTo(q.Input, b) {
-					continue
-				}
-				d.fed[q] = true
-				if !d.canDecorrelate(b, q) {
-					continue
-				}
-				if err := d.feed(b, q); err != nil {
-					return err
-				}
-				fed = true
-				break
+// Name implements rewrite.Rule.
+func (*feed) Name() string { return "feed" }
+
+// Apply implements rewrite.Rule. It fires on the first quantifier, in
+// top-down box order, that is correlated to its SELECT box and has not been
+// considered before.
+func (f *feed) Apply(g *qgm.Graph) (bool, error) {
+	var refs map[*qgm.Box]int // counted at the first candidate
+	for _, b := range qgm.Boxes(g.Root) {
+		if b.Kind != qgm.BoxSelect {
+			continue
+		}
+		for _, q := range b.Quants {
+			if f.fed[q] || !qgm.CorrelatedTo(q.Input, b) {
+				continue
 			}
-			if !fed {
-				break
+			f.fed[q] = true
+			if refs == nil {
+				refs = qgm.RefCounts(g.Root)
+			}
+			if f.canDecorrelate(refs, b, q) {
+				return true, f.fire(b, q)
 			}
 		}
 	}
-	for _, q := range append([]*qgm.Quantifier(nil), b.Quants...) {
-		if err := d.process(q.Input); err != nil {
-			return err
-		}
-	}
-	return nil
+	return false, nil
 }
 
 // canDecorrelate is the "deciding to decorrelate" step (§4.1): it checks
 // the child's shape, the knobs, and the feasibility of COUNT-bug
 // compensation.
-func (d *decorrelator) canDecorrelate(b *qgm.Box, q *qgm.Quantifier) bool {
+func (f *feed) canDecorrelate(refs map[*qgm.Box]int, b *qgm.Box, q *qgm.Quantifier) bool {
 	child := q.Input
 	if !absorbable(child) {
 		return false
 	}
-	if q.Kind.IsSubquery() && !d.opts.DecorrelateExistential {
+	if q.Kind.IsSubquery() && !f.opts.DecorrelateExistential {
 		return false
 	}
 	if q.Kind == qgm.QAll {
@@ -101,15 +96,7 @@ func (d *decorrelator) canDecorrelate(b *qgm.Box, q *qgm.Quantifier) bool {
 	}
 	// Shared children (common subexpressions) are left alone; the paper
 	// assumes hierarchical queries for the rewrite.
-	refs := 0
-	for _, box := range qgm.Boxes(d.g.Root) {
-		for _, bq := range box.Quants {
-			if bq.Input == child {
-				refs++
-			}
-		}
-	}
-	if refs > 1 {
+	if refs[child] > 1 {
 		return false
 	}
 	// Correlation must come from row-contributing quantifiers of b.
@@ -118,8 +105,8 @@ func (d *decorrelator) canDecorrelate(b *qgm.Box, q *qgm.Quantifier) bool {
 			return false
 		}
 	}
-	comp := d.compensationPlan(b, q)
-	if comp.need && (!d.opts.UseOuterJoin || !comp.ok) {
+	comp := f.compensationPlan(b, q)
+	if comp.need && (!f.opts.UseOuterJoin || !comp.ok) {
 		return false
 	}
 	return true
@@ -132,7 +119,7 @@ type compPlan struct {
 	emptyVals []sqltypes.Value // per-column value for unmatched bindings
 }
 
-func (d *decorrelator) compensationPlan(b *qgm.Box, q *qgm.Quantifier) compPlan {
+func (f *feed) compensationPlan(b *qgm.Box, q *qgm.Quantifier) compPlan {
 	child := q.Input
 	if q.Kind.IsSubquery() {
 		// EXISTS/ANY/ALL quantifier semantics over the decorrelated view
@@ -167,16 +154,16 @@ func (d *decorrelator) compensationPlan(b *qgm.Box, q *qgm.Quantifier) compPlan 
 	return compPlan{ok: true}
 }
 
-// feed runs the FEED stage for child quantifier q of cur, then absorbs the
+// fire runs the FEED stage for child quantifier q of cur, then absorbs the
 // magic table into the child and ties the decorrelated view back to the
-// outer block (the paper's Figures 2–4 in one pass, with the CI merge
+// outer block (the paper's Figures 2–4 in one firing, with the CI merge
 // fused in).
-func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
+func (f *feed) fire(cur *qgm.Box, q *qgm.Quantifier) error {
 	child := q.Input
 
 	// 1. NI order and the supplementary split: everything bound before the
 	// subquery goes into SUPP.
-	order := d.opts.Order(cur)
+	order := f.opts.Order(cur)
 	pos := -1
 	for i, oq := range order {
 		if oq == q {
@@ -203,7 +190,7 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 
 	// 2. Build the SUPP box: move the quantifiers and the predicates fully
 	// contained in them.
-	supp := d.g.NewBox(qgm.BoxSelect, "SUPP")
+	supp := f.g.NewBox(qgm.BoxSelect, "SUPP")
 	for _, sq := range append([]*qgm.Quantifier(nil), cur.Quants...) {
 		if suppSet[sq] {
 			cur.RemoveQuant(sq)
@@ -262,14 +249,14 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 		outPos[k] = len(supp.Cols)
 		supp.Cols = append(supp.Cols, qgm.OutCol{Name: name, Expr: qgm.Ref(k.Q, k.Col)})
 	}
-	qsupp := d.g.AddQuant(cur, qgm.QForEach, supp)
+	qsupp := f.g.AddQuant(cur, qgm.QForEach, supp)
 	// Redirect all outside references to the supplementary outputs.
 	mapping := map[qgm.RefKey]qgm.Expr{}
 	for k, p := range outPos {
 		mapping[k] = qgm.Ref(qsupp, p)
 	}
 	qgm.RedirectRefsIn(outside, mapping)
-	d.snap(fmt.Sprintf("FEED: supplementary table SUPP collected for %s (Fig 2b)", q.Name()))
+	f.snap(fmt.Sprintf("FEED: supplementary table SUPP collected for %s (Fig 2b)", q.Name()))
 
 	// 4. Correlation columns: the SUPP outputs the child actually uses.
 	corrSet := map[int]bool{}
@@ -287,43 +274,43 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 		return fmt.Errorf("core: no correlation columns survived the supplementary split for %s", q.Name())
 	}
 
-	comp := d.compensationPlan(cur, q)
+	comp := f.compensationPlan(cur, q)
 
 	// 5. OptMag: when the correlation attributes form a key of SUPP and no
 	// compensation is needed, use SUPP itself as the magic table and drop
 	// the duplicate reference entirely. Only a row-contributing quantifier
 	// can take over SUPP's role: an existential one feeds no rows to the
 	// outer block, which would be left without a range.
-	if d.opts.EliminateSupplementary && !comp.need && !q.Kind.IsSubquery() && qgm.KeyWithin(supp, corrSet) {
-		return d.optFeed(cur, q, qsupp, supp, corrCols)
+	if f.opts.EliminateSupplementary && !comp.need && !q.Kind.IsSubquery() && qgm.KeyWithin(supp, corrSet) {
+		return f.optFeed(cur, q, qsupp, supp)
 	}
 
 	// 6. The MAGIC box: distinct projection of the correlation bindings.
-	magic := d.g.NewBox(qgm.BoxSelect, "MAGIC")
+	magic := f.g.NewBox(qgm.BoxSelect, "MAGIC")
 	magic.Distinct = true
-	qm := d.g.AddQuant(magic, qgm.QForEach, supp)
+	qm := f.g.AddQuant(magic, qgm.QForEach, supp)
 	refMap := map[qgm.RefKey]int{}
 	for j, c := range corrCols {
 		magic.Cols = append(magic.Cols, qgm.OutCol{Name: supp.Cols[c].Name, Expr: qgm.Ref(qm, c)})
 		refMap[qgm.RefKey{Q: qsupp, Col: c}] = j
 	}
-	d.snap(fmt.Sprintf("FEED: magic table projected for %s (Fig 2c)", q.Name()))
+	f.snap(fmt.Sprintf("FEED: magic table projected for %s (Fig 2c)", q.Name()))
 
 	// 7. ABSORB: push the magic table into the child.
 	w := len(child.Cols)
-	magicPos, err := d.absorb(child, magic, refMap)
+	magicPos, err := f.absorb(child, magic, refMap)
 	if err != nil {
 		return err
 	}
-	d.snap(fmt.Sprintf("ABSORB: %s absorbed the magic table (Fig 3c/4c)", q.Name()))
+	f.snap(fmt.Sprintf("ABSORB: %s absorbed the magic table (Fig 3c/4c)", q.Name()))
 
 	// 8. COUNT-bug compensation: left outer join the magic table with the
 	// decorrelated subquery, coalescing lost zero counts (Fig 3d, §2.1's
 	// BugRemoval view).
 	if comp.need {
-		bug := d.g.NewBox(qgm.BoxLeftJoin, "BUGFIX")
-		qbm := d.g.AddQuant(bug, qgm.QForEach, magic)
-		qbr := d.g.AddQuant(bug, qgm.QForEach, child)
+		bug := f.g.NewBox(qgm.BoxLeftJoin, "BUGFIX")
+		qbm := f.g.AddQuant(bug, qgm.QForEach, magic)
+		qbr := f.g.AddQuant(bug, qgm.QForEach, child)
 		for j := range corrCols {
 			// Grouping equality, not comparison equality: NULL is a distinct
 			// binding of MAGIC, and when the correlation reaches the child
@@ -342,7 +329,7 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 			bug.Cols = append(bug.Cols, qgm.OutCol{Name: magic.Cols[j].Name, Expr: qgm.Ref(qbm, j)})
 		}
 		q.Input = bug
-		d.snap(fmt.Sprintf("COUNT-bug removal: MAGIC LOJ decorrelated %s with COALESCE (Fig 3d)", q.Name()))
+		f.snap(fmt.Sprintf("COUNT-bug removal: MAGIC LOJ decorrelated %s with COALESCE (Fig 3d)", q.Name()))
 	}
 
 	// 9. Tie the decorrelated view to the outer block: the correlating
@@ -365,6 +352,6 @@ func (d *decorrelator) feed(cur *qgm.Box, q *qgm.Quantifier) error {
 	if q.Kind == qgm.QScalar {
 		q.Kind = qgm.QForEach
 	}
-	d.snap(fmt.Sprintf("decorrelated view of %s tied to outer block (Fig 4d)", q.Name()))
+	f.snap(fmt.Sprintf("decorrelated view of %s tied to outer block (Fig 4d)", q.Name()))
 	return nil
 }

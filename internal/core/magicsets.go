@@ -25,18 +25,24 @@ import (
 //
 // The transformation composes with magic decorrelation: the engine applies
 // it when Engine.MagicSets is enabled.
-func ApplyMagicSets(g *qgm.Graph, order Orderer) error {
-	d := &decorrelator{g: g, opts: Options{Order: order}, fed: map[*qgm.Quantifier]bool{}, done: map[*qgm.Box]bool{}}
+func ApplyMagicSets(g *qgm.Graph) error {
+	refs := qgm.RefCounts(g.Root)
 	for _, b := range qgm.Boxes(g.Root) {
 		if b.Kind != qgm.BoxSelect {
 			continue
 		}
 		for _, q := range append([]*qgm.Quantifier(nil), b.Quants...) {
-			if !magicSetsCandidate(g, b, q) {
+			if !magicSetsCandidate(refs, b, q) {
 				continue
 			}
-			if err := d.feedJoinBindings(b, q); err != nil {
+			fired, err := feedJoinBindings(g, b, q)
+			if err != nil {
 				return err
+			}
+			if fired {
+				// The magic table reads the box's other inputs, which are
+				// shared from here on.
+				refs = qgm.RefCounts(g.Root)
 			}
 		}
 	}
@@ -50,7 +56,7 @@ func ApplyMagicSets(g *qgm.Graph, order Orderer) error {
 // restricting: ForEach over a non-shared GROUP BY pipeline (restricting a
 // plain SPJ child is MergeSPJ's job), uncorrelated, with at least one
 // other row quantifier to derive bindings from.
-func magicSetsCandidate(g *qgm.Graph, b *qgm.Box, q *qgm.Quantifier) bool {
+func magicSetsCandidate(refs map[*qgm.Box]int, b *qgm.Box, q *qgm.Quantifier) bool {
 	if q.Kind != qgm.QForEach {
 		return false
 	}
@@ -58,18 +64,7 @@ func magicSetsCandidate(g *qgm.Graph, b *qgm.Box, q *qgm.Quantifier) bool {
 	if child.Kind != qgm.BoxGroup && !(child.Kind == qgm.BoxSelect && child.Distinct) {
 		return false
 	}
-	if qgm.IsCorrelated(child) {
-		return false
-	}
-	refs := 0
-	for _, box := range qgm.Boxes(g.Root) {
-		for _, bq := range box.Quants {
-			if bq.Input == child {
-				refs++
-			}
-		}
-	}
-	if refs > 1 {
+	if qgm.IsCorrelated(child) || refs[child] > 1 {
 		return false
 	}
 	others := 0
@@ -89,8 +84,8 @@ type msTie struct {
 }
 
 // feedJoinBindings restricts q.Input by the distinct join values of the
-// box's other quantifiers.
-func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
+// box's other quantifiers, reporting whether it did.
+func feedJoinBindings(g *qgm.Graph, cur *qgm.Box, q *qgm.Quantifier) (bool, error) {
 	child := q.Input
 	// Collect equality predicates joining q to the other quantifiers,
 	// where the q side is a bare column of the child.
@@ -113,7 +108,7 @@ func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
 		}
 	}
 	if len(ties) == 0 {
-		return nil
+		return false, nil
 	}
 	sort.Slice(ties, func(i, j int) bool { return ties[i].col < ties[j].col })
 
@@ -122,7 +117,7 @@ func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
 	// place; the magic table references them through a copy of the same
 	// inputs would require CSE machinery, so instead project directly from
 	// the same input boxes — sharing them as common subexpressions.)
-	magic := d.g.NewBox(qgm.BoxSelect, "MAGICSET")
+	magic := g.NewBox(qgm.BoxSelect, "MAGICSET")
 	magic.Distinct = true
 	clone := map[*qgm.Quantifier]*qgm.Quantifier{}
 	for _, oq := range cur.Quants {
@@ -131,7 +126,7 @@ func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
 		}
 		// Clones keep their kind: a scalar quantifier's empty-input
 		// null-fill semantics must carry over to the binding computation.
-		clone[oq] = d.g.AddQuant(magic, oq.Kind, oq.Input)
+		clone[oq] = g.AddQuant(magic, oq.Kind, oq.Input)
 	}
 	remap := func(e qgm.Expr) (qgm.Expr, bool) {
 		ok := true
@@ -171,19 +166,16 @@ func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
 		usable = append(usable, t)
 	}
 	if len(usable) == 0 || len(magic.Quants) == 0 {
-		return nil
+		return false, nil
 	}
 
 	// Restrict the child: semi-join with the magic table, pushed below a
 	// GROUP BY when every tie column is a grouping column.
-	qm, target, colFor, err := d.pushRestriction(child, magic, usable)
-	if err != nil || qm == nil {
-		return err
-	}
+	qm, target, colFor := pushRestriction(g, child, magic, usable)
 	for i, t := range usable {
 		target.Preds = append(target.Preds, qgm.NewEq(colFor(t.col, i), qgm.Ref(qm, i)))
 	}
-	return nil
+	return true, nil
 }
 
 // pushRestriction attaches a ForEach quantifier over magic to the box that
@@ -191,7 +183,7 @@ func (d *decorrelator) feedJoinBindings(cur *qgm.Box, q *qgm.Quantifier) error {
 // are grouping columns, the child itself otherwise. It returns the magic
 // quantifier, the box holding the new predicates, and a translator from
 // (child output ordinal, tie index) to the expression to compare.
-func (d *decorrelator) pushRestriction(child, magic *qgm.Box, ties []msTie) (*qgm.Quantifier, *qgm.Box, func(int, int) qgm.Expr, error) {
+func pushRestriction(g *qgm.Graph, child, magic *qgm.Box, ties []msTie) (*qgm.Quantifier, *qgm.Box, func(int, int) qgm.Expr) {
 	if child.Kind == qgm.BoxGroup {
 		// Push below the aggregate only when every tie column is a plain
 		// grouping column whose source is a column of the group's input.
@@ -219,22 +211,22 @@ func (d *decorrelator) pushRestriction(child, magic *qgm.Box, ties []msTie) (*qg
 				sources[i] = body.Cols[cr.Col].Expr
 			}
 			if ok {
-				qm := d.g.AddQuant(body, qgm.QForEach, magic)
+				qm := g.AddQuant(body, qgm.QForEach, magic)
 				return qm, body, func(col, i int) qgm.Expr {
 					return qgm.CloneExpr(sources[i])
-				}, nil
+				}
 			}
 		}
 	}
 	// Fallback: semi-join above the child by wrapping it.
-	wrap := d.g.NewBox(qgm.BoxSelect, "RESTRICT")
-	qc := d.g.AddQuant(wrap, qgm.QForEach, child)
-	qm := d.g.AddQuant(wrap, qgm.QForEach, magic)
+	wrap := g.NewBox(qgm.BoxSelect, "RESTRICT")
+	qc := g.AddQuant(wrap, qgm.QForEach, child)
+	qm := g.AddQuant(wrap, qgm.QForEach, magic)
 	for i, c := range child.Cols {
 		wrap.Cols = append(wrap.Cols, qgm.OutCol{Name: c.Name, Expr: qgm.Ref(qc, i)})
 	}
 	// Replace the child under its consumer.
-	for _, b := range qgm.Boxes(d.g.Root) {
+	for _, b := range qgm.Boxes(g.Root) {
 		for _, bq := range b.Quants {
 			if bq.Input == child && b != wrap {
 				bq.Input = wrap
@@ -243,7 +235,7 @@ func (d *decorrelator) pushRestriction(child, magic *qgm.Box, ties []msTie) (*qg
 	}
 	return qm, wrap, func(col, i int) qgm.Expr {
 		return qgm.Ref(qc, col)
-	}, nil
+	}
 }
 
 func isGroupCol(grp *qgm.Box, ref *qgm.ColRef) bool {

@@ -1,11 +1,12 @@
 // Package core implements magic decorrelation — the paper's contribution —
-// as a rewrite over the Query Graph Model. The algorithm processes boxes
-// top-down; at each SELECT box it runs the FEED stage for every child
-// subtree correlated to it (collecting the computation ahead of the
-// subquery into a supplementary table, projecting the distinct correlation
-// bindings into a magic table) and the ABSORB stage inside the child
-// (pushing the magic table down through GROUP BY and UNION boxes to the
-// SPJ boxes that hold the correlated predicates). COUNT-bug compensation
+// as a rewrite rule over the Query Graph Model, driven to a fixpoint by
+// rewrite.Engine. One firing feeds one correlated quantifier of a SELECT
+// box, the first in top-down box order: the FEED stage (collecting the
+// computation ahead of the subquery into a supplementary table, projecting
+// the distinct correlation bindings into a magic table), then the ABSORB
+// stage inside the child (pushing the magic table down through GROUP BY and
+// UNION boxes to the SPJ boxes that hold the correlated predicates). The
+// engine validates the graph after every firing. COUNT-bug compensation
 // introduces a left outer join with COALESCE, exactly as in §2.1/§4.3.
 //
 // The implementation fuses the paper's CI-box merge (performed in
@@ -72,13 +73,13 @@ type Trace struct {
 	Steps []Step
 }
 
-func (d *decorrelator) snap(title string) {
-	if t := d.opts.Tracer; t != nil {
+func (f *feed) snap(title string) {
+	if t := f.opts.Tracer; t != nil {
 		t.Instant(title, "decorrelate",
-			trace.Int("boxes", int64(len(qgm.Boxes(d.g.Root)))))
+			trace.Int("boxes", int64(len(qgm.Boxes(f.g.Root)))))
 	}
-	if d.tr == nil {
+	if f.tr == nil {
 		return
 	}
-	d.tr.Steps = append(d.tr.Steps, Step{Title: title, Plan: qgm.Format(d.g)})
+	f.tr.Steps = append(f.tr.Steps, Step{Title: title, Plan: qgm.Format(f.g)})
 }

@@ -14,18 +14,17 @@ import (
 // magic table) disappears. The decorrelated subquery carries every
 // supplementary column through its grouping, so the outer block reads SUPP
 // through the subquery and drops its own reference.
-func (d *decorrelator) optFeed(cur *qgm.Box, q *qgm.Quantifier, qsupp *qgm.Quantifier, supp *qgm.Box, corrCols []int) error {
+func (f *feed) optFeed(cur *qgm.Box, q *qgm.Quantifier, qsupp *qgm.Quantifier, supp *qgm.Box) error {
 	child := q.Input
 
 	refMap := map[qgm.RefKey]int{}
 	for c := range supp.Cols {
 		refMap[qgm.RefKey{Q: qsupp, Col: c}] = c
 	}
-	pos, err := d.absorb(child, supp, refMap)
+	pos, err := f.absorb(child, supp, refMap)
 	if err != nil {
 		return err
 	}
-	_ = corrCols
 
 	// The outer block now reads every supplementary column through the
 	// absorbed child: drop the direct supplementary quantifier and
@@ -52,6 +51,6 @@ func (d *decorrelator) optFeed(cur *qgm.Box, q *qgm.Quantifier, qsupp *qgm.Quant
 	if supp.Label == "SUPP" {
 		supp.Label = "SUPP=MAGIC"
 	}
-	d.snap(fmt.Sprintf("OptMag: supplementary CSE eliminated for %s (correlation attributes form a key of SUPP)", q.Name()))
+	f.snap(fmt.Sprintf("OptMag: supplementary CSE eliminated for %s (correlation attributes form a key of SUPP)", q.Name()))
 	return nil
 }

@@ -111,6 +111,62 @@ func TestBatchedDeterminismMatrix(t *testing.T) {
 	}
 }
 
+// TestSharedBoxDeterminism extends the matrix to shared boxes: four
+// identical scalar subqueries decorrelate under OptMagic into one plan that
+// reads the same uncorrelated boxes many times over. A shared box's first
+// evaluation is single-flight, so under either CSE policy the full Stats —
+// CSERecomputes included — are the same at workers 1, 2 and 8, in both
+// engines, run after run. Workers that raced to fill the cache used to
+// evaluate a shared box twice (MaterializeCSE) or skip counting a
+// recompute (the default).
+func TestSharedBoxDeterminism(t *testing.T) {
+	const sql = `select e.name,
+		(select count(*) from dept d where d.building = e.building) as c0,
+		(select count(*) from dept d where d.building = e.building) as c1,
+		(select count(*) from dept d where d.building = e.building) as c2,
+		(select count(*) from dept d where d.building = e.building) as c3
+		from emp e`
+	db := tpcd.EmpDept()
+	for _, materialize := range []bool{false, true} {
+		var first *exec.Stats
+		var want []string
+		for _, w := range []int{1, 2, 8} {
+			for _, rowMode := range []bool{false, true} {
+				for run := 0; run < 10; run++ {
+					cell := fmt.Sprintf("MaterializeCSE=%v workers=%d rowmode=%v run %d", materialize, w, rowMode, run)
+					e := engine.New(db)
+					e.MaterializeCSE = materialize
+					e.Workers = w
+					e.RowMode = rowMode
+					rows, stats, err := e.Query(sql, engine.OptMagic)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					got := ordered(rows)
+					if first == nil {
+						first, want = stats, got
+						if stats.CSERecomputes == 0 && !materialize {
+							t.Fatalf("%s: no shared box was recomputed; the shape lost its point", cell)
+						}
+						continue
+					}
+					if *stats != *first {
+						t.Fatalf("%s: stats %+v, want %+v", cell, *stats, *first)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d rows, want %d", cell, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s row %d: got %q, want %q", cell, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // batchBoundaryDB: outer t1(k) with duplicate correlation values and inner
 // t2(k, v), no indexes — the exists-probe below takes the single-execution
 // batch path, whose tracked bytes are exactly the distinct binding keys

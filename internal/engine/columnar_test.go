@@ -12,10 +12,8 @@ import (
 	"decorr/internal/tpcd"
 )
 
-// execCounters extracts the counters that must match bit-for-bit between
-// the vectorized and row engines at every worker count. CSERecomputes and
-// MemoHits are scheduling-sensitive at workers>1 (documented in
-// exec.Options.Workers) and are excluded.
+// execCounters extracts the execution counters that must match
+// bit-for-bit between the vectorized and row engines at every worker count.
 func execCounters(s *exec.Stats) [7]int64 {
 	return [7]int64{s.BoxEvals, s.RowsScanned, s.IndexLookups, s.RowsJoined,
 		s.RowsGrouped, s.HashBuilds, s.SubqueryInvocations}

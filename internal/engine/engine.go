@@ -415,7 +415,7 @@ func (e *Engine) prepareBack(text string, g *qgm.Graph, s Strategy, traced bool)
 		return nil, nil, err
 	}
 	if e.MagicSets {
-		if err := core.ApplyMagicSets(g, e.orderer()); err != nil {
+		if err := core.ApplyMagicSets(g); err != nil {
 			return nil, nil, err
 		}
 		if err := e.cleanup(g, "cleanup-magicsets"); err != nil {

@@ -56,11 +56,6 @@ func TestObservationParity(t *testing.T) {
 						where := fmt.Sprintf("workers=%d rowmode=%v", w, rowMode)
 						rows, stats, _ := run(w, rowMode, false, nil)
 						prows, pstats, pex := run(w, rowMode, true, nil)
-						if w > 1 {
-							// Scheduling-sensitive at workers > 1 (exec.Options.Workers).
-							stats.CSERecomputes, pstats.CSERecomputes = 0, 0
-							stats.MemoHits, pstats.MemoHits = 0, 0
-						}
 						sameRun(t, where+" profiled", prows, pstats, rows, stats)
 						if w == 1 {
 							trows, tstats, _ := run(w, rowMode, false, trace.New(trace.NewRingSink(0)))

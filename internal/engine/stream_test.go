@@ -50,19 +50,9 @@ func drainStream(ctx context.Context, e *engine.Engine, sql string, s engine.Str
 	}
 }
 
-// deterministicStats projects the counters that are identical at every
-// worker count (CSERecomputes, and BoxEvals with it, can legally move with
-// scheduling when workers race to fill a shared-box cache; memo misses are
-// single-flight, so MemoHits cannot).
-func deterministicStats(s exec.Stats) string {
-	return fmt.Sprintf("scan=%d join=%d group=%d idx=%d hash=%d subq=%d distinct=%d memo=%d",
-		s.RowsScanned, s.RowsJoined, s.RowsGrouped, s.IndexLookups, s.HashBuilds,
-		s.SubqueryInvocations, s.DistinctInvocations, s.MemoHits)
-}
-
 // Query is a Stream drained in one pull (the iterator hands a materialized
 // result over whole); QueryStream pulls batch by batch. Both must produce
-// identical ordered rows and deterministic stats across strategies ×
+// identical ordered rows and identical stats across strategies ×
 // workers, over query shapes covering all three streaming modes (scan,
 // tuple, materialized).
 func TestStreamMatchesQueryDifferential(t *testing.T) {
@@ -107,8 +97,8 @@ func TestStreamMatchesQueryDifferential(t *testing.T) {
 						t.Fatalf("%s: row %d differs: stream %q, query %q", name, i, got[i], want[i])
 					}
 				}
-				if d, q := deterministicStats(sStats), deterministicStats(*stats); d != q {
-					t.Errorf("%s: stats diverge: stream %s, query %s", name, d, q)
+				if sStats != *stats {
+					t.Errorf("%s: stats diverge: stream %+v, query %+v", name, sStats, *stats)
 				}
 			}
 		}

@@ -56,8 +56,8 @@ type Options struct {
 	// (including the caller) the morsel scheduler may use for one Run.
 	// Zero or negative selects runtime.GOMAXPROCS(0); one forces the
 	// classic single-threaded volcano behavior. Result rows are
-	// bit-identical and identically ordered at every setting — only wall
-	// clock (and the scheduling-sensitive CSERecomputes counter) changes.
+	// bit-identical and identically ordered at every setting, and so are
+	// the Stats counters — only wall clock changes.
 	// See docs/parallel-execution.md.
 	Workers int
 	// Tracer, when non-nil, receives one span per box evaluation with the
@@ -102,19 +102,19 @@ type Exec struct {
 	gov *governor
 
 	// mu guards the cross-worker memo state (cse, memo, bindings) and the
-	// profile map. freeRefs and refCount are written only by analyze
+	// profile map. freeRefs and refs are written only by analyze
 	// (before any fan-out) and read-only afterwards; est has its own lock
 	// (estMu) because it is read from the scheduling hot path.
 	mu sync.Mutex
 
 	freeRefs map[*qgm.Box][]qgm.RefKey
-	refCount map[*qgm.Box]int
+	refs     map[*qgm.Box]int
 	// volatileBox marks boxes whose subtree reads a synthetic (sys.*) or
 	// storageless relation; their results are never shared across
 	// bindings. Written only by analyze (before any fan-out) and
 	// read-only afterwards, like freeRefs.
 	volatileBox map[*qgm.Box]bool
-	cse         map[*qgm.Box]boxOut
+	cse         map[*qgm.Box]*cseEntry
 	memo        map[*qgm.Box]map[string]memoEntry
 	bindings    map[*qgm.Box]map[string]bool
 
@@ -178,9 +178,9 @@ func New(db *storage.DB, opts Options) *Exec {
 		workers:     w,
 		sem:         make(chan struct{}, w-1),
 		freeRefs:    map[*qgm.Box][]qgm.RefKey{},
-		refCount:    map[*qgm.Box]int{},
+		refs:        map[*qgm.Box]int{},
 		volatileBox: map[*qgm.Box]bool{},
-		cse:         map[*qgm.Box]boxOut{},
+		cse:         map[*qgm.Box]*cseEntry{},
 		memo:        map[*qgm.Box]map[string]memoEntry{},
 		bindings:    map[*qgm.Box]map[string]bool{},
 		est:         map[*qgm.Box]float64{},
@@ -295,7 +295,7 @@ func orderCmp(v colvec.Vec) func(a, b int32) int {
 // analyze precomputes per-box free references, reference counts,
 // cardinality estimates and — once those estimates are warm — every select
 // box's plan. It runs single-threaded before any fan-out, so that during
-// execution the scheduler workers only ever *read* freeRefs, refCount, the
+// execution the scheduler workers only ever *read* freeRefs, refs, the
 // est memo and the plan memo — keeping the join order, and with it the
 // output row order, identical at every worker count.
 func (ex *Exec) analyze(root *qgm.Box) {
@@ -310,12 +310,7 @@ func (ex *Exec) analyze(root *qgm.Box) {
 			computeVolatile(ex.db, b, ex.volatileBox)
 		}
 	}
-	ex.refCount = map[*qgm.Box]int{}
-	for _, b := range boxes {
-		for _, q := range b.Quants {
-			ex.refCount[q.Input]++
-		}
-	}
+	ex.refs = qgm.RefCounts(root)
 	for _, b := range boxes {
 		ex.estBoxRows(b)
 	}
@@ -477,28 +472,27 @@ type boxOut struct {
 // the batched subquery's stripped root (batchSingleExec) — runs eval inside
 // it, and the streamed root opens it from start to finish (enterBox,
 // observe). In order: the governance checkpoint and the BoxEvals count
-// (enterBox); the CSE policy of a shared uncorrelated box — under
-// MaterializeCSE a cached result is served, otherwise counted as a
-// CSERecompute; the tracer span and profile record (observe), and the CSE
-// store with its byte charge. vecs says which form the caller reads.
+// (enterBox); the CSE policy of a shared uncorrelated box (cseEval); the
+// tracer span and profile record (observe). vecs says which form the
+// caller reads.
 func (ex *Exec) inBox(b *qgm.Box, vecs bool, eval func() (boxOut, error)) (boxOut, error) {
 	if err := ex.enterBox(); err != nil {
 		return boxOut{}, err
 	}
-	cse := ex.refCount[b] > 1 && !ex.isCorrelated(b)
-	if cse {
-		if out, ok, err := ex.cseLookup(b, vecs); ok || err != nil {
-			return out, err
-		}
+	if ex.refs[b] > 1 && !ex.isCorrelated(b) {
+		return ex.cseEval(b, vecs, eval)
 	}
+	return ex.observed(b, eval)
+}
+
+// observed runs one evaluation of b under its tracer span and profile
+// record.
+func (ex *Exec) observed(b *qgm.Box, eval func() (boxOut, error)) (boxOut, error) {
 	o := ex.observe(b)
 	out, err := eval()
 	o.end(ex, b, out.n, err)
 	if err != nil {
 		return boxOut{}, err
-	}
-	if cse {
-		return ex.cseStore(b, out)
 	}
 	return out, nil
 }
@@ -515,66 +509,111 @@ func (ex *Exec) enterBox() error {
 	return nil
 }
 
-// cseLookup applies the CSE policy to a shared uncorrelated box that was
-// evaluated before: ok=true serves the cached result in the form the
-// caller reads (converting once and keeping the conversion); under the
-// recompute policy the hit only counts.
-func (ex *Exec) cseLookup(b *qgm.Box, vecs bool) (out boxOut, ok bool, err error) {
+// cseEntry is one shared uncorrelated box's CSE slot. The worker that
+// claims it under ex.mu computes the box's first evaluation, and done
+// closes when that evaluation returns or panics: askers that wait for it
+// share its result, its error or its panic, like the waiters on an NI-memo
+// miss. out gains the other form under ex.mu once an asker converts to it.
+type cseEntry struct {
+	done  chan struct{}
+	out   boxOut
+	err   error
+	panic any
+}
+
+// cseEval applies the CSE policy to a shared uncorrelated box. Whoever
+// claims the box's entry evaluates it first, and every later evaluation is
+// decided at its claim: under MaterializeCSE it waits for the first and is
+// served the cached result in the form the caller reads (converting once
+// and keeping the conversion); otherwise it is a CSERecompute and runs
+// again. Exactly one worker computes the first evaluation, so the counters
+// are the same at every worker count.
+func (ex *Exec) cseEval(b *qgm.Box, vecs bool, eval func() (boxOut, error)) (boxOut, error) {
 	ex.mu.Lock()
-	out, ok = ex.cse[b]
+	e, claimed := ex.cse[b]
+	if !claimed {
+		e = &cseEntry{done: make(chan struct{})}
+		ex.cse[b] = e
+	}
 	ex.mu.Unlock()
-	if !ok {
-		return boxOut{}, false, nil
-	}
-	if !ex.opts.MaterializeCSE {
+	switch {
+	case !claimed:
+		return ex.cseFirst(b, e, eval)
+	case !ex.opts.MaterializeCSE:
 		bump(&ex.Stats.CSERecomputes, 1)
-		return boxOut{}, false, nil
+		return ex.cseCompute(b, eval)
 	}
+	<-e.done
+	if e.panic != nil {
+		panic(e.panic)
+	}
+	if e.err != nil {
+		return boxOut{}, e.err
+	}
+	ex.mu.Lock()
+	out := e.out
+	ex.mu.Unlock()
+	var err error
 	switch {
 	case vecs && out.vecs == nil:
 		out.vecs = colsFromRows(out.rows, len(b.Cols))
 	case !vecs && out.rows == nil && out.vecs != nil:
 		if out.rows, err = ex.colMaterialize(out.vecs, out.n); err != nil {
-			return boxOut{}, true, err
-		}
-	default:
-		return out, true, nil
-	}
-	return ex.cseKeep(b, out), true, nil
-}
-
-// cseStore charges a freshly computed shared box against the byte budget —
-// every compute, hit or not, as the recompute policy holds each copy — and
-// caches it.
-func (ex *Exec) cseStore(b *qgm.Box, out boxOut) (boxOut, error) {
-	if ex.gov != nil && ex.gov.maxBytes != 0 {
-		n := rowsBytes(out.rows)
-		if out.vecs != nil {
-			n = colBytes(out.vecs, ex.identity(out.n))
-		}
-		if err := ex.gov.addBytes(n); err != nil {
 			return boxOut{}, err
 		}
+	default:
+		return out, nil
 	}
-	return ex.cseKeep(b, out), nil
-}
-
-// cseKeep merges out into b's cache entry: a form the entry already holds
-// wins (a racing evaluation stored first; the contents are identical), a
-// form it lacks is added.
-func (ex *Exec) cseKeep(b *qgm.Box, out boxOut) boxOut {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	if prior, ok := ex.cse[b]; ok {
-		if prior.rows != nil {
-			out.rows = prior.rows
-		}
-		if prior.vecs != nil {
-			out.vecs = prior.vecs
-		}
+	// A form a concurrent conversion kept first wins; the contents are
+	// identical.
+	if e.out.rows != nil {
+		out.rows = e.out.rows
 	}
-	ex.cse[b] = out
-	return out
+	if e.out.vecs != nil {
+		out.vecs = e.out.vecs
+	}
+	e.out = out
+	return out, nil
+}
+
+// cseFirst computes the claimed first evaluation of shared box b and
+// publishes it through e. A failure is shared with this Run's concurrent
+// askers only: a later evaluation claims the box afresh.
+func (ex *Exec) cseFirst(b *qgm.Box, e *cseEntry, eval func() (boxOut, error)) (out boxOut, err error) {
+	defer func() {
+		if e.panic = recover(); e.panic != nil || err != nil {
+			ex.mu.Lock()
+			delete(ex.cse, b)
+			ex.mu.Unlock()
+		}
+		close(e.done)
+		if e.panic != nil {
+			panic(e.panic)
+		}
+	}()
+	out, err = ex.cseCompute(b, eval)
+	e.out, e.err = out, err
+	return out, err
+}
+
+// cseCompute evaluates shared box b and charges the result against the
+// byte budget: every compute, first or recompute, as the recompute policy
+// holds each copy.
+func (ex *Exec) cseCompute(b *qgm.Box, eval func() (boxOut, error)) (boxOut, error) {
+	out, err := ex.observed(b, eval)
+	if err != nil || ex.gov == nil || ex.gov.maxBytes == 0 {
+		return out, err
+	}
+	n := rowsBytes(out.rows)
+	if out.vecs != nil {
+		n = colBytes(out.vecs, ex.identity(out.n))
+	}
+	if err := ex.gov.addBytes(n); err != nil {
+		return boxOut{}, err
+	}
+	return out, nil
 }
 
 // scanBase is the one base-table read: the table lookup (a table without

@@ -21,10 +21,10 @@ func (b *Box) ExprSlots(f func(*Expr)) {
 	}
 }
 
-// subtreeSet returns the set of boxes reachable from b.
-func subtreeSet(b *Box) map[*Box]bool {
-	s := map[*Box]bool{}
-	for _, x := range Boxes(b) {
+// boxSet returns the set of the listed boxes.
+func boxSet(boxes []*Box) map[*Box]bool {
+	s := make(map[*Box]bool, len(boxes))
+	for _, x := range boxes {
 		s[x] = true
 	}
 	return s
@@ -34,9 +34,10 @@ func subtreeSet(b *Box) map[*Box]bool {
 // quantifier is owned outside the subtree — i.e. the correlated references
 // of the subtree. Order is deterministic (box DFS order, slot order).
 func FreeRefs(b *Box) []*ColRef {
-	inside := subtreeSet(b)
+	boxes := Boxes(b)
+	inside := boxSet(boxes)
 	var out []*ColRef
-	for _, box := range Boxes(b) {
+	for _, box := range boxes {
 		box.ExprSlots(func(slot *Expr) {
 			for _, r := range Refs(*slot) {
 				if !inside[r.Q.Owner] {
@@ -52,10 +53,20 @@ func FreeRefs(b *Box) []*ColRef {
 func IsCorrelated(b *Box) bool { return len(FreeRefs(b)) > 0 }
 
 // CorrelatedTo reports whether b's subtree references any quantifier owned
-// by the given box.
+// by the given box. Callers ask it of a box that owner reads, which the DAG
+// keeps outside b's subtree, so every such reference is a correlated one.
 func CorrelatedTo(b, owner *Box) bool {
-	for _, r := range FreeRefs(b) {
-		if r.Q.Owner == owner {
+	found := false
+	for _, box := range Boxes(b) {
+		box.ExprSlots(func(slot *Expr) {
+			Walk(*slot, func(x Expr) bool {
+				if r, ok := x.(*ColRef); ok && r.Q.Owner == owner {
+					found = true
+				}
+				return !found
+			})
+		})
+		if found {
 			return true
 		}
 	}
@@ -99,15 +110,16 @@ func CloneExpr(e Expr) Expr {
 	return Rewrite(e, func(x Expr) Expr { return x })
 }
 
-// Parents computes the parent multimap of the graph rooted at root.
-func Parents(root *Box) map[*Box][]*Box {
-	p := map[*Box][]*Box{}
+// RefCounts returns how many quantifiers read each box reachable from
+// root. A box read more than once is shared (a common subexpression).
+func RefCounts(root *Box) map[*Box]int {
+	n := map[*Box]int{}
 	for _, b := range Boxes(root) {
 		for _, q := range b.Quants {
-			p[q.Input] = append(p[q.Input], b)
+			n[q.Input]++
 		}
 	}
-	return p
+	return n
 }
 
 // Validate checks structural invariants of the graph. It is called by the
@@ -118,29 +130,24 @@ func Validate(g *Graph) error {
 	if g.Root == nil {
 		return fmt.Errorf("qgm: graph has no root")
 	}
-	parents := Parents(g.Root)
-	// ancestors: transitive closure over parents.
-	anc := map[*Box]map[*Box]bool{}
-	var ancestorsOf func(b *Box, seen map[*Box]bool) map[*Box]bool
-	ancestorsOf = func(b *Box, seen map[*Box]bool) map[*Box]bool {
-		if a, ok := anc[b]; ok {
-			return a
+	boxes := Boxes(g.Root)
+	inGraph := boxSet(boxes)
+	// below[o] is the set of boxes reachable from o, built for each box
+	// whose quantifiers a reference reaches out to: o is an ancestor of b
+	// when it is in the graph, is not b, and reaches b.
+	below := map[*Box]map[*Box]bool{}
+	ancestor := func(o, b *Box) bool {
+		if o == b || !inGraph[o] {
+			return false
 		}
-		if seen[b] {
-			return map[*Box]bool{}
+		s, ok := below[o]
+		if !ok {
+			s = boxSet(Boxes(o))
+			below[o] = s
 		}
-		seen[b] = true
-		a := map[*Box]bool{}
-		for _, p := range parents[b] {
-			a[p] = true
-			for x := range ancestorsOf(p, seen) {
-				a[x] = true
-			}
-		}
-		anc[b] = a
-		return a
+		return s[b]
 	}
-	for _, b := range Boxes(g.Root) {
+	for _, b := range boxes {
 		if err := validateBoxShape(b); err != nil {
 			return err
 		}
@@ -154,7 +161,6 @@ func Validate(g *Graph) error {
 			}
 			quants[q] = true
 		}
-		a := ancestorsOf(b, map[*Box]bool{})
 		var refErr error
 		b.ExprSlots(func(slot *Expr) {
 			if refErr != nil {
@@ -165,7 +171,7 @@ func Validate(g *Graph) error {
 					refErr = fmt.Errorf("qgm: box %d references a detached quantifier", b.ID)
 					return
 				}
-				if !quants[r.Q] && !a[r.Q.Owner] {
+				if !quants[r.Q] && !ancestor(r.Q.Owner, b) {
 					refErr = fmt.Errorf("qgm: box %d references %s.c%d owned by box %d which is not an ancestor",
 						b.ID, r.Q.Name(), r.Col, r.Q.Owner.ID)
 					return

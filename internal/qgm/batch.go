@@ -54,7 +54,7 @@ func ExtractBatchSignature(b *Box, varying map[*Quantifier]bool) (*BatchSignatur
 	if b.Kind != BoxSelect || b.Distinct || len(varying) == 0 {
 		return nil, false
 	}
-	inside := subtreeSet(b)
+	inside := boxSet(Boxes(b))
 	sig := &BatchSignature{Skip: map[Expr]bool{}}
 	for _, p := range b.Preds {
 		qs := QuantSet(p)

@@ -51,8 +51,6 @@ func Dot(g *Graph) string {
 	// source box) pair.
 	seen := map[[2]int]bool{}
 	for _, box := range Boxes(g.Root) {
-		inside := subtreeSet(box)
-		_ = inside
 		box.ExprSlots(func(slot *Expr) {
 			for _, r := range Refs(*slot) {
 				if r.Q.Owner == box {

@@ -42,7 +42,7 @@ func formatBox(sb *strings.Builder, b *Box, root *Box) {
 		fmt.Fprintf(sb, "  table %s(%s)\n", b.Table.Name, strings.Join(b.OutNames(), ", "))
 		return
 	}
-	inside := subtreeSet(b)
+	inside := boxSet(Boxes(b))
 	for _, q := range b.Quants {
 		fmt.Fprintf(sb, "  quant %s (%s) over box %d\n", q.Name(), q.Kind, q.Input.ID)
 	}

@@ -79,6 +79,15 @@ func TestValidateRejectsOutOfScopeRef(t *testing.T) {
 	if err := Validate(g); err == nil {
 		t.Fatal("expected scope violation")
 	}
+	// Siblings under one root: a is in the graph, still not b's ancestor.
+	root := g.NewBox(BoxSelect, "root")
+	qra := g.AddQuant(root, QForEach, a)
+	g.AddQuant(root, QForEach, b)
+	root.Cols = []OutCol{{Name: "x", Expr: Ref(qra, 0)}}
+	g.Root = root
+	if err := Validate(g); err == nil {
+		t.Fatal("expected scope violation between siblings")
+	}
 }
 
 func TestValidateRejectsColumnOutOfRange(t *testing.T) {

@@ -20,12 +20,7 @@ func (PushPredicates) Name() string { return "push-predicates" }
 
 // Apply implements Rule.
 func (PushPredicates) Apply(g *qgm.Graph) (bool, error) {
-	refCount := map[*qgm.Box]int{}
-	for _, b := range qgm.Boxes(g.Root) {
-		for _, q := range b.Quants {
-			refCount[q.Input]++
-		}
-	}
+	refs := qgm.RefCounts(g.Root)
 	changed := false
 	for _, parent := range qgm.Boxes(g.Root) {
 		if parent.Kind != qgm.BoxSelect {
@@ -33,7 +28,7 @@ func (PushPredicates) Apply(g *qgm.Graph) (bool, error) {
 		}
 		kept := parent.Preds[:0:0]
 		for _, p := range parent.Preds {
-			target := pushTarget(parent, p, refCount)
+			target := pushTarget(parent, p, refs)
 			if target == nil {
 				kept = append(kept, p)
 				continue
@@ -53,7 +48,7 @@ func (PushPredicates) Apply(g *qgm.Graph) (bool, error) {
 
 // pushTarget returns the single ForEach quantifier (over a pushable SELECT
 // child) that p's local references go through, or nil.
-func pushTarget(parent *qgm.Box, p qgm.Expr, refCount map[*qgm.Box]int) *qgm.Quantifier {
+func pushTarget(parent *qgm.Box, p qgm.Expr, refs map[*qgm.Box]int) *qgm.Quantifier {
 	var target *qgm.Quantifier
 	for q := range qgm.QuantSet(p) {
 		if q.Owner != parent {
@@ -68,7 +63,7 @@ func pushTarget(parent *qgm.Box, p qgm.Expr, refCount map[*qgm.Box]int) *qgm.Qua
 		return nil
 	}
 	child := target.Input
-	if child.Kind != qgm.BoxSelect || refCount[child] > 1 {
+	if child.Kind != qgm.BoxSelect || refs[child] > 1 {
 		return nil
 	}
 	return target

@@ -147,12 +147,7 @@ func (MergeSPJ) Name() string { return "merge-spj" }
 
 // Apply implements Rule.
 func (MergeSPJ) Apply(g *qgm.Graph) (bool, error) {
-	refCount := map[*qgm.Box]int{}
-	for _, b := range qgm.Boxes(g.Root) {
-		for _, q := range b.Quants {
-			refCount[q.Input]++
-		}
-	}
+	refs := qgm.RefCounts(g.Root)
 	for _, parent := range qgm.Boxes(g.Root) {
 		if parent.Kind != qgm.BoxSelect {
 			continue
@@ -162,10 +157,10 @@ func (MergeSPJ) Apply(g *qgm.Graph) (bool, error) {
 			if q.Kind != qgm.QForEach || child.Kind != qgm.BoxSelect {
 				continue
 			}
-			if child.Distinct || refCount[child] > 1 {
+			if child.Distinct || refs[child] > 1 {
 				continue
 			}
-			mergeChild(g, parent, q)
+			mergeChild(parent, q)
 			return true, nil
 		}
 	}
@@ -173,7 +168,7 @@ func (MergeSPJ) Apply(g *qgm.Graph) (bool, error) {
 }
 
 // mergeChild splices child (q.Input) into parent.
-func mergeChild(g *qgm.Graph, parent *qgm.Box, q *qgm.Quantifier) {
+func mergeChild(parent *qgm.Box, q *qgm.Quantifier) {
 	child := q.Input
 	// Replacement map: (q, i) -> child.Cols[i].Expr.
 	mapping := map[qgm.RefKey]qgm.Expr{}
@@ -190,8 +185,6 @@ func mergeChild(g *qgm.Graph, parent *qgm.Box, q *qgm.Quantifier) {
 	// Replace references to q throughout the parent's entire subtree
 	// (descendants may reference q as a correlated quantifier).
 	qgm.RedirectRefs(parent, mapping)
-	// Keep g.Root intact; parent identity unchanged.
-	_ = g
 }
 
 // RemoveTrivial splices out SELECT boxes that are an identity projection of
@@ -251,11 +244,7 @@ func isTrivial(b *qgm.Box) bool {
 		if !ok || r.Q != q || r.Col != i {
 			return false
 		}
-		// Renaming projections are fine to splice only if names match;
-		// output names are advisory, so allow them to differ.
 	}
-	// A trivial root must preserve column names for the client; only
-	// splice the root when names agree.
 	return true
 }
 
