@@ -2,12 +2,14 @@ package engine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"decorr/internal/differ"
 	"decorr/internal/engine"
 	"decorr/internal/exec"
 	"decorr/internal/qgm"
@@ -18,8 +20,9 @@ import (
 // TestPlanGolden pins what the executor's select-box planner decides: the
 // §7 cost of the whole graph (bit-exact, as a hex float) and the binding
 // order of every select box, for the paper's queries as bound (NI) and as
-// rewritten (Magic, OptMagic), plus the alternative Auto picks. A diff
-// here is a changed plan, not a refactoring.
+// rewritten (Magic, OptMagic), plus the alternative Auto picks; and the
+// cost under NI, NIBatch, Magic and OptMagic and Auto's pick for every
+// fuzz-smoke statement. A diff here is a changed plan, not a refactoring.
 func TestPlanGolden(t *testing.T) {
 	tpcdDB := tpcd.Generate(tpcd.Config{SF: 0.1, Seed: 42})
 	cases := []struct {
@@ -68,6 +71,28 @@ func TestPlanGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "%s auto chose=%s cost=%s\n", c.name, p.Chosen,
 			strconv.FormatFloat(p.EstimatedCost, 'x', -1, 64))
+	}
+	// The 200 statements `make fuzz-smoke` generates, built as
+	// TestDecorrelateGolden builds them: costs only, so a cost-model drift on
+	// shapes the paper's queries lack shows up as a diff.
+	for i := 0; i < 200; i++ {
+		seed := 42 + int64(i)*1000003
+		schema := differ.SchemaNames[i%len(differ.SchemaNames)]
+		sql := differ.Generate(rand.New(rand.NewSource(seed)), schema).SQL()
+		e := engine.New(differ.DBSpec{Schema: schema, Seed: seed, Size: 8}.Build())
+		name := fmt.Sprintf("fuzz%03d", i)
+		for _, s := range []engine.Strategy{engine.NI, engine.NIBatch, engine.Magic, engine.OptMagic} {
+			if p, err := e.Prepare(sql, s); err != nil {
+				fmt.Fprintf(&sb, "%s %s error: %v\n", name, s, err)
+			} else {
+				fmt.Fprintf(&sb, "%s %s cost=%s\n", name, s, strconv.FormatFloat(p.EstimatedCost, 'x', -1, 64))
+			}
+		}
+		if p, err := e.Prepare(sql, engine.Auto); err != nil {
+			fmt.Fprintf(&sb, "%s auto error: %v\n", name, err)
+		} else {
+			fmt.Fprintf(&sb, "%s auto chose=%s\n", name, p.Chosen)
+		}
 	}
 	got := sb.String()
 

@@ -1,14 +1,84 @@
 package parallel_test
 
 import (
+	"flag"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"decorr/internal/differ"
 	"decorr/internal/engine"
 	"decorr/internal/parallel"
 	"decorr/internal/storage"
 	"decorr/internal/tpcd"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestPlanCostGolden pins the shared-nothing model's numbers at 8 nodes —
+// messages, rows shipped, fragments, phases and work — for the paper's
+// statements as bound and rewritten, and for the 200 fuzz-smoke statements
+// (built as core's TestDecorrelateGolden builds them) as bound and under
+// OptMag. The other tests here check orderings; this one catches a model
+// whose inputs moved.
+func TestPlanCostGolden(t *testing.T) {
+	type stmt struct {
+		name, sql  string
+		db         *storage.DB
+		strategies []engine.Strategy
+	}
+	paper := []engine.Strategy{engine.NI, engine.Magic, engine.OptMagic}
+	tpcdDB := tpcd.Generate(tpcd.Config{SF: 0.1, Seed: 42})
+	stmts := []stmt{
+		{"Example", tpcd.ExampleQuery, tpcd.EmpDept(), paper},
+		{"Query1", tpcd.Query1, tpcdDB, paper},
+		{"Query1b", tpcd.Query1b, tpcdDB, paper},
+		{"Query2", tpcd.Query2, tpcdDB, paper},
+		{"Query3", tpcd.Query3, tpcdDB, paper},
+	}
+	for i := 0; i < 200; i++ {
+		seed := 42 + int64(i)*1000003
+		schema := differ.SchemaNames[i%len(differ.SchemaNames)]
+		sql := differ.Generate(rand.New(rand.NewSource(seed)), schema).SQL()
+		db := differ.DBSpec{Schema: schema, Seed: seed, Size: 8}.Build()
+		stmts = append(stmts, stmt{fmt.Sprintf("fuzz%03d", i), sql, db, []engine.Strategy{engine.NI, engine.OptMagic}})
+	}
+	var sb strings.Builder
+	for _, s := range stmts {
+		e := engine.New(s.db)
+		for _, st := range s.strategies {
+			p, err := e.Prepare(s.sql, st)
+			if err != nil {
+				fmt.Fprintf(&sb, "%s %s error: %v\n", s.name, st, err)
+				continue
+			}
+			m := parallel.PlanCost(s.db, p.Graph, parallel.Config{Nodes: 8})
+			fmt.Fprintf(&sb, "%s %s messages=%d rows_shipped=%d fragments=%d phases=%d work=%d\n",
+				s.name, st, m.Messages, m.RowsShipped, m.Fragments, m.Phases, m.Work)
+		}
+	}
+	got := sb.String()
+
+	golden := filepath.Join("testdata", "plancost.golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("§6 model drifted from %s (run with -update to regenerate)\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
 
 func planFor(t *testing.T, db *storage.DB, sql string, s engine.Strategy) parallel.Metrics {
 	t.Helper()
