@@ -28,9 +28,13 @@ strategy-guard:
 # plan-guard is the cheapest check that a second select-box planner has not
 # grown back beside buildSelectPlan (internal/exec/planorder.go): in
 # non-test internal/exec, predicates are classified (the selPred literal)
-# in exactly one place, and nothing calls JoinOrder — evaluators and
+# in exactly one place, nothing calls JoinOrder — evaluators and
 # estimators read the memoized plan; JoinOrder is the rewrites' un-memoized
-# entry.
+# entry — and only planorder.go asks findIndexPred or splitEqui how a
+# quantifier binds or starts a walk (newState): every other reader loops
+# over the plan's steps. The per-reader consumption helpers and the
+# shared-nothing model's state-replaying entries stay deleted everywhere
+# outside bench/.
 plan-guard:
 	@src=$$(ls internal/exec/*.go | grep -v '_test\.go$$'); \
 	n=$$(cat $$src | grep -c '&selPred{'); \
@@ -39,6 +43,13 @@ plan-guard:
 	fi; \
 	if grep -n '\.JoinOrder(' $$src; then \
 		echo "internal/exec re-derives a join order instead of reading the box's selectPlan"; exit 1; \
+	fi; \
+	rest=$$(echo "$$src" | grep -v '/planorder\.go$$'); \
+	if grep -n -e 'findIndexPred(' -e 'splitEqui(' -e '\.newState(' $$rest; then \
+		echo "a join step is decided outside planorder.go; read the plan's steps instead"; exit 1; \
+	fi; \
+	if grep -rnw --include='*.go' -e EstimateGrowth -e EquiJoinKeys -e stateAt -e takeLocal -e takeJoinable -e takeEquiJoin . | grep -v -e '^\./bench/' -e '_test\.go:'; then \
+		echo "a second predicate-consumption walk grew back beside walkPlan"; exit 1; \
 	fi
 
 # auto-guard is the cheapest check that Auto stays one costed race over

@@ -14,8 +14,8 @@ import (
 // two optimized plans is chosen."
 //
 // The model prices what the executor will actually do, read from the same
-// per-box selectPlan the evaluators run: its join order, an index probe
-// where findIndexPred will take one, which engine evaluates the box
+// per-box selectPlan steps the evaluators run: its join order, each step's
+// index probe, hash keys or cross product, which engine evaluates the box
 // (selectPlan.col), a start-up charge per box evaluation, re-evaluation of
 // correlated subquery inputs as often as the Exec's Reuse policy asks, and
 // recomputation of shared uncorrelated boxes (unless materialization is
@@ -183,7 +183,6 @@ func (w *costWalk) invocations(q *qgm.Quantifier, plan *selectPlan, card float64
 	// its correlation columns' distinct counts, at most one per row that
 	// survives the sibling's local predicates; over all siblings, at most
 	// one per outer tuple.
-	fresh := plan.newState()
 	distinct := 1.0
 	for _, s := range q.Owner.Quants { // declared order: the product must not depend on map iteration
 		if !plan.sibs[q][s] {
@@ -195,28 +194,28 @@ func (w *costWalk) invocations(q *qgm.Quantifier, plan *selectPlan, card float64
 				ndv *= w.ex.estNDV(&qgm.ColRef{Q: rk.Q, Col: rk.Col})
 			}
 		}
-		local, _ := w.ex.estQuantRows(s, fresh)
-		distinct *= math.Min(ndv, math.Max(local, 1))
+		distinct *= math.Min(ndv, math.Max(plan.step(s).local, 1))
 	}
 	return math.Min(card, distinct)
 }
 
-// selectBox walks the box's plan — the order, the predicates and the index
-// decisions the evaluators will use — accumulating access and join costs,
+// selectBox prices the box's steps — the order, the access paths and the
+// predicates the evaluators will use — accumulating access and join costs,
 // charging correlated inputs once per estimated invocation. The box's own
 // row operations are priced for the engine that will run it; its inputs
 // carry their own price.
 func (w *costWalk) selectBox(b *qgm.Box) float64 {
 	ex := w.ex
 	plan := ex.planOf(b)
-	st := plan.newState()
 	card := 1.0
 	own, inputs := 0.0, 0.0
-	for _, q := range plan.order {
+	for i := range plan.steps {
+		s := &plan.steps[i]
+		q := s.Q
 		inputCost := w.box(q.Input)
 		switch {
 		case q.Kind == qgm.QScalar || q.Kind.IsSubquery():
-			if plan.correlated(q) {
+			if s.Correlated {
 				inputs += w.invocations(q, plan, card) * inputCost
 			} else {
 				inputs += inputCost // materialized once
@@ -225,30 +224,27 @@ func (w *costWalk) selectBox(b *qgm.Box) float64 {
 			if q.Kind.IsSubquery() {
 				card *= 0.5 // existential filters keep some tuples
 			}
-		case plan.correlated(q): // lateral derived table
+		case s.Correlated: // lateral derived table
 			inputs += w.invocations(q, plan, card) * inputCost
 			card *= math.Max(ex.estBoxRows(q.Input), 0.1)
 		default:
-			local, growth := ex.estQuantRows(q, st)
-			// Index probe beats a scan when an equality predicate on an
-			// indexed base column connects q to the bound set.
-			pairs := card * math.Max(growth, 1)
-			if tbl, _, _, _ := ex.findIndexPred(q, st); tbl == nil {
+			// An index probe visits only the matching rows; a scan pays
+			// for the input, and with no keys to hash on either the step
+			// builds the cross product and filters it.
+			pairs := card * math.Max(s.Growth, 1)
+			if s.index == nil {
 				if q.Input.Kind == qgm.BoxBase {
 					own += inputCost // scan
 				} else {
 					inputs += inputCost
 				}
-				if keys, _ := st.takeEquiJoin(q); len(keys) == 0 {
-					// Nothing to hash on either: the step builds the cross
-					// product and filters it.
-					pairs = card * math.Max(local, 1)
+				if len(s.QKeys) == 0 {
+					pairs = card * math.Max(s.local, 1)
 				}
 			}
 			own += pairs
-			card = math.Max(card*growth, 1)
+			card = math.Max(card*s.Growth, 1)
 		}
-		st.bind(q)
 	}
 	own += card
 	if !plan.col {

@@ -172,18 +172,12 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 	return selOther
 }
 
-// estQuantGrowth estimates the per-tuple growth factor of binding q next
-// in state st: its input size after local predicates, times join-predicate
-// selectivity against the bound set; disconnected quantifiers pay a cross
-// penalty.
-func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, st *selState) float64 {
-	_, growth := ex.estQuantRows(q, st)
-	return growth
-}
-
-// estQuantRows is estQuantGrowth together with local, q's input size
-// after its local predicates alone: what a join step with nothing to hash
-// or probe on pairs every bound tuple with.
+// estQuantRows estimates binding q next in state st: local, q's input size
+// after its local predicates alone (what a join step with nothing to hash
+// or probe on pairs every bound tuple with), and growth, the per-tuple
+// growth factor — local times the selectivity of the join predicates
+// connecting q to the bound set; disconnected quantifiers pay a cross
+// penalty. Predicates already consumed do not count against q.
 func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth float64) {
 	base := ex.estBoxRows(q.Input)
 	local = base
@@ -207,35 +201,6 @@ func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth flo
 		base *= crossPenalty
 	}
 	return local, math.Max(base, 1e-6)
-}
-
-// EstimateGrowth exposes the per-tuple growth estimate of binding q next
-// in box b, given an already-bound set (used by the shared-nothing plan
-// model). It accounts for q's local predicate selectivity and the join
-// predicates connecting it to the bound set; predicates already applicable
-// before q binds do not count against q's growth.
-func (ex *Exec) EstimateGrowth(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) float64 {
-	return ex.estQuantGrowth(q, ex.stateAt(b, bound))
-}
-
-// stateAt is a walk over b's plan advanced to where bound is bound and the
-// predicates over it alone are consumed.
-func (ex *Exec) stateAt(b *qgm.Box, bound map[*qgm.Quantifier]bool) *selState {
-	st := ex.planOf(b).newState()
-	st.bound = bound
-	st.takeReady()
-	return st
-}
-
-// EquiJoinKeys exposes the hash keys the row evaluator would join q to an
-// already-bound set on in box b (q side, bound side; empty = a cross
-// product), so the shared-nothing plan model repartitions on what the
-// executor hashes. Like bindForEach, q's local predicates are consumed
-// first: `q.a = 5` filters q's rows, it is not a join key.
-func (ex *Exec) EquiJoinKeys(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSides, boundSides []qgm.Expr) {
-	st := ex.stateAt(b, bound)
-	st.takeLocal(q)
-	return st.takeEquiJoin(q)
 }
 
 // histogramSel estimates a range comparison between a base-table column

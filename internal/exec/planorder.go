@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"decorr/internal/qgm"
+	"decorr/internal/storage"
 )
 
 // selPred is one classified conjunct of a select box.
@@ -16,12 +17,13 @@ type selPred struct {
 
 // selectPlan is everything the executor decides about a select box before
 // it sees a row: the classified predicates, each quantifier's sibling
-// correlation, the binding order, and whether the vectorized engine may
-// run it. buildSelectPlan is its only producer; the row evaluator, the
-// columnar evaluator, the cost model, EstimateGrowth and JoinOrder read
-// it. A plan is immutable once built — analyze memoizes one per box and
-// every worker and every nested-iteration re-entry shares it — so whatever
-// a walk over it mutates lives in a selState.
+// correlation, the binding order, the join step each quantifier takes in
+// that order, and whether the vectorized engine may run it.
+// buildSelectPlan is its only producer; the row evaluator, the columnar
+// evaluator, the cost model, the scan streamer and (through Steps) the
+// shared-nothing model read its steps and decide nothing themselves. A
+// plan is immutable once built — analyze memoizes one per box and every
+// worker and every nested-iteration re-entry shares it.
 type selectPlan struct {
 	preds []*selPred
 	// err rejects the box: a predicate ties two subquery quantifiers.
@@ -31,17 +33,72 @@ type selectPlan struct {
 	// same box its input subtree references (lateral/scalar correlation).
 	sibs  map[*qgm.Quantifier]map[*qgm.Quantifier]bool
 	order []*qgm.Quantifier
-	col   bool // the columnar engine can evaluate the box (colSelectable)
+	selWalk
+	col bool // the columnar engine can evaluate the box (colSelectable)
+}
+
+// selWalk is the predicate-consumption walk over a plan's order: the
+// predicates that hold before anything binds, then one step per quantifier.
+type selWalk struct {
+	pre   []*selPred
+	steps []Step
+	left  error // a predicate no step consumed (checkDone's verdict)
+}
+
+// Step is one quantifier's binding step in a select box's plan: how the
+// quantifier binds, which predicates the step consumes, and what the
+// estimator expects of it. The plan's walk decides every step once; the
+// evaluators, the cost model and the shared-nothing model read the same
+// steps, so what is costed and simulated is what runs.
+type Step struct {
+	Q *qgm.Quantifier
+	// Correlated: Q's input re-evaluates per tuple of its siblings (a
+	// lateral table or a nested-iteration subquery).
+	Correlated bool
+	// QKeys and BoundKeys are the equalities joining an uncorrelated
+	// ForEach quantifier to the bound ones (Q side, bound side): the hash
+	// join's keys, and on an index step the keys the shared-nothing model
+	// repartitions on. Neither an index nor keys means a cross product.
+	QKeys, BoundKeys []qgm.Expr
+	// Growth is the per-tuple growth of binding Q here; local is Q's input
+	// size after its local predicates alone (estQuantRows at this step).
+	Growth float64
+	local  float64
+
+	ties []*selPred // a subquery quantifier's tie predicates
+	// index, when non-nil, binds Q by probing the table's index on column
+	// col with probe, evaluated per bound tuple.
+	index *storage.Table
+	col   int
+	probe qgm.Expr
+	// filter narrows Q's rows before the join: its local predicates, or on
+	// an index step every predicate the probe's candidates must pass.
+	filter []*selPred
+	after  []*selPred // hold once Q is bound
+}
+
+// Steps returns select box b's join steps in binding order. They are the
+// plan's own, shared with every evaluation: callers must not write to
+// them.
+func (ex *Exec) Steps(b *qgm.Box) []Step { return ex.planOf(b).steps }
+
+// step returns q's step.
+func (w *selWalk) step(q *qgm.Quantifier) *Step {
+	for i := range w.steps {
+		if w.steps[i].Q == q {
+			return &w.steps[i]
+		}
+	}
+	return nil
 }
 
 // correlated reports whether q's input must be re-evaluated per tuple of
 // its siblings (nested iteration) rather than once per box evaluation.
 func (p *selectPlan) correlated(q *qgm.Quantifier) bool { return len(p.sibs[q]) > 0 }
 
-// selState is the mutable half of one walk over a selectPlan — an
-// evaluation, a costing pass or the ordering simulation: which quantifiers
-// are bound and which predicates are consumed (applied[i] pairs with
-// preds[i]).
+// selState is the mutable half of the ordering simulation or the walk:
+// which quantifiers are bound and which predicates are consumed
+// (applied[i] pairs with preds[i]).
 type selState struct {
 	preds   []*selPred
 	applied []bool
@@ -53,8 +110,7 @@ func (p *selectPlan) newState() *selState {
 }
 
 // takeReady consumes the unapplied ordinary predicates whose quantifiers
-// are all bound: the evaluators filter the tuple stream through them after
-// every bind step.
+// are all bound.
 func (st *selState) takeReady() []*selPred {
 	var ready []*selPred
 	for i, pi := range st.preds {
@@ -66,57 +122,22 @@ func (st *selState) takeReady() []*selPred {
 	return ready
 }
 
-// bind is the evaluators' bind-then-filter step with the filtering left
-// out, for the ordering simulation and the cost model.
+// bind is the walk's bind step without its decisions, for the ordering
+// simulation.
 func (st *selState) bind(q *qgm.Quantifier) {
 	st.bound[q] = true
 	st.takeReady()
 }
 
-// takeLocal consumes the unapplied predicates referencing only q (plus
-// outer bindings): they narrow q's rows before any join.
-func (st *selState) takeLocal(q *qgm.Quantifier) []*selPred {
-	var local []*selPred
-	for i, pi := range st.preds {
-		if !st.applied[i] && pi.sub == nil && len(pi.deps) == 1 && pi.deps[q] {
-			local = append(local, pi)
-			st.applied[i] = true
-		}
-	}
-	return local
+// joinable reports whether predicate i is unapplied, ordinary, reads q and
+// otherwise only bound quantifiers: a predicate binding q can consume.
+func (st *selState) joinable(i int, q *qgm.Quantifier) bool {
+	pi := st.preds[i]
+	return !st.applied[i] && pi.sub == nil && pi.deps[q] && depsSubset(pi.deps, st.bound, q)
 }
 
-// takeJoinable consumes the unapplied predicates connecting q to the bound
-// set: an index probe evaluates them per candidate row.
-func (st *selState) takeJoinable(q *qgm.Quantifier) []*selPred {
-	var local []*selPred
-	for i, pi := range st.preds {
-		if !st.applied[i] && pi.sub == nil && pi.deps[q] && depsSubset(pi.deps, st.bound, q) {
-			local = append(local, pi)
-			st.applied[i] = true
-		}
-	}
-	return local
-}
-
-// takeEquiJoin consumes the equality predicates connecting q to the bound
-// set and returns their two sides — the hash-join keys.
-func (st *selState) takeEquiJoin(q *qgm.Quantifier) (qSides, boundSides []qgm.Expr) {
-	for i, pi := range st.preds {
-		if st.applied[i] || pi.sub != nil || !pi.deps[q] || !depsSubset(pi.deps, st.bound, q) {
-			continue
-		}
-		if qs, bs, ok := splitEqui(pi.expr, q, st.bound); ok {
-			qSides = append(qSides, qs)
-			boundSides = append(boundSides, bs)
-			st.applied[i] = true
-		}
-	}
-	return qSides, boundSides
-}
-
-// checkDone is the evaluators' closing assertion: every predicate of b was
-// consumed by some bind step.
+// checkDone is the walk's closing assertion: every predicate of b was
+// consumed by some step.
 func (st *selState) checkDone(b *qgm.Box) error {
 	for i, pi := range st.preds {
 		if !st.applied[i] {
@@ -149,15 +170,24 @@ func (ex *Exec) planOf(b *qgm.Box) *selectPlan {
 // 2's subquery runs right after the Parts scan, before the join with
 // Lineitem inflates the tuple count (§5.3). Magic decorrelation reuses this
 // same order to split off the supplementary table (§7) — on boxes it is in
-// the middle of rewriting, which is why this entry plans b afresh on every
-// call instead of reading the per-box memo.
+// the middle of rewriting, which is why this entry orders b afresh on every
+// call instead of reading the per-box memo, and builds no steps.
 func (ex *Exec) JoinOrder(b *qgm.Box) []*qgm.Quantifier {
-	return ex.buildSelectPlan(b).order
+	return ex.orderSelect(b).order
 }
 
-// buildSelectPlan classifies b's predicates, records sibling correlation,
-// simulates the greedy binding order and judges columnar eligibility.
+// buildSelectPlan orders b, walks the order into steps and judges columnar
+// eligibility.
 func (ex *Exec) buildSelectPlan(b *qgm.Box) *selectPlan {
+	p := ex.orderSelect(b)
+	p.selWalk = ex.walkPlan(b, p, nil)
+	p.col = ex.colOK && ex.colSelectable(b, p)
+	return p
+}
+
+// orderSelect classifies b's predicates, records sibling correlation and
+// simulates the greedy binding order.
+func (ex *Exec) orderSelect(b *qgm.Box) *selectPlan {
 	p := &selectPlan{
 		preds: make([]*selPred, 0, len(b.Preds)),
 		sibs:  make(map[*qgm.Quantifier]map[*qgm.Quantifier]bool, len(b.Quants)),
@@ -238,8 +268,7 @@ func (ex *Exec) buildSelectPlan(b *qgm.Box) *selectPlan {
 			if !depsSubset(deps[q], st.bound, nil) {
 				continue
 			}
-			score := ex.estQuantGrowth(q, st)
-			if score < bestScore {
+			if _, score := ex.estQuantRows(q, st); score < bestScore {
 				best, bestScore = i, score
 			}
 		}
@@ -292,7 +321,6 @@ func (ex *Exec) buildSelectPlan(b *qgm.Box) *selectPlan {
 			p.order = append(p.order, order[pos])
 		}
 	}
-	p.col = ex.colOK && ex.colSelectable(b, p)
 	return p
 }
 
@@ -301,4 +329,138 @@ func bestScoreOr(v, def float64) float64 {
 		return def
 	}
 	return v
+}
+
+// walkPlan walks p's order once, deciding every step: the predicates that
+// hold before anything binds, then per quantifier its tie predicates (a
+// subquery), its access path and the predicates binding it consumes (an
+// uncorrelated ForEach), and the predicates that hold once it is bound.
+// Predicates in skip start out consumed — the batched subquery path's
+// stripped root — so they cannot drive index or hash-join placement
+// either; the order is still the box's own.
+func (ex *Exec) walkPlan(b *qgm.Box, p *selectPlan, skip map[qgm.Expr]bool) selWalk {
+	st := p.newState()
+	for i, pi := range p.preds {
+		st.applied[i] = skip[pi.expr]
+	}
+	w := selWalk{pre: st.takeReady(), steps: make([]Step, len(p.order))}
+	for k, q := range p.order {
+		s := &w.steps[k]
+		s.Q, s.Correlated = q, p.correlated(q)
+		s.local, s.Growth = ex.estQuantRows(q, st)
+		switch {
+		case q.Kind.IsSubquery():
+			for i, pi := range p.preds {
+				if pi.sub == q && !st.applied[i] {
+					s.ties = append(s.ties, pi)
+					st.applied[i] = true
+				}
+			}
+		case q.Kind == qgm.QForEach && !s.Correlated:
+			ex.joinStep(s, st)
+		}
+		st.bound[q] = true
+		s.after = st.takeReady()
+	}
+	w.left = st.checkDone(b)
+	return w
+}
+
+// joinStep decides how uncorrelated ForEach quantifier s.Q binds in state
+// st, in one pass over the predicates it could consume (selState.joinable):
+// an index step consumes them all, the probe's own predicate by the probe
+// and the rest as filter. Otherwise q's local predicates become filter and
+// its equalities with the bound set hash keys; any other join predicate is
+// left to hold once q is bound. Either way the equalities are recorded as
+// the step's keys.
+func (ex *Exec) joinStep(s *Step, st *selState) {
+	q := s.Q
+	var ipred int
+	s.index, ipred, s.col, s.probe = ex.findIndexPred(q, st)
+	for i, pi := range st.preds {
+		if !st.joinable(i, q) {
+			continue
+		}
+		local := len(pi.deps) == 1
+		key := false
+		if !local {
+			var qs, bs qgm.Expr
+			if qs, bs, key = splitEqui(pi.expr, q, st.bound); key {
+				s.QKeys, s.BoundKeys = append(s.QKeys, qs), append(s.BoundKeys, bs)
+			}
+		}
+		switch {
+		case s.index != nil:
+			if i != ipred {
+				s.filter = append(s.filter, pi)
+			}
+		case local:
+			s.filter = append(s.filter, pi)
+		case !key:
+			continue
+		}
+		st.applied[i] = true
+	}
+}
+
+// findIndexPred decides whether q is bound by index probe in state st: its
+// input is a stored base table and a joinable predicate has the form
+// q.col = <expr over bound/outer> with an index on col. It returns that
+// table, the predicate's position, the column and the probe expression; a
+// nil table means no index path.
+func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, int, int, qgm.Expr) {
+	if q.Input.Kind != qgm.BoxBase {
+		return nil, 0, 0, nil
+	}
+	tbl := ex.db.Table(q.Input.Table.Name)
+	if tbl == nil {
+		return nil, 0, 0, nil
+	}
+	// The probe side is a bare indexed column of q; the other side is
+	// evaluated per tuple and must not read q.
+	indexed := func(e qgm.Expr) bool {
+		ref, ok := e.(*qgm.ColRef)
+		return ok && ref.Q == q && tbl.HasIndex(ref.Col)
+	}
+	notQ := func(e qgm.Expr) bool { return !qgm.RefsQuant(e, q) }
+	for i, pi := range st.preds {
+		if !st.joinable(i, q) {
+			continue
+		}
+		if ref, other, ok := qgm.SplitEq(pi.expr, indexed, notQ); ok {
+			return tbl, i, ref.(*qgm.ColRef).Col, other
+		}
+	}
+	return nil, 0, 0, nil
+}
+
+// depsSubset reports whether deps ⊆ bound ∪ {q}; a nil q asks whether
+// deps are all bound.
+func depsSubset(deps, bound map[*qgm.Quantifier]bool, q *qgm.Quantifier) bool {
+	for d := range deps {
+		if d != q && !bound[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// splitEqui decomposes p as qSideExpr = boundSideExpr where the q side
+// references q (and possibly outer quantifiers) and the bound side only
+// bound/outer quantifiers.
+func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSide, boundSide qgm.Expr, ok bool) {
+	sideOK := func(e qgm.Expr, wantQ bool) bool {
+		hasQ := false
+		for qq := range qgm.QuantSet(e) {
+			if qq == q {
+				hasQ = true
+			} else if qq.Owner == q.Owner && !bound[qq] {
+				return false
+			}
+		}
+		return hasQ == wantQ
+	}
+	return qgm.SplitEq(p,
+		func(e qgm.Expr) bool { return sideOK(e, true) },
+		func(e qgm.Expr) bool { return sideOK(e, false) })
 }

@@ -43,79 +43,71 @@ func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
 // selectTuplesSkip is selectTuples with a predicate skip set: the batched
 // subquery path strips the correlated equalities (identified by pointer
 // identity) from the root and re-applies their filtering as a
-// partition/probe step. A skipped predicate starts out applied, so it
-// cannot drive index or hash-join placement either — the set-oriented
-// execution deliberately trades those per-binding access paths for one
-// shared pass. The binding order is the box's own, computed from all of
-// its predicates.
+// partition/probe step. The stripped root is walked on the spot with the
+// skipped predicates consumed up front (walkPlan), so they cannot drive
+// index or hash-join placement either — the set-oriented execution
+// deliberately trades those per-binding access paths for one shared pass.
+// The binding order is the box's own, computed from all of its predicates.
 func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) ([]*Env, error) {
 	plan := ex.planOf(b)
 	if plan.err != nil {
 		return nil, plan.err
 	}
-	st := plan.newState()
-	for i, pi := range st.preds {
-		st.applied[i] = skip[pi.expr]
+	w := &plan.selWalk
+	if skip != nil {
+		stripped := ex.walkPlan(b, plan, skip)
+		w = &stripped
 	}
-	tuples := []*Env{env}
-
-	// applyReady filters tuples through every now-applicable ordinary
-	// predicate.
-	applyReady := func() error {
-		for _, pi := range st.takeReady() {
-			kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-				tr, err := ex.EvalPred(pi.expr, t)
-				if err != nil {
-					return false, err
-				}
-				return tr == sqltypes.True, nil
-			})
-			if err != nil {
-				return err
-			}
-			tuples = kept
-		}
-		return nil
-	}
-	if err := applyReady(); err != nil {
+	tuples, err := ex.filterTuples([]*Env{env}, w.pre)
+	if err != nil {
 		return nil, err
 	}
-
-	for _, q := range plan.order {
+	for i := range w.steps {
 		if len(tuples) == 0 {
 			return nil, nil
 		}
-		var err error
-		switch {
+		s := &w.steps[i]
+		switch q := s.Q; {
 		case q.Kind == qgm.QScalar:
-			tuples, err = ex.bindScalar(q, plan.correlated(q), tuples, env)
+			tuples, err = ex.bindScalar(q, s.Correlated, tuples, env)
 		case q.Kind.IsSubquery():
-			var ties []*selPred
-			for i, pi := range st.preds {
-				if pi.sub == q && !st.applied[i] {
-					ties = append(ties, pi)
-					st.applied[i] = true
-				}
-			}
-			tuples, err = ex.bindSubqueryCheck(q, ties, plan.correlated(q), tuples, env)
-		case plan.correlated(q):
+			tuples, err = ex.bindSubqueryCheck(q, s.ties, s.Correlated, tuples, env)
+		case s.Correlated:
 			// Lateral derived table: re-evaluate per tuple.
 			tuples, err = ex.bindLateral(q, tuples)
 		default:
-			tuples, err = ex.bindForEach(q, st, tuples, env)
+			tuples, err = ex.bindForEach(s, tuples, env)
 		}
 		if err != nil {
 			return nil, err
 		}
-		st.bound[q] = true
-		if err := applyReady(); err != nil {
+		if tuples, err = ex.filterTuples(tuples, s.after); err != nil {
 			return nil, err
 		}
 	}
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	return tuples, st.checkDone(b)
+	return tuples, w.left
+}
+
+// filterTuples keeps the tuples every predicate holds on, one pass per
+// predicate.
+func (ex *Exec) filterTuples(tuples []*Env, preds []*selPred) ([]*Env, error) {
+	for _, pi := range preds {
+		kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
+			tr, err := ex.EvalPred(pi.expr, t)
+			if err != nil {
+				return false, err
+			}
+			return tr == sqltypes.True, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		tuples = kept
+	}
+	return tuples, nil
 }
 
 // projectTuples is phase 2 of select evaluation: the output expressions
@@ -202,17 +194,13 @@ func scalarRow(rows []storage.Row, width int) (storage.Row, error) {
 	return nil, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
 }
 
-// bindForEach joins the next ForEach quantifier into the tuple stream,
-// choosing among index lookup, hash join, and nested loops.
-func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env *Env) ([]*Env, error) {
-	if len(tuples) == 0 {
-		return tuples, nil
+// bindForEach joins an uncorrelated ForEach quantifier into the tuple
+// stream the way its step says: index lookup, hash join, or nested loops.
+func (ex *Exec) bindForEach(s *Step, tuples []*Env, env *Env) ([]*Env, error) {
+	if s.index != nil {
+		return ex.indexBind(s, tuples)
 	}
-	// Index access: base-table input with an equality predicate on an
-	// indexed column whose other side is computable now.
-	if tbl, ipred, col, other := ex.findIndexPred(q, st); tbl != nil {
-		return ex.indexBind(q, tbl, col, other, ipred, st, tuples)
-	}
+	q := s.Q
 	// Materialize and filter by local predicates.
 	var rows []storage.Row
 	var err error
@@ -224,20 +212,19 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env 
 	if err != nil {
 		return nil, err
 	}
-	rows, err = ex.filterLocal(q, st, rows, env)
+	rows, err = ex.filterLocal(q, s.filter, rows, env)
 	if err != nil {
 		return nil, err
 	}
-	qSides, boundSides := st.takeEquiJoin(q)
-	if len(qSides) > 0 {
+	if len(s.QKeys) > 0 {
 		h, err := ex.rowHash(rows, func(i int) (string, bool, error) {
-			return ex.keyFor(qSides, Bind(env, q, rows[i]))
+			return ex.keyFor(s.QKeys, Bind(env, q, rows[i]))
 		})
 		if err != nil {
 			return nil, err
 		}
 		out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
-			key, null, err := ex.keyFor(boundSides, t)
+			key, null, err := ex.keyFor(s.BoundKeys, t)
 			if err != nil {
 				return nil, err
 			}
@@ -260,7 +247,7 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, st *selState, tuples []*Env, env 
 		}
 		return out, nil
 	}
-	// Nested-loop (cross product; residual predicates apply via applyReady).
+	// Nested-loop (cross product; residual predicates apply after the bind).
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
 		joined := make([]*Env, len(rows))
 		for i, r := range rows {
@@ -295,9 +282,8 @@ func (ex *Exec) keyFor(exprs []qgm.Expr, env *Env) (string, bool, error) {
 	return string(sqltypes.AppendKey(nil, vals...)), false, nil
 }
 
-// filterLocal applies predicates referencing only q (plus outer bindings).
-func (ex *Exec) filterLocal(q *qgm.Quantifier, st *selState, rows []storage.Row, env *Env) ([]storage.Row, error) {
-	local := st.takeLocal(q)
+// filterLocal applies q's local predicates (over q plus outer bindings).
+func (ex *Exec) filterLocal(q *qgm.Quantifier, local []*selPred, rows []storage.Row, env *Env) ([]storage.Row, error) {
 	if len(local) == 0 {
 		return rows, nil
 	}
@@ -316,61 +302,25 @@ func (ex *Exec) filterLocal(q *qgm.Quantifier, st *selState, rows []storage.Row,
 	})
 }
 
-// findIndexPred decides whether q is bound by index probe in state st: its
-// input is a stored base table and an unapplied equality predicate has the
-// form q.col = <expr over bound/outer> with an index on col. It returns
-// that table, the predicate's position, the column and the probe
-// expression; a nil table means no index path. Executor and cost model
-// both ask here.
-func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, int, int, qgm.Expr) {
-	if q.Input.Kind != qgm.BoxBase {
-		return nil, 0, 0, nil
-	}
-	tbl := ex.db.Table(q.Input.Table.Name)
-	if tbl == nil {
-		return nil, 0, 0, nil
-	}
-	// The probe side is a bare indexed column of q; the other side is
-	// evaluated per tuple and must not read q.
-	indexed := func(e qgm.Expr) bool {
-		ref, ok := e.(*qgm.ColRef)
-		return ok && ref.Q == q && tbl.HasIndex(ref.Col)
-	}
-	notQ := func(e qgm.Expr) bool { return !qgm.RefsQuant(e, q) }
-	for i, pi := range st.preds {
-		if st.applied[i] || pi.sub != nil || !pi.deps[q] {
-			continue
-		}
-		if !depsSubset(pi.deps, st.bound, q) {
-			continue
-		}
-		if ref, other, ok := qgm.SplitEq(pi.expr, indexed, notQ); ok {
-			return tbl, i, ref.(*qgm.ColRef).Col, other
-		}
-	}
-	return nil, 0, 0, nil
-}
-
 // indexBind performs an index (nested-loop) join: for each tuple, probe the
-// base table's hash index, then filter remaining local predicates.
-func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred int, st *selState, tuples []*Env) ([]*Env, error) {
-	st.applied[ipred] = true
-	local := st.takeJoinable(q)
+// base table's hash index, then filter by the step's remaining predicates.
+func (ex *Exec) indexBind(s *Step, tuples []*Env) ([]*Env, error) {
+	q, tbl := s.Q, s.index
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
-		v, err := ex.EvalExpr(other, t)
+		v, err := ex.EvalExpr(s.probe, t)
 		if err != nil {
 			return nil, err
 		}
-		ids, ok := tbl.Lookup(col, v)
+		ids, ok := tbl.Lookup(s.col, v)
 		if !ok {
-			return nil, fmt.Errorf("exec: index on %s.%d vanished mid-plan", tbl.Def.Name, col)
+			return nil, fmt.Errorf("exec: index on %s.%d vanished mid-plan", tbl.Def.Name, s.col)
 		}
 		bump(&ex.Stats.IndexLookups, 1)
 		var matched []*Env
 		for _, id := range ids {
 			renv := Bind(t, q, tbl.Rows[id])
 			keep := true
-			for _, pi := range local {
+			for _, pi := range s.filter {
 				tr, err := ex.EvalPred(pi.expr, renv)
 				if err != nil {
 					return nil, err
@@ -395,35 +345,4 @@ func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other 
 	}
 	ex.recordProfile(q.Input, len(out), 0)
 	return out, nil
-}
-
-// depsSubset reports whether deps ⊆ bound ∪ {q}; a nil q asks whether
-// deps are all bound.
-func depsSubset(deps, bound map[*qgm.Quantifier]bool, q *qgm.Quantifier) bool {
-	for d := range deps {
-		if d != q && !bound[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// splitEqui decomposes p as qSideExpr = boundSideExpr where the q side
-// references q (and possibly outer quantifiers) and the bound side only
-// bound/outer quantifiers.
-func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSide, boundSide qgm.Expr, ok bool) {
-	sideOK := func(e qgm.Expr, wantQ bool) bool {
-		hasQ := false
-		for qq := range qgm.QuantSet(e) {
-			if qq == q {
-				hasQ = true
-			} else if qq.Owner == q.Owner && !bound[qq] {
-				return false
-			}
-		}
-		return hasQ == wantQ
-	}
-	return qgm.SplitEq(p,
-		func(e qgm.Expr) bool { return sideOK(e, true) },
-		func(e qgm.Expr) bool { return sideOK(e, false) })
 }

@@ -83,7 +83,7 @@ type RowIterator struct {
 
 	// scan mode: stored rows awaiting filter+projection.
 	q      *qgm.Quantifier
-	locals []qgm.Expr
+	locals []*selPred
 	scan   []storage.Row
 	spos   int
 
@@ -312,13 +312,13 @@ func (it *RowIterator) finish(err error) {
 }
 
 // scanStreamPlan decides whether root select b qualifies for scan
-// streaming and splits its predicates into constant conjuncts (no
-// quantifier references — evaluated once, before the scan) and local
-// conjuncts (referencing only the single ForEach quantifier). Any shape
-// the materialized path would execute differently — multiple quantifiers,
-// subqueries, an index-eligible equality — declines, so the tuple or
+// streaming and returns its single ForEach quantifier with the plan's
+// constant conjuncts (pre: no quantifier references — evaluated once,
+// before the scan) and local conjuncts (the quantifier's step filter). Any
+// shape the materialized path would execute differently — multiple
+// quantifiers, subqueries, an index probe — declines, so the tuple or
 // materialized mode reproduces its exact stats.
-func (ex *Exec) scanStreamPlan(b *qgm.Box) (q *qgm.Quantifier, consts, locals []qgm.Expr, ok bool) {
+func (ex *Exec) scanStreamPlan(b *qgm.Box) (q *qgm.Quantifier, consts, locals []*selPred, ok bool) {
 	if len(b.Quants) != 1 {
 		return nil, nil, nil, false
 	}
@@ -327,41 +327,19 @@ func (ex *Exec) scanStreamPlan(b *qgm.Box) (q *qgm.Quantifier, consts, locals []
 		return nil, nil, nil, false
 	}
 	plan := ex.planOf(b)
-	// An index-eligible equality would take the IndexLookups path in
-	// bindForEach; decline so stats stay identical.
-	if tbl, _, _, _ := ex.findIndexPred(q, plan.newState()); tbl != nil {
+	if plan.steps[0].index != nil {
 		return nil, nil, nil, false
 	}
-	for _, pi := range plan.preds {
-		if len(pi.deps) == 0 {
-			consts = append(consts, pi.expr)
-		} else {
-			locals = append(locals, pi.expr)
-		}
-	}
-	return q, consts, locals, true
+	return q, plan.pre, plan.steps[0].filter, true
 }
 
 // startScan applies the constant conjuncts (over the root's single empty
-// binding, exactly as applyReady does) and scans the base table. A false
+// binding, exactly as selectTuples does) and scans the base table. A false
 // constant short-circuits to an empty stream without touching storage.
-func (it *RowIterator) startScan(consts []qgm.Expr) error {
+func (it *RowIterator) startScan(consts []*selPred) error {
 	ex := it.ex
-	tuples := []*Env{nil}
-	for _, p := range consts {
-		kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-			tr, err := ex.EvalPred(p, t)
-			if err != nil {
-				return false, err
-			}
-			return tr == sqltypes.True, nil
-		})
-		if err != nil {
-			return err
-		}
-		if len(kept) == 0 {
-			return nil // empty scan, stream exhausts immediately
-		}
+	if kept, err := ex.filterTuples([]*Env{nil}, consts); err != nil || len(kept) == 0 {
+		return err // a false constant: empty scan, stream exhausts immediately
 	}
 	_, rows, err := ex.scanBase(it.q.Input)
 	it.scan = rows
@@ -384,7 +362,7 @@ func (it *RowIterator) scanBatch() ([]storage.Row, error) {
 			renv := Bind(nil, q, r)
 			keep := true
 			for _, p := range it.locals {
-				tr, err := ex.EvalPred(p, renv)
+				tr, err := ex.EvalPred(p.expr, renv)
 				if err != nil {
 					return nil, err
 				}

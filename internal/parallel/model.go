@@ -220,25 +220,16 @@ func (w *planWalker) walkGroup(b *qgm.Box) relInfo {
 	return relInfo{card: w.ex.EstimateRows(b), key: gkey}
 }
 
+// walkSelect follows the executor's own join steps for b (exec.Steps): the
+// order, which quantifiers re-evaluate per tuple, the keys each join
+// hashes on and its estimated growth.
 func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
-	order := w.ex.JoinOrder(b)
 	cur := relInfo{card: 1}
 	first := true
-	bound := map[*qgm.Quantifier]bool{}
-	for _, q := range order {
-		correlated := false
-		for _, fr := range qgm.FreeRefs(q.Input) {
-			if own[fr.Q] && !fr.Q.Kind.IsSubquery() {
-				correlated = true
-				break
-			}
-		}
+	for _, s := range w.ex.Steps(b) {
+		q := s.Q
 		switch {
-		case correlated:
+		case s.Correlated:
 			// Nested iteration in shared-nothing form (§6.1): each
 			// binding is broadcast, every node runs a fragment, and the
 			// partial results come back.
@@ -264,7 +255,9 @@ func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 				first = false
 				break
 			}
-			bk, ck := w.joinKeys(b, q, bound)
+			// The first equality the executor hashes on (bound side, q
+			// side); none means it builds the cross product.
+			bk, ck := firstKeys(s.BoundKeys, s.QKeys)
 			switch {
 			case ck != "" && child.key == ck && cur.key == bk:
 				// co-partitioned local join (the decorrelated §6.2 case)
@@ -280,12 +273,11 @@ func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 				// No equality: broadcast the smaller side.
 				w.broadcast(math.Min(cur.card, child.card))
 			}
-			cur.card = math.Max(cur.card*w.ex.EstimateGrowth(b, q, bound), 1)
+			cur.card = math.Max(cur.card*s.Growth, 1)
 			if bk != "" {
 				cur.key = bk
 			}
 		}
-		bound[q] = true
 	}
 	out := relInfo{card: w.ex.EstimateRows(b)}
 	// Output partitioning survives when some output column carries the
@@ -297,12 +289,4 @@ func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 		}
 	}
 	return out
-}
-
-// joinKeys returns the canonical keys of the first equality the executor
-// would hash on when binding q to the bound set (bound side, q side); ""
-// when it has none and builds the cross product.
-func (w *planWalker) joinKeys(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (string, string) {
-	qSides, boundSides := w.ex.EquiJoinKeys(b, q, bound)
-	return firstKeys(boundSides, qSides)
 }
