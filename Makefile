@@ -34,7 +34,9 @@ strategy-guard:
 # quantifier binds or starts a walk (newState): every other reader loops
 # over the plan's steps. The per-reader consumption helpers and the
 # shared-nothing model's state-replaying entries stay deleted everywhere
-# outside bench/.
+# outside bench/. A correlated input meets the outer tuple stream only in
+# correlatedMap: outside comments, subqMorsel (the nested-iteration morsel)
+# is used only in batch_subquery.go and declared in scheduler.go.
 plan-guard:
 	@src=$$(ls internal/exec/*.go | grep -v '_test\.go$$'); \
 	n=$$(cat $$src | grep -c '&selPred{'); \
@@ -50,6 +52,9 @@ plan-guard:
 	fi; \
 	if grep -rnw --include='*.go' -e EstimateGrowth -e EquiJoinKeys -e stateAt -e takeLocal -e takeJoinable -e takeEquiJoin . | grep -v -e '^\./bench/' -e '_test\.go:'; then \
 		echo "a second predicate-consumption walk grew back beside walkPlan"; exit 1; \
+	fi; \
+	if grep -nw subqMorsel $$src | grep -v -e ':[0-9]*:[[:space:]]*//' -e '^internal/exec/batch_subquery\.go:' -e '^internal/exec/scheduler\.go:[0-9]*:[[:space:]]*subqMorsel = '; then \
+		echo "a second nested-iteration loop grew back beside correlatedMap; route the correlated input through it"; exit 1; \
 	fi
 
 # auto-guard is the cheapest check that Auto stays one costed race over

@@ -50,6 +50,17 @@ func TestBatchedDeterminismMatrix(t *testing.T) {
 			 Order By D.name`, empDB},
 		{"Query1", tpcd.Query1, tpcdDB},
 		{"Query2", tpcd.Query2, tpcdDB},
+		// Lateral derived tables (Figure 9): the lateral's subtree runs once
+		// per distinct binding and its rows fan back in stream order.
+		{"Query3", tpcd.Query3, tpcdDB},
+		{"Query3Distinct", tpcd.Query3Distinct, tpcdDB},
+		// An aggregate lateral with duplicate bindings (two B1 departments).
+		// A plain select lateral is merged by cleanup, so it would never
+		// reach the lateral join.
+		{"LateralAgg",
+			`Select D.name, X.n From Dept D,
+			   (Select count(*) From Emp E Where E.building = D.building) As X(n)
+			 Order By D.name, X.n`, empDB},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -48,7 +48,7 @@ var auditBands = map[string][2]float64{
 	"Query2/NIBatch":  {1.48, 0.75},
 	"Query2/OptMag":   {2.00, 1.00},
 	"Query3/NI":       {2.38, 0.65},
-	"Query3/NIBatch":  {2.38, 0.65},
+	"Query3/NIBatch":  {10.32, 3.86},
 	"Query3/OptMag":   {7.31, 1.00},
 	"Example/NI":      {1.90, 1.11},
 	"Example/NIBatch": {1.82, 1.00},

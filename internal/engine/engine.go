@@ -463,9 +463,7 @@ func (e *Engine) cleanup(g *qgm.Graph, stage string) error {
 // its copy too: magic sets may rewrite it.) Rows without a rewrite share
 // the first such row's finished graph and warm estimator, so a further row
 // is one more cost walk. What cannot differ is not raced: a graph with no
-// nested-iteration fan-out (exec.FanOut) runs as bound, and one whose only
-// fan-out is lateral skips the reuse policies, which never share a
-// lateral's evaluations.
+// nested-iteration fan-out (exec.FanOut) runs as bound.
 //
 // Ties go to the later row. Within the nested-iteration family the table
 // runs from least to most sharing, the batched estimate is the per-tuple
@@ -474,11 +472,11 @@ func (e *Engine) cleanup(g *qgm.Graph, stage string) error {
 // only do better than estimated.
 func (e *Engine) prepareAuto(text string, clean *qgm.Graph, traced bool) (*Prepared, error) {
 	var (
-		bound                *Prepared  // the as-bound pipeline
-		ex                   *exec.Exec // its estimator
-		subqueries, laterals int        // its fan-out sites
-		alts                 []Alternative
-		plans                []*Prepared // plans[i] runs alts[i]
+		bound  *Prepared  // the as-bound pipeline
+		ex     *exec.Exec // its estimator
+		fanOut int        // its nested-iteration sites
+		alts   []Alternative
+		plans  []*Prepared // plans[i] runs alts[i]
 	)
 	for i := range strategyTable {
 		row := &strategyTable[i]
@@ -489,14 +487,12 @@ func (e *Engine) prepareAuto(text string, clean *qgm.Graph, traced bool) (*Prepa
 			if bound, ex, err = e.prepareBack(text, qgm.CloneGraph(clean), row.id, false); err != nil {
 				return nil, err
 			}
-			subqueries, laterals = ex.FanOut(bound.Graph)
+			fanOut = ex.FanOut(bound.Graph)
 			alts, plans = append(alts, Alternative{row.id, bound.EstimatedCost}), append(plans, bound)
-		case subqueries+laterals == 0:
+		case fanOut == 0:
 			// Nothing to share and nothing to decorrelate.
 		case row.rewrite == nil:
-			if subqueries > 0 {
-				alts, plans = append(alts, Alternative{row.id, e.planCost(ex, bound, row)}), append(plans, bound)
-			}
+			alts, plans = append(alts, Alternative{row.id, e.planCost(ex, bound, row)}), append(plans, bound)
 		default:
 			rewritten, _, err := e.prepareBack(text, qgm.CloneGraph(clean), row.id, traced)
 			switch {

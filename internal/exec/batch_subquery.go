@@ -1,12 +1,12 @@
 package exec
 
 // Runtime subquery batching (Options.Reuse == ReuseBatch, the NIBatch
-// strategy). When bindSubqueryCheck or a correlated bindScalar would
-// evaluate the same correlated subtree once per outer tuple — the
-// nested-iteration hot loop — this path first
-// collects the distinct correlation bindings of the whole outer stream
-// (the synthesized bindings relation of Guravannavar & Sudarshan's
-// batched-bindings evaluation), then evaluates the subtree set-at-a-time:
+// strategy). When bindSubqueryCheck, a correlated bindScalar or
+// bindLateral would evaluate the same correlated subtree once per outer
+// tuple — the nested-iteration hot loop — this path first collects the
+// distinct correlation bindings of the whole outer stream (the synthesized
+// bindings relation of Guravannavar & Sudarshan's batched-bindings
+// evaluation), then evaluates the subtree set-at-a-time:
 //
 //   - Single-execution path: when the correlation enters the subtree only
 //     through root-level equalities (qgm.ExtractBatchSignature), the

@@ -39,7 +39,7 @@ func (ex *Exec) colSelectable(b *qgm.Box, p *selectPlan) bool {
 				return false
 			}
 		} else if p.correlated(q) {
-			// Lateral derived table: re-evaluates per tuple on the row path.
+			// Lateral derived table: joined on the row path (bindLateral).
 			return false
 		}
 	}

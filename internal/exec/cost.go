@@ -52,31 +52,26 @@ func (ex *Exec) walkCost(g *qgm.Graph, r Reuse, rowFactor, startup float64) floa
 // shared-nothing plan model in internal/parallel).
 func (ex *Exec) EstimateRows(b *qgm.Box) float64 { return ex.estBoxRows(b) }
 
-// FanOut counts the graph's nested-iteration sites — quantifiers whose
-// input is correlated to siblings of their own box — by what a reuse
-// policy can do with them: subquery quantifiers (scalar, existential,
-// universal) memoize and batch; lateral derived tables re-evaluate per
-// tuple under every policy but ReuseMemo. A graph with neither runs the
-// same under every nested-iteration strategy and has nothing to
+// FanOut counts the graph's nested-iteration sites: quantifiers whose
+// input is correlated to siblings of their own box (subqueries and lateral
+// derived tables alike; every reuse policy shares both). A graph with none
+// runs the same under every nested-iteration strategy and has nothing to
 // decorrelate.
-func (ex *Exec) FanOut(g *qgm.Graph) (subqueries, laterals int) {
+func (ex *Exec) FanOut(g *qgm.Graph) int {
 	ex.analyze(g.Root)
+	n := 0
 	for _, b := range qgm.Boxes(g.Root) {
 		plan := ex.plans[b]
 		if plan == nil {
 			continue
 		}
 		for _, q := range b.Quants {
-			switch {
-			case !plan.correlated(q):
-			case q.Kind == qgm.QForEach:
-				laterals++
-			default:
-				subqueries++
+			if plan.correlated(q) {
+				n++
 			}
 		}
 	}
-	return subqueries, laterals
+	return n
 }
 
 // The model's two prices, in columnar row operations. Both are measured by
@@ -172,11 +167,10 @@ func (w *costWalk) box(b *qgm.Box) float64 {
 
 // invocations estimates how many times q's correlated input runs for card
 // outer tuples: once per tuple under nested iteration, once per distinct
-// binding where the reuse policy shares results between tuples (memo
-// everywhere, batching for subquery quantifiers only — bindLateral never
-// batches).
+// binding where the reuse policy shares results between tuples (memo and
+// batching alike).
 func (w *costWalk) invocations(q *qgm.Quantifier, plan *selectPlan, card float64) float64 {
-	if w.reuse == ReuseNone || (w.reuse == ReuseBatch && q.Kind == qgm.QForEach) {
+	if w.reuse == ReuseNone {
 		return card
 	}
 	// Distinct bindings: per sibling the subquery reads, the product of

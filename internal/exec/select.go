@@ -72,9 +72,8 @@ func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) (
 			tuples, err = ex.bindScalar(q, s.Correlated, tuples, env)
 		case q.Kind.IsSubquery():
 			tuples, err = ex.bindSubqueryCheck(q, s.ties, s.Correlated, tuples, env)
-		case s.Correlated:
-			// Lateral derived table: re-evaluate per tuple.
-			tuples, err = ex.bindLateral(q, tuples)
+		case s.Correlated: // lateral derived table
+			tuples, err = ex.bindLateral(q, tuples, env)
 		default:
 			tuples, err = ex.bindForEach(s, tuples, env)
 		}
@@ -127,15 +126,10 @@ func (ex *Exec) projectTuples(b *qgm.Box, tuples []*Env) ([]storage.Row, error) 
 }
 
 // bindLateral joins a derived table that references sibling quantifiers
-// (the paper's Query 3 style), re-evaluating it per tuple. The per-tuple
-// re-evaluations fan out across workers — this is the nested-iteration hot
-// loop, so one morsel is only a few tuples.
-func (ex *Exec) bindLateral(q *qgm.Quantifier, tuples []*Env) ([]*Env, error) {
-	out, err := parallelFlatMap(ex, tuples, subqMorsel, func(t *Env) ([]*Env, error) {
-		rows, err := ex.evalSubqueryInput(q.Input, t)
-		if err != nil {
-			return nil, err
-		}
+// (the paper's Query 3 style): each tuple meets the rows q's input yields
+// for it, under the run's reuse policy (correlatedMap).
+func (ex *Exec) bindLateral(q *qgm.Quantifier, tuples []*Env, env *Env) ([]*Env, error) {
+	per, err := correlatedMap(ex, q, tuples, env, func(t *Env, rows []storage.Row) ([]*Env, error) {
 		bound := make([]*Env, len(rows))
 		for i, r := range rows {
 			bound[i] = Bind(t, q, r)
@@ -145,6 +139,7 @@ func (ex *Exec) bindLateral(q *qgm.Quantifier, tuples []*Env) ([]*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := concat(per)
 	bump(&ex.Stats.RowsJoined, int64(len(out)))
 	if err := ex.govRows(len(out)); err != nil {
 		return nil, err
