@@ -66,8 +66,6 @@ type (
 const (
 	// NI is tuple-at-a-time nested iteration (the System R baseline).
 	NI = engine.NI
-	// NIMemo is nested iteration with per-binding memoization.
-	NIMemo = engine.NIMemo
 	// NIBatch is nested iteration with runtime subquery batching:
 	// correlated subqueries evaluate set-at-a-time over the distinct
 	// outer bindings, bit-identical to NI.

@@ -39,7 +39,7 @@ func TestPublicAPISurface(t *testing.T) {
 func TestPublicStrategyReexports(t *testing.T) {
 	public := map[decorr.Strategy]bool{}
 	for _, s := range []decorr.Strategy{
-		decorr.NI, decorr.NIMemo, decorr.NIBatch, decorr.Kim, decorr.Dayal,
+		decorr.NI, decorr.NIBatch, decorr.Kim, decorr.Dayal,
 		decorr.GanskiWong, decorr.Magic, decorr.OptMagic, decorr.Auto,
 	} {
 		public[s] = true

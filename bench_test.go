@@ -43,7 +43,7 @@ var tpcdNoIndexOnce = sync.OnceValue(func() *decorr.DB {
 })
 
 var figureStrategies = []decorr.Strategy{
-	decorr.NI, decorr.NIMemo, decorr.NIBatch, decorr.Kim, decorr.Dayal, decorr.Magic, decorr.OptMagic,
+	decorr.NI, decorr.NIBatch, decorr.Kim, decorr.Dayal, decorr.Magic, decorr.OptMagic,
 }
 
 func benchFigure(b *testing.B, db *decorr.DB, sql string) {
@@ -287,7 +287,7 @@ func BenchmarkFigureRowVsColumnar(b *testing.B) {
 func BenchmarkExampleQuery(b *testing.B) {
 	e := decorr.NewEngine(decorr.EmpDept())
 	for _, s := range []decorr.Strategy{
-		decorr.NI, decorr.NIMemo, decorr.Kim, decorr.Dayal,
+		decorr.NI, decorr.NIBatch, decorr.Kim, decorr.Dayal,
 		decorr.GanskiWong, decorr.Magic, decorr.OptMagic,
 	} {
 		b.Run(s.String(), func(b *testing.B) {

@@ -406,12 +406,15 @@ func dialWire(t *testing.T, addr string) net.Conn {
 // The smoke test reuses main's building blocks; keep the flag-validation
 // helpers honest too.
 func TestParseStrategyTable(t *testing.T) {
-	for _, name := range []string{"ni", "nimemo", "nibatch", "kim", "dayal", "gw", "magic", "optmagic", "auto"} {
+	for _, name := range []string{"ni", "nibatch", "kim", "dayal", "gw", "magic", "optmagic", "auto"} {
 		if _, ok := server.ParseStrategy(name); !ok {
 			t.Errorf("strategy %q missing from the server table", name)
 		}
 	}
-	if _, ok := server.ParseStrategy("bogus"); ok {
-		t.Error("bogus strategy accepted")
+	// nimemo was folded into nibatch; the name must not come back.
+	for _, name := range []string{"bogus", "nimemo"} {
+		if _, ok := server.ParseStrategy(name); ok {
+			t.Errorf("%s strategy accepted", name)
+		}
 	}
 }

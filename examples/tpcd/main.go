@@ -24,7 +24,7 @@ func main() {
 		{"Query 3 (Fig 9)", decorr.Query3, "non-linear UNION; Kim/Dayal inapplicable"},
 	}
 	strategies := []decorr.Strategy{
-		decorr.NI, decorr.NIMemo, decorr.Kim, decorr.Dayal, decorr.Magic, decorr.OptMagic,
+		decorr.NI, decorr.NIBatch, decorr.Kim, decorr.Dayal, decorr.Magic, decorr.OptMagic,
 	}
 	for _, q := range queries {
 		fmt.Printf("=== %s — %s ===\n", q.name, q.note)

@@ -188,5 +188,5 @@ func runFigure(db *storage.DB, cfg Config, id, title, paper, sql string, strateg
 }
 
 var allStrategies = []engine.Strategy{
-	engine.NI, engine.NIMemo, engine.NIBatch, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic,
+	engine.NI, engine.NIBatch, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic,
 }

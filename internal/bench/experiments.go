@@ -187,8 +187,8 @@ func ParallelTPCD(cfg Config) (*Report, error) {
 }
 
 // Ablations exercises the §4.4 / §5.3 knobs: materializing the
-// supplementary common subexpression, memoized nested iteration, and
-// magic decorrelation without outer-join support.
+// supplementary common subexpression, magic decorrelation without
+// outer-join support, and magic sets.
 func Ablations(cfg Config) (*Report, error) {
 	cfg = cfg.normalized()
 	db := tpcd.Generate(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed})

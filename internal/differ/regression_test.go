@@ -128,15 +128,16 @@ func TestDifferRegression_optmagic_tpcd_59000219(t *testing.T) {
 		`select o.p_brand from parts o where o.p_retailprice <> 0.5 and (o.p_container < 'MED BOX' or o.p_retailprice is null) and o.p_retailprice in (select i1.l_suppkey from lineitem i1 where i1.l_quantity is not null and i1.l_partkey = o.p_partkey)`)
 }
 
-// The binding-key canonicalization pins. The memoized and batched NI
-// executors share subquery results between outer tuples whose correlation
-// bindings encode to the same sqltypes key, so the key's equality notion
-// must be exactly the grouping notion the comparisons use: NULL and the
-// empty string must stay distinct keys, while numerically equal values of
-// different kinds (1 vs 1.0, -0.0 vs 0.0) may share one — sharing is only
-// sound because comparison equality agrees. Each test hand-builds the
-// witness data the generated schemas cannot express and checks both
-// result-sharing variants against the per-tuple NI oracle.
+// The binding-key canonicalization pins. The batched NI executor shares
+// subquery results between outer tuples whose correlation bindings encode
+// to the same sqltypes key (bindingKey, which its batch path and its memo
+// cache both use), so the key's equality notion must be exactly the
+// grouping notion the comparisons use: NULL and the empty string must stay
+// distinct keys, while numerically equal values of different kinds (1 vs
+// 1.0, -0.0 vs 0.0) may share one — sharing is only sound because
+// comparison equality agrees. Each test hand-builds the witness data the
+// generated schemas cannot express and checks the result-sharing variant
+// against the per-tuple NI oracle.
 
 func bindingKeyStringDB() *storage.DB {
 	db := storage.NewDB()
@@ -194,23 +195,17 @@ func bindingKeyNumericDB() *storage.DB {
 
 func TestDifferRegression_bindingkey_null_vs_empty(t *testing.T) {
 	const sql = `select o.id, (select count(*) from innr i where i.s = o.s) from outr o`
-	for _, variant := range []string{"nimemo", "nibatch"} {
-		differ.CheckSQLOnDB(t, bindingKeyStringDB(), "bindingkey-strings", variant, sql)
-	}
+	differ.CheckSQLOnDB(t, bindingKeyStringDB(), "bindingkey-strings", "nibatch", sql)
 }
 
 func TestDifferRegression_bindingkey_null_vs_empty_exists(t *testing.T) {
 	const sql = `select o.id from outr o where exists (select * from innr i where i.s = o.s)`
-	for _, variant := range []string{"nimemo", "nibatch"} {
-		differ.CheckSQLOnDB(t, bindingKeyStringDB(), "bindingkey-strings", variant, sql)
-	}
+	differ.CheckSQLOnDB(t, bindingKeyStringDB(), "bindingkey-strings", "nibatch", sql)
 }
 
 func TestDifferRegression_bindingkey_int_float_zero(t *testing.T) {
 	const sql = `select o.id, (select count(*) from innr i where i.k = o.k) from outr o`
-	for _, variant := range []string{"nimemo", "nibatch"} {
-		differ.CheckSQLOnDB(t, bindingKeyNumericDB(), "bindingkey-numeric", variant, sql)
-	}
+	differ.CheckSQLOnDB(t, bindingKeyNumericDB(), "bindingkey-numeric", "nibatch", sql)
 }
 
 // The self-join pins (see the header): each subquery correlates with both

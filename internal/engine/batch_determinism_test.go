@@ -14,59 +14,72 @@ import (
 )
 
 // TestBatchedDeterminismMatrix is the columnar-parity matrix extended to
-// the binding-reuse strategies: every correlated shape runs under NIBatch
-// and NIMemo at workers 1, 2, and 8 with the vectorized engine on and off.
-// Rows (including order) and execution counters must be identical across
-// every cell of a strategy, rows must be bit-identical to the per-row NI
-// baseline, and the reuse path must actually have engaged
-// (BatchedSubqueries > 0 for NIBatch) — a silently-declined batch would
-// make this test vacuous. For NIMemo the cells also agree on MemoHits: a
-// memo miss is single-flight, so each binding is evaluated exactly once
-// however the workers interleave (docs/parallel-execution.md, contract 4).
+// binding reuse: every correlated shape runs under NIBatch at workers 1, 2,
+// and 8 with the vectorized engine on and off. Rows (including order) and
+// execution counters must be identical across every cell, rows must be
+// bit-identical to the per-row NI baseline, and the reuse path must
+// actually have engaged (BatchedSubqueries > 0) — a silently-declined batch
+// would make this test vacuous. The cells also agree on MemoHits: a memo
+// miss is single-flight, so each binding is evaluated exactly once however
+// the workers interleave (docs/parallel-execution.md, contract 4).
 func TestBatchedDeterminismMatrix(t *testing.T) {
 	tpcdDB := tpcd.Generate(tpcd.Config{SF: 0.01, Seed: 7})
 	empDB := tpcd.EmpDept()
 	cases := []struct {
 		name, sql string
 		db        *storage.DB
+		// niWork: NIBatch does exactly NI's work (Work() and HashBuilds).
+		// memo: the memo cache must serve at least one binding.
+		niWork, memo bool
 	}{
 		// Correlated scalar COUNT over a group box: signature extraction
 		// declines at the group root, exercising the per-distinct-binding
 		// fallback with duplicate correlation values (two B1 departments).
-		{"ScalarAgg", tpcd.ExampleQuery, empDB},
+		{name: "ScalarAgg", sql: tpcd.ExampleQuery, db: empDB},
 		// Root-level equality correlation: the single-execution path.
-		{"Exists",
-			`Select D.name From Dept D
+		{name: "Exists", sql: `Select D.name From Dept D
 			 Where Exists (Select * From Emp E Where E.building = D.building)
-			 Order By D.name`, empDB},
-		{"NotExists",
-			`Select D.name From Dept D
+			 Order By D.name`, db: empDB},
+		{name: "NotExists", sql: `Select D.name From Dept D
 			 Where Not Exists (Select * From Emp E Where E.building = D.building)
-			 Order By D.name`, empDB},
+			 Order By D.name`, db: empDB},
+		// The same correlation with one binding: its one evaluation keeps
+		// the correlated predicate (an index probe), where the stripped
+		// single execution would scan and hash all of Emp.
+		{name: "ExistsOneBinding", sql: `Select D.name From Dept D
+			 Where D.name = 'toys'
+			   And Exists (Select * From Emp E Where E.building = D.building)`,
+			db: empDB, niWork: true},
 		// Quantifier ties outside the subtree plus correlation inside it.
-		{"In",
-			`Select D.name From Dept D
+		{name: "In", sql: `Select D.name From Dept D
 			 Where D.name In (Select E.name From Emp E Where E.building = D.building)
-			 Order By D.name`, empDB},
-		{"Query1", tpcd.Query1, tpcdDB},
-		{"Query2", tpcd.Query2, tpcdDB},
+			 Order By D.name`, db: empDB},
+		// A skip-level subquery: the inner EXISTS is correlated only to the
+		// outer block, so it runs once per evaluation of the middle box, and
+		// departments sharing a building repeat its binding.
+		{name: "SkipLevel", sql: `Select D.name From Dept D
+			 Where Exists (Select * From Dept D2
+			               Where D2.name = D.name
+			                 And Exists (Select * From Emp E Where E.building = D.building))
+			 Order By D.name`, db: empDB, memo: true},
+		{name: "Query1", sql: tpcd.Query1, db: tpcdDB},
+		{name: "Query2", sql: tpcd.Query2, db: tpcdDB},
 		// Lateral derived tables (Figure 9): the lateral's subtree runs once
 		// per distinct binding and its rows fan back in stream order.
-		{"Query3", tpcd.Query3, tpcdDB},
-		{"Query3Distinct", tpcd.Query3Distinct, tpcdDB},
+		{name: "Query3", sql: tpcd.Query3, db: tpcdDB},
+		{name: "Query3Distinct", sql: tpcd.Query3Distinct, db: tpcdDB},
 		// An aggregate lateral with duplicate bindings (two B1 departments).
 		// A plain select lateral is merged by cleanup, so it would never
 		// reach the lateral join.
-		{"LateralAgg",
-			`Select D.name, X.n From Dept D,
+		{name: "LateralAgg", sql: `Select D.name, X.n From Dept D,
 			   (Select count(*) From Emp E Where E.building = D.building) As X(n)
-			 Order By D.name, X.n`, empDB},
+			 Order By D.name, X.n`, db: empDB},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			base := engine.New(c.db)
 			base.Workers = 1
-			niRows, _, err := base.Query(c.sql, engine.NI)
+			niRows, niStats, err := base.Query(c.sql, engine.NI)
 			if err != nil {
 				t.Fatalf("NI baseline: %v", err)
 			}
@@ -77,44 +90,49 @@ func TestBatchedDeterminismMatrix(t *testing.T) {
 				stats [7]int64
 				reuse [3]int64
 			}
-			for _, s := range []engine.Strategy{engine.NIBatch, engine.NIMemo} {
-				var first *run
-				for _, w := range []int{1, 2, 8} {
-					for _, rowMode := range []bool{false, true} {
-						cell := fmt.Sprintf("%s workers=%d rowmode=%v", s, w, rowMode)
-						e := engine.New(c.db)
-						e.Workers = w
-						e.RowMode = rowMode
-						rows, stats, err := e.Query(c.sql, s)
-						if err != nil {
-							t.Fatalf("%s: %v", cell, err)
+			var first *run
+			for _, w := range []int{1, 2, 8} {
+				for _, rowMode := range []bool{false, true} {
+					cell := fmt.Sprintf("workers=%d rowmode=%v", w, rowMode)
+					e := engine.New(c.db)
+					e.Workers = w
+					e.RowMode = rowMode
+					rows, stats, err := e.Query(c.sql, engine.NIBatch)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					got := run{
+						rows:  ordered(rows),
+						stats: execCounters(stats),
+						reuse: [3]int64{stats.BatchedSubqueries, stats.BatchExecutions, stats.MemoHits},
+					}
+					if got.reuse[0] == 0 {
+						t.Fatalf("%s: batched path never engaged", cell)
+					}
+					if c.memo && got.reuse[2] == 0 {
+						t.Fatalf("%s: no binding was served from the memo cache", cell)
+					}
+					if c.niWork && (stats.Work() != niStats.Work() || stats.HashBuilds != niStats.HashBuilds) {
+						t.Fatalf("%s: work %d, hash builds %d; NI does %d and %d",
+							cell, stats.Work(), stats.HashBuilds, niStats.Work(), niStats.HashBuilds)
+					}
+					if len(got.rows) != len(want) {
+						t.Fatalf("%s: %d rows, NI baseline has %d", cell, len(got.rows), len(want))
+					}
+					for i := range got.rows {
+						if got.rows[i] != want[i] {
+							t.Fatalf("%s row %d: got %q, NI baseline %q", cell, i, got.rows[i], want[i])
 						}
-						got := run{
-							rows:  ordered(rows),
-							stats: execCounters(stats),
-							reuse: [3]int64{stats.BatchedSubqueries, stats.BatchExecutions, stats.MemoHits},
-						}
-						if s == engine.NIBatch && got.reuse[0] == 0 {
-							t.Fatalf("%s: batched path never engaged", cell)
-						}
-						if len(got.rows) != len(want) {
-							t.Fatalf("%s: %d rows, NI baseline has %d", cell, len(got.rows), len(want))
-						}
-						for i := range got.rows {
-							if got.rows[i] != want[i] {
-								t.Fatalf("%s row %d: got %q, NI baseline %q", cell, i, got.rows[i], want[i])
-							}
-						}
-						if first == nil {
-							first = &got
-							continue
-						}
-						if got.stats != first.stats {
-							t.Fatalf("%s: counters %v, want %v", cell, got.stats, first.stats)
-						}
-						if got.reuse != first.reuse {
-							t.Fatalf("%s: batch/memo counters %v, want %v", cell, got.reuse, first.reuse)
-						}
+					}
+					if first == nil {
+						first = &got
+						continue
+					}
+					if got.stats != first.stats {
+						t.Fatalf("%s: counters %v, want %v", cell, got.stats, first.stats)
+					}
+					if got.reuse != first.reuse {
+						t.Fatalf("%s: batch/memo counters %v, want %v", cell, got.reuse, first.reuse)
 					}
 				}
 			}

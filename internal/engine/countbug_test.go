@@ -37,7 +37,7 @@ func TestCountBugOnlyKim(t *testing.T) {
 			e := d.eng
 			want, _ := query(t, e, sql, engine.NI)
 			for _, s := range []engine.Strategy{
-				engine.NIMemo, engine.Dayal, engine.GanskiWong,
+				engine.NIBatch, engine.Dayal, engine.GanskiWong,
 				engine.Magic, engine.OptMagic, engine.Auto,
 			} {
 				if s == engine.Dayal || s == engine.GanskiWong {

@@ -57,7 +57,7 @@ func TestExampleQueryAllStrategies(t *testing.T) {
 	if niStats.SubqueryInvocations == 0 {
 		t.Error("NI should invoke the correlated subquery")
 	}
-	for _, s := range []engine.Strategy{engine.NIMemo, engine.Dayal, engine.GanskiWong, engine.Magic, engine.OptMagic} {
+	for _, s := range []engine.Strategy{engine.NIBatch, engine.Dayal, engine.GanskiWong, engine.Magic, engine.OptMagic} {
 		got, stats := query(t, e, tpcd.ExampleQuery, s)
 		sameRows(t, s.String(), got, want)
 		if s == engine.Magic || s == engine.OptMagic || s == engine.Dayal || s == engine.GanskiWong {
@@ -90,11 +90,11 @@ func TestTPCDQueriesDifferential(t *testing.T) {
 		name, sql  string
 		strategies []engine.Strategy
 	}{
-		{"Query1", tpcd.Query1, []engine.Strategy{engine.NIMemo, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic}},
-		{"Query1b", tpcd.Query1b, []engine.Strategy{engine.NIMemo, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic}},
-		{"Query2", tpcd.Query2, []engine.Strategy{engine.NIMemo, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic}},
-		{"Query3", tpcd.Query3, []engine.Strategy{engine.NIMemo, engine.Magic, engine.OptMagic}},
-		{"Query3Distinct", tpcd.Query3Distinct, []engine.Strategy{engine.NIMemo, engine.Magic, engine.OptMagic}},
+		{"Query1", tpcd.Query1, []engine.Strategy{engine.NIBatch, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic}},
+		{"Query1b", tpcd.Query1b, []engine.Strategy{engine.NIBatch, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic}},
+		{"Query2", tpcd.Query2, []engine.Strategy{engine.NIBatch, engine.Kim, engine.Dayal, engine.Magic, engine.OptMagic}},
+		{"Query3", tpcd.Query3, []engine.Strategy{engine.NIBatch, engine.Magic, engine.OptMagic}},
+		{"Query3Distinct", tpcd.Query3Distinct, []engine.Strategy{engine.NIBatch, engine.Magic, engine.OptMagic}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -264,7 +264,7 @@ func TestConcurrentRuns(t *testing.T) {
 
 func TestStrategyNamesAndColumns(t *testing.T) {
 	want := map[engine.Strategy]string{
-		engine.NI: "NI", engine.NIMemo: "NIMemo", engine.NIBatch: "NIBatch", engine.Kim: "Kim",
+		engine.NI: "NI", engine.NIBatch: "NIBatch", engine.Kim: "Kim",
 		engine.Dayal: "Dayal", engine.GanskiWong: "GW",
 		engine.Magic: "Mag", engine.OptMagic: "OptMag", engine.Auto: "Auto",
 	}

@@ -37,8 +37,8 @@ func TestStrategiesDeterministicAcrossWorkers(t *testing.T) {
 		name, sql  string
 		strategies []engine.Strategy
 	}{
-		{"Example", tpcd.ExampleQuery, []engine.Strategy{engine.NI, engine.NIMemo, engine.Dayal, engine.GanskiWong, engine.Magic, engine.OptMagic, engine.Auto}},
-		{"Query1", tpcd.Query1, []engine.Strategy{engine.NI, engine.NIMemo, engine.Kim, engine.Magic, engine.OptMagic}},
+		{"Example", tpcd.ExampleQuery, []engine.Strategy{engine.NI, engine.NIBatch, engine.Dayal, engine.GanskiWong, engine.Magic, engine.OptMagic, engine.Auto}},
+		{"Query1", tpcd.Query1, []engine.Strategy{engine.NI, engine.NIBatch, engine.Kim, engine.Magic, engine.OptMagic}},
 		{"Query2", tpcd.Query2, []engine.Strategy{engine.NI, engine.Magic, engine.OptMagic}},
 		{"Query3", tpcd.Query3, []engine.Strategy{engine.NI, engine.Magic, engine.OptMagic}},
 	}

@@ -143,8 +143,8 @@ func randQuery(r *rand.Rand) string {
 	panic("unreachable")
 }
 
-// TestRandomizedDifferential cross-checks magic decorrelation (and the
-// memoized baseline) against nested iteration on hundreds of random
+// TestRandomizedDifferential cross-checks magic decorrelation (and batched
+// nested iteration) against nested iteration on hundreds of random
 // correlated queries over random data.
 func TestRandomizedDifferential(t *testing.T) {
 	iters := 400
@@ -160,7 +160,7 @@ func TestRandomizedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NI failed on\n%s\n%v", seed, sql, err)
 		}
-		for _, s := range []engine.Strategy{engine.NIMemo, engine.Magic, engine.OptMagic} {
+		for _, s := range []engine.Strategy{engine.NIBatch, engine.Magic, engine.OptMagic} {
 			got, _, err := e.Query(sql, s)
 			if err != nil {
 				t.Fatalf("seed %d: %s failed on\n%s\n%v", seed, s, sql, err)

@@ -11,8 +11,8 @@ import (
 )
 
 // Strategy selects how (whether) a correlated query is decorrelated before
-// execution — the five algorithms of the paper's §5.1 plus the memoized
-// and runtime-batched nested-iteration baselines.
+// execution — the five algorithms of the paper's §5.1 plus the
+// runtime-batched nested-iteration baseline.
 type Strategy int
 
 // The integer values are part of the plan-cache key; append, never reorder.
@@ -20,8 +20,9 @@ const (
 	// NI executes the query as written: correlated subqueries are invoked
 	// per outer tuple (System R nested iteration).
 	NI Strategy = iota
-	// NIMemo is nested iteration with a per-binding result cache.
-	NIMemo
+	// Value 1 is reserved (NIMemo, folded into NIBatch): it names no
+	// strategy, and no later strategy may reuse it.
+	_
 	// Kim applies Kim's method [Kim82]. It faithfully reproduces the
 	// historical COUNT bug.
 	Kim
@@ -47,11 +48,13 @@ const (
 	// graph runs as bound (no rewrite), but correlated subqueries
 	// evaluate set-at-a-time over the distinct outer bindings — once per
 	// distinct binding in general, exactly once as a decorrelated
-	// partition/probe when the correlation is root-level equalities only.
-	// Rows, ordering, and typed errors are identical to NI; the fan-out
-	// collapse shows up in Stats.BatchExecutions. Appended after Auto so
-	// existing strategy fingerprints (plan-cache keys, wire codes) keep
-	// their values.
+	// partition/probe when the correlation is root-level equalities only
+	// and there are two or more bindings. A subquery correlated only to an
+	// enclosing box caches each binding's rows across that box's
+	// evaluations. Rows, ordering, and typed errors are identical to NI;
+	// the fan-out collapse shows up in Stats.BatchExecutions and
+	// Stats.MemoHits. Appended after Auto so existing strategy
+	// fingerprints (plan-cache keys, wire codes) keep their values.
 	NIBatch
 )
 
@@ -84,7 +87,6 @@ type strategyRow struct {
 // plus its constant above (and a re-export in the root api.go).
 var strategyTable = []strategyRow{
 	{NI, "ni", "NI", nil, exec.ReuseNone, true},
-	{NIMemo, "nimemo", "NIMemo", nil, exec.ReuseMemo, false},
 	{NIBatch, "nibatch", "NIBatch", nil, exec.ReuseBatch, true},
 	{Kim, "kim", "Kim", func(_ *Engine, p *Prepared) error { return classic.ApplyKim(p.Graph) }, exec.ReuseNone, false},
 	{Dayal, "dayal", "Dayal", func(_ *Engine, p *Prepared) error { return classic.ApplyDayal(p.Graph) }, exec.ReuseNone, false},

@@ -40,11 +40,20 @@ func TestStrategyTableInvariants(t *testing.T) {
 	if !strings.Contains(engine.StrategyNames("|"), engine.Auto.Name()) {
 		t.Errorf("StrategyNames omits %q: %s", engine.Auto.Name(), engine.StrategyNames("|"))
 	}
-	if _, ok := engine.ParseStrategy("nonesuch"); ok {
-		t.Error("ParseStrategy accepted an undeclared name")
+	// "nimemo" was folded into nibatch; its value 1 stays reserved.
+	for _, name := range []string{"nonesuch", "nimemo"} {
+		if _, ok := engine.ParseStrategy(name); ok {
+			t.Errorf("ParseStrategy accepted the undeclared name %q", name)
+		}
 	}
-	if s := engine.Strategy(len(engine.Strategies)); s.Name() != "" || !strings.HasPrefix(s.String(), "Strategy(") {
-		t.Errorf("undeclared strategy renders as name %q, label %q", s.Name(), s.String())
+	largest := engine.Strategy(0)
+	for _, s := range engine.Strategies {
+		largest = max(largest, s)
+	}
+	for _, s := range []engine.Strategy{1, largest + 1} {
+		if declared[s] || s.Name() != "" || !strings.HasPrefix(s.String(), "Strategy(") {
+			t.Errorf("undeclared strategy %d renders as name %q, label %q", int(s), s.Name(), s.String())
+		}
 	}
 
 	e := engine.New(tpcd.EmpDept())

@@ -68,7 +68,7 @@ func TestStreamMatchesQueryDifferential(t *testing.T) {
 		{"tuple-mode-join", "select a.name, b.name from dept a, dept b where a.building = b.building",
 			[]engine.Strategy{engine.NI}},
 		{"tuple-mode-correlated", tpcd.ExampleQuery,
-			[]engine.Strategy{engine.NI, engine.NIMemo, engine.Magic, engine.OptMagic, engine.Kim, engine.Dayal}},
+			[]engine.Strategy{engine.NI, engine.NIBatch, engine.Magic, engine.OptMagic, engine.Kim, engine.Dayal}},
 		{"materialized-orderby", "select name from emp order by name desc",
 			[]engine.Strategy{engine.NI}},
 		{"materialized-group", "select building, count(*) from emp group by building",
@@ -106,8 +106,10 @@ func TestStreamMatchesQueryDifferential(t *testing.T) {
 }
 
 // Errors must match between the two paths: same typed class, and for plain
-// evaluation errors the same message — under NIMemo too, where a failing
-// binding's error is shared with every worker waiting on that memo entry.
+// evaluation errors the same message — under NIBatch too, where a failing
+// binding's error is shared with every worker waiting on that memo entry
+// (the last case: its inner subquery is correlated only to the outer block,
+// so the middle box's evaluations share it through the memo).
 func TestStreamMatchesQueryErrors(t *testing.T) {
 	db := tpcd.EmpDept()
 	cases := []struct {
@@ -122,9 +124,15 @@ func TestStreamMatchesQueryErrors(t *testing.T) {
 			select d.name from dept d
 			where 0 < (select count(*) from emp e
 				where e.building = d.building and d.budget / (d.num_emps - d.num_emps) > 0)`},
+		{"error-inside-ancestor-correlated-subquery", `
+			select d.name from dept d
+			where exists (select * from dept d2
+				where d2.name = d.name
+				  and exists (select * from emp e
+					where e.building = d.building and d.budget / (d.num_emps - d.num_emps) > 0))`},
 	}
 	for _, tc := range cases {
-		for _, s := range []engine.Strategy{engine.NI, engine.NIMemo} {
+		for _, s := range []engine.Strategy{engine.NI, engine.NIBatch} {
 			var first string
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/workers=%d", tc.name, s, workers)

@@ -9,22 +9,26 @@ package exec
 // evaluation), then evaluates the subtree set-at-a-time:
 //
 //   - Single-execution path: when the correlation enters the subtree only
-//     through root-level equalities (qgm.ExtractBatchSignature), the
-//     subtree runs ONCE with those predicates stripped and each distinct
-//     binding probes the row engine's shared hash build (rowHash) over its
-//     rows, keyed by the subquery side — one decorrelated execution
-//     instead of one per binding.
+//     through root-level equalities (qgm.ExtractBatchSignature) and the
+//     stream carries two or more distinct bindings, the subtree runs ONCE
+//     with those predicates stripped and each distinct binding probes the
+//     row engine's shared hash build (rowHash) over its rows, keyed by the
+//     subquery side — one decorrelated execution instead of one per
+//     binding.
 //   - Per-binding path: otherwise the subtree runs once per DISTINCT
 //     binding (plain nested iteration over the bindings relation), which
 //     is always sound — group boxes keep their per-binding COUNT-bug
-//     semantics, left joins and nested subqueries evaluate faithfully.
+//     semantics, left joins and nested subqueries evaluate faithfully. A
+//     single binding always takes it: its one evaluation keeps the
+//     correlated predicate to filter or probe with, where the stripped
+//     subtree would read and hash every row.
 //
 // Either way, results fan back to outer tuples in the original stream
 // order, so rows, ordering, and typed errors are bit-identical to NI at
 // every worker count. Batching declines entirely (ok=false) only for
 // subtrees over sys.* synthetic tables or missing storage, whose row
 // sources may change between evaluations (the same volatility rule that
-// gates the NI-memo cache in evalSubqueryInput). A profiled or traced run
+// gates the memo cache in evalSubqueryInput). A profiled or traced run
 // batches like any other: EXPLAIN ANALYZE shows the batched plan.
 
 import (
@@ -38,7 +42,7 @@ import (
 // out over the tuples and returned in stream order. Under ReuseBatch the
 // whole stream is evaluated set-at-a-time first; otherwise (and whenever
 // batching declines) each tuple is evaluated on demand through
-// evalSubqueryInput, which applies ReuseMemo. fn reads the same either way.
+// evalSubqueryInput. fn reads the same either way.
 func correlatedMap[T any](ex *Exec, q *qgm.Quantifier, tuples []*Env, env *Env, fn func(t *Env, rows []storage.Row) (T, error)) ([]T, error) {
 	per, batched, err := ex.batchSubqueryRows(q, tuples, env)
 	if err != nil {
@@ -67,8 +71,9 @@ func correlatedMap[T any](ex *Exec, q *qgm.Quantifier, tuples []*Env, env *Env, 
 	return concat(chunks), err
 }
 
-// batchEligible reports whether the batched evaluation path may serve
-// subtree b for this Run.
+// batchEligible reports whether subtree b's results may be shared between
+// bindings for this Run: by the batched evaluation path, or by the memo
+// cache in evalSubqueryInput.
 func (ex *Exec) batchEligible(b *qgm.Box) bool {
 	return ex.opts.Reuse == ReuseBatch && !ex.subtreeVolatile(b)
 }
@@ -125,7 +130,7 @@ func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (p
 		return nil, true, err
 	}
 	var perRep [][]storage.Row
-	if sig, sok := qgm.ExtractBatchSignature(b, ex.varyingQuants(b, q.Owner)); sok {
+	if sig, sok := qgm.ExtractBatchSignature(b, ex.varyingQuants(b, q.Owner)); sok && len(reps) > 1 {
 		perRep, err = ex.batchSingleExec(b, sig, reps, env)
 	} else {
 		// Per-distinct-binding fallback: plain nested iteration over the
@@ -245,7 +250,7 @@ func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env
 // contents may differ between evaluations within one Run: sys.* synthetic
 // tables (RowSource-backed views of live engine state) or tables with no
 // storage at all. Such subtrees must not have results shared across
-// bindings (batching) or across invocations (the NI-memo cache). Boxes
+// bindings (batching) or across invocations (the memo cache). Boxes
 // reachable from the Run root are precomputed by analyze; the lazy path
 // only runs on estimation entry points.
 func (ex *Exec) subtreeVolatile(b *qgm.Box) bool {

@@ -49,15 +49,6 @@ func (b *colBatch) rowMap(qi int) []int32 {
 	return b.rowIdx[qi]
 }
 
-// identitySel returns [0, 1, ..., n-1].
-func identitySel(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
-}
-
 // quantIdx locates q among the batch's bound quantifiers, or -1.
 func (b *colBatch) quantIdx(q *qgm.Quantifier) int {
 	for i, bq := range b.quants {

@@ -167,8 +167,7 @@ func (w *costWalk) box(b *qgm.Box) float64 {
 
 // invocations estimates how many times q's correlated input runs for card
 // outer tuples: once per tuple under nested iteration, once per distinct
-// binding where the reuse policy shares results between tuples (memo and
-// batching alike).
+// binding under ReuseBatch.
 func (w *costWalk) invocations(q *qgm.Quantifier, plan *selectPlan, card float64) float64 {
 	if w.reuse == ReuseNone {
 		return card

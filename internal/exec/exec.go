@@ -19,25 +19,25 @@ import (
 
 // Reuse says how much work correlated subquery evaluation shares between
 // outer tuples that carry the same correlation binding (Guravannavar's
-// per-tuple / memoized / batched spectrum: one evaluator, three policies).
-// Rows, ordering, and typed errors are identical under every policy, and so
-// are the Stats counters at every worker count.
+// per-tuple / batched spectrum: one evaluator, two policies). Rows,
+// ordering, and typed errors are identical under either policy, and so are
+// the Stats counters at every worker count.
 type Reuse int
 
 const (
 	// ReuseNone re-evaluates the correlated subtree for every outer tuple:
 	// System R nested iteration (the NI strategy).
 	ReuseNone Reuse = iota
-	// ReuseMemo caches each binding's rows the first time a tuple asks for
-	// them (NIMemo). A miss is single-flight per (box, binding): the first
-	// arriver evaluates, concurrent arrivers wait and count as MemoHits.
-	ReuseMemo
-	// ReuseBatch collects the distinct bindings of the whole outer stream
-	// first and evaluates the subtree set-at-a-time (NIBatch): once per
-	// distinct binding — or, when the correlation is root-level equalities
-	// only, exactly once as a decorrelated partition/probe (see
-	// batch_subquery.go). Shapes the batched path cannot serve fall back to
-	// ReuseNone per tuple.
+	// ReuseBatch evaluates each distinct binding once (NIBatch). Where a
+	// correlated input meets an outer tuple stream (correlatedMap) it
+	// collects the stream's distinct bindings first and evaluates the
+	// subtree set-at-a-time: once per distinct binding — or, when the
+	// correlation is root-level equalities only and there are two or more
+	// bindings, exactly once as a decorrelated partition/probe (see
+	// batch_subquery.go). Where a subquery is evaluated once per
+	// evaluation of its enclosing box, because its correlation names only
+	// that box's ancestors, each binding's rows are cached the first time
+	// they are asked for, and a repeat is a MemoHit (evalSubqueryInput).
 	ReuseBatch
 )
 
@@ -49,8 +49,8 @@ type Options struct {
 	// the default therefore is false, and the ablation benchmark flips it.
 	MaterializeCSE bool
 	// Reuse is the binding-reuse policy of correlated subquery evaluation —
-	// the one knob separating the nested-iteration family (NI, NIMemo,
-	// NIBatch). See Reuse.
+	// the one knob separating the nested-iteration family (NI, NIBatch).
+	// See Reuse.
 	Reuse Reuse
 	// Workers bounds intra-query parallelism: the number of goroutines
 	// (including the caller) the morsel scheduler may use for one Run.
@@ -377,7 +377,7 @@ func (ex *Exec) bindingKey(b *qgm.Box, env *Env) (string, error) {
 	return sqltypes.Key(vals), nil
 }
 
-// memoEntry is one (box, binding) slot of the ReuseMemo cache: the
+// memoEntry is one (box, binding) slot of ReuseBatch's binding cache: the
 // binding's evaluation wrapped in sync.OnceValues, so whichever worker
 // calls it first evaluates and every other caller blocks, then shares the
 // rows, the error, or the panic.
@@ -385,11 +385,13 @@ type memoEntry = func() ([]storage.Row, error)
 
 // evalSubqueryInput evaluates the input box of a subquery-like quantifier
 // for one outer tuple, counting it as a correlated invocation when the box
-// is correlated, and applying the ReuseMemo policy. It is called
-// concurrently by scheduler workers fanning out over outer bindings; the
-// bindings set and memo cache are mutex-guarded, and a memo miss is
-// single-flight, so every binding is evaluated exactly once and the work
-// counters do not depend on scheduling.
+// is correlated. Under ReuseBatch it serves a repeated binding from the
+// memo cache: this is how a subquery correlated only to an enclosing box,
+// evaluated once per evaluation of that box, shares its work across those
+// evaluations. It is called concurrently by scheduler workers fanning out
+// over outer bindings; the bindings set and memo cache are mutex-guarded,
+// and a memo miss is single-flight, so every binding is evaluated exactly
+// once and the work counters do not depend on scheduling.
 func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	if !ex.isCorrelated(b) {
 		return ex.evalBox(b, env)
@@ -399,7 +401,7 @@ func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		return nil, err
 	}
 	bump(&ex.Stats.SubqueryInvocations, 1)
-	memoize := ex.opts.Reuse == ReuseMemo && !ex.subtreeVolatile(b)
+	memoize := ex.batchEligible(b)
 	var entry memoEntry
 	hit := false
 	ex.mu.Lock()
@@ -512,7 +514,7 @@ func (ex *Exec) enterBox() error {
 // cseEntry is one shared uncorrelated box's CSE slot. The worker that
 // claims it under ex.mu computes the box's first evaluation, and done
 // closes when that evaluation returns or panics: askers that wait for it
-// share its result, its error or its panic, like the waiters on an NI-memo
+// share its result, its error or its panic, like the waiters on a memo
 // miss. out gains the other form under ex.mu once an asker converts to it.
 type cseEntry struct {
 	done  chan struct{}

@@ -186,24 +186,32 @@ func TestCorrelationStats(t *testing.T) {
 	}
 }
 
+// TestMemoizedNI pins ReuseBatch's binding cache. The inner EXISTS is
+// correlated only to the outer block: it is evaluated once per evaluation
+// of the middle box, which runs once per distinct department. Departments
+// sharing a building (toys and tools in B1, shoes and jewels in B2) repeat
+// the inner binding, and each repeat is served from the cache.
 func TestMemoizedNI(t *testing.T) {
 	db := tpcd.EmpDept()
-	q, err := parser.Parse(tpcd.ExampleQuery)
-	if err != nil {
-		t.Fatal(err)
+	g := mustBind(t, db, `
+		select d.name from dept d
+		where exists (select * from dept d2
+		              where d2.name = d.name
+		                and exists (select * from emp e where e.building = d.building))
+		order by name`)
+	want := []string{"jewels", "shoes", "tools", "toys"}
+	var memo [2]int64
+	for i, r := range []exec.Reuse{exec.ReuseNone, exec.ReuseBatch} {
+		ex := exec.New(db, exec.Options{Reuse: r})
+		rows, err := ex.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectRows(t, render(rows), want)
+		memo[i] = ex.Stats.MemoHits
 	}
-	g, err := semant.Bind(q, db.Catalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := exec.New(db, exec.Options{Reuse: exec.ReuseMemo})
-	rows, err := ex.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectRows(t, render(rows), []string{"archives", "toys"})
-	if ex.Stats.MemoHits != 1 {
-		t.Errorf("memo hits = %d, want 1 (B1 repeated)", ex.Stats.MemoHits)
+	if memo != [2]int64{0, 2} {
+		t.Errorf("memo hits (none, batch) = %v, want [0 2] (B1 and B2 repeated)", memo)
 	}
 }
 

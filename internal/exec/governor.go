@@ -30,7 +30,7 @@ type Limits struct {
 	// trip boundary. Exceeding it is ErrRowBudget.
 	MaxIntermediateRows int64
 	// MaxTrackedBytes caps the approximate bytes held in the executor's
-	// materializations: hash-join and subquery hash builds, NI-memo
+	// materializations: hash-join and subquery hash builds, memo
 	// entries, CSE caches, and the batch path's bindings relation and
 	// partitioned results. Exceeding it is ErrMemBudget.
 	MaxTrackedBytes int64

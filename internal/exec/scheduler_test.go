@@ -172,11 +172,14 @@ func TestParallelDeterministicError(t *testing.T) {
 }
 
 // TestSchedulerHammer drives one Exec's scheduler hard under the race
-// detector: a correlated workload with memoization, CSE sharing, profiling
-// and per-Run metrics publication, repeated so every synchronized structure
-// (Stats atomics, memo/bindings/cse maps, profile map, estimator memos,
-// storage statistics caches) is hit from many workers. The assertions are
-// secondary; the point is `go test -race ./internal/exec`.
+// detector: a correlated workload with batching, memoization, CSE sharing,
+// profiling and per-Run metrics publication, repeated so every
+// synchronized structure (Stats atomics, memo/bindings/cse maps, profile
+// map, estimator memos, storage statistics caches) is hit from many
+// workers. The memo is reached through the last EXISTS: its inner
+// subquery is correlated only to the outer block, so the middle box's
+// per-binding evaluations, fanned out over the workers, share it. The
+// assertions are secondary; the point is `go test -race ./internal/exec`.
 func TestSchedulerHammer(t *testing.T) {
 	db := tpcd.EmpDeptSized(80, 400, 6, 7)
 	sql := `
@@ -184,9 +187,12 @@ func TestSchedulerHammer(t *testing.T) {
 		  (select count(*) from emp e where e.building = d.building)
 		from dept d
 		where exists (select * from emp e2 where e2.building = d.building)
-		  and d.budget >= (select min(budget) from dept)`
+		  and d.budget >= (select min(budget) from dept)
+		  and exists (select * from dept d3
+		              where d3.name = d.name
+		                and exists (select * from emp e3 where e3.building = d.building))`
 	g := mustBind(t, db, sql)
-	ex := exec.New(db, exec.Options{Workers: 8, Reuse: exec.ReuseMemo})
+	ex := exec.New(db, exec.Options{Workers: 8, Reuse: exec.ReuseBatch})
 	ex.EnableProfiling()
 	var want []string
 	for i := 0; i < 6; i++ {
@@ -207,6 +213,9 @@ func TestSchedulerHammer(t *testing.T) {
 				t.Fatalf("run %d row %d: got %q want %q", i, j, got[j], want[j])
 			}
 		}
+	}
+	if ex.Stats.MemoHits == 0 {
+		t.Error("the hammer never reached the memo cache")
 	}
 }
 

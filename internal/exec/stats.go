@@ -19,8 +19,9 @@ type Stats struct {
 	// across those invocations (the paper reports e.g. "3954 invocations,
 	// of which only 2138 are distinct").
 	DistinctInvocations int64
-	// MemoHits counts correlated evaluations served from the NI-memo
-	// cache (only with Options.Reuse == ReuseMemo).
+	// MemoHits counts correlated evaluations served from the memo cache:
+	// a repeated binding of a subquery evaluated once per evaluation of an
+	// enclosing box (only with Options.Reuse == ReuseBatch).
 	MemoHits int64
 	// BatchedSubqueries counts correlated evaluations served by the
 	// set-at-a-time batch path instead of per-tuple iteration (only with

@@ -295,17 +295,6 @@ func (b *Box) ForEachQuants() []*Quantifier {
 	return out
 }
 
-// SubqueryQuants returns the box's existential/universal quantifiers.
-func (b *Box) SubqueryQuants() []*Quantifier {
-	var out []*Quantifier
-	for _, q := range b.Quants {
-		if q.Kind.IsSubquery() {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // Boxes returns every box reachable from root (root first, then inputs,
 // depth-first, each box once even when shared).
 func Boxes(root *Box) []*Box {
