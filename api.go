@@ -106,14 +106,15 @@ var (
 )
 
 // NewEngine creates an execution engine over db with the paper's default
-// knobs (full decorrelation, outer joins available). Optional behavior is
-// toggled on the returned engine: CoreOpts (the §4.4 decorrelation knobs),
-// MaterializeCSE (§5.3 ablation), MagicSets ([MFPR90] join-binding
-// propagation), Workers (intra-query parallelism: 0 = GOMAXPROCS,
-// 1 = single-threaded; results are identical at every setting — see
-// docs/parallel-execution.md), and EnablePlanCache (a sharded LRU of
-// prepared plans keyed by statement text and knobs, invalidated by view
-// DDL — see docs/plan-cache.md).
+// knobs (full decorrelation, outer joins available) and shared boxes
+// computed once per run (MaterializeCSE on). Optional behavior is toggled
+// on the returned engine: CoreOpts (the §4.4 decorrelation knobs),
+// MaterializeCSE (off is the Starburst recompute of the §5.3 ablation),
+// MagicSets ([MFPR90] join-binding propagation), Workers (intra-query
+// parallelism: 0 = GOMAXPROCS, 1 = single-threaded; results are identical
+// at every setting — see docs/parallel-execution.md), and EnablePlanCache
+// (a sharded LRU of prepared plans keyed by statement text and knobs,
+// invalidated by view DDL — see docs/plan-cache.md).
 //
 // Statements may contain `?` placeholders bound at execution time via
 // Engine.ExecParams/QueryParams or Prepared.RunParams, so one cached plan

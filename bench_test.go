@@ -48,6 +48,7 @@ var figureStrategies = []decorr.Strategy{
 
 func benchFigure(b *testing.B, db *decorr.DB, sql string) {
 	e := decorr.NewEngine(db)
+	e.MaterializeCSE = false // Starburst recomputed shared boxes; the figures measure that
 	for _, s := range figureStrategies {
 		b.Run(s.String(), func(b *testing.B) {
 			p, err := e.Prepare(sql, s)

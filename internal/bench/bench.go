@@ -175,6 +175,7 @@ func measure(e *engine.Engine, sql string, s engine.Strategy, repeats int) (Line
 // runFigure measures one query under the given strategies.
 func runFigure(db *storage.DB, cfg Config, id, title, paper, sql string, strategies []engine.Strategy) (*Report, error) {
 	e := engine.New(db)
+	e.MaterializeCSE = false // Starburst recomputed shared boxes; the figures measure that
 	r := &Report{ID: id, Title: title, Paper: paper,
 		Scale: fmt.Sprintf("TPC-D SF=%g seed=%d", cfg.SF, cfg.Seed)}
 	for _, s := range strategies {

@@ -197,6 +197,7 @@ func Ablations(cfg Config) (*Report, error) {
 		Scale: fmt.Sprintf("TPC-D SF=%g seed=%d", cfg.SF, cfg.Seed)}
 
 	e := engine.New(db)
+	e.MaterializeCSE = false // the Starburst recompute the paper measured
 	base, err := measure(e, tpcd.Query1, engine.Magic, cfg.Repeats)
 	if err != nil {
 		return nil, err

@@ -104,10 +104,10 @@ func (p *aggPattern) decompose() error {
 			kept = append(kept, pred)
 			continue
 		}
-		l, r, ok := qgm.SplitEq(pred,
+		l, r, nullSafe, ok := qgm.SplitEq(pred,
 			func(e qgm.Expr) bool { return sideIsOuterRef(e, p.outer) },
 			func(e qgm.Expr) bool { return exprOverBody(e, p.body) })
-		if !ok {
+		if !ok || nullSafe {
 			return fmt.Errorf("%w: correlated predicate is not a simple equality of an outer column and an inner expression", ErrNotApplicable)
 		}
 		p.outerRefs = append(p.outerRefs, l.(*qgm.ColRef))

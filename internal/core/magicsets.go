@@ -103,7 +103,7 @@ func feedJoinBindings(g *qgm.Graph, cur *qgm.Box, q *qgm.Quantifier) (bool, erro
 		return true
 	}
 	for _, p := range cur.Preds {
-		if ref, other, ok := qgm.SplitEq(p, qCol, feeds); ok {
+		if ref, other, nullSafe, ok := qgm.SplitEq(p, qCol, feeds); ok && !nullSafe {
 			ties = append(ties, msTie{col: ref.(*qgm.ColRef).Col, other: other})
 		}
 	}

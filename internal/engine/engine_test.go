@@ -188,26 +188,30 @@ func TestQuery3DistinctBindings(t *testing.T) {
 
 func TestMaterializeCSEKnob(t *testing.T) {
 	e := tpcdEngine(t)
-	_, plain, err := e.Query(tpcd.Query1, engine.Magic)
-	if err != nil {
-		t.Fatal(err)
+	if !e.MaterializeCSE {
+		t.Fatal("engine.New should materialize shared boxes by default")
 	}
-	e.MaterializeCSE = true
 	rowsM, mat, err := e.Query(tpcd.Query1, engine.Magic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.MaterializeCSE = false
-	rowsP, _, err := e.Query(tpcd.Query1, engine.Magic)
+	rowsP, plain, err := e.Query(tpcd.Query1, engine.Magic)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.MaterializeCSE = true
 	sameRows(t, "materialized vs recomputed", multiset(rowsM), multiset(rowsP))
 	if plain.CSERecomputes == 0 {
 		t.Error("Mag without materialization should recompute the supplementary CSE (§5.1)")
 	}
 	if mat.CSERecomputes != 0 {
 		t.Errorf("materialized run still recomputed %d times", mat.CSERecomputes)
+	}
+	// A cached read evaluates nothing: it is not a box evaluation.
+	if got, want := mat.BoxEvals, plain.BoxEvals-plain.CSERecomputes; got != want {
+		t.Errorf("materialized run counted %d box evaluations, want %d (recomputing run's %d less its %d recomputes)",
+			got, want, plain.BoxEvals, plain.CSERecomputes)
 	}
 }
 

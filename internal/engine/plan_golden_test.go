@@ -46,7 +46,7 @@ func TestPlanGolden(t *testing.T) {
 			}
 			// Orders first, from an executor that has estimated nothing yet:
 			// the path the rewrites take through engine.orderer.
-			ex := exec.New(c.db, exec.Options{})
+			ex := exec.New(c.db, exec.Options{MaterializeCSE: e.MaterializeCSE})
 			var orders []string
 			for _, b := range qgm.Boxes(p.Graph.Root) {
 				if b.Kind != qgm.BoxSelect {

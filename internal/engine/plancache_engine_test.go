@@ -135,7 +135,7 @@ func TestCacheKeySeparatesStrategiesAndKnobs(t *testing.T) {
 		{"de", func() { e.CoreOpts.DecorrelateExistential = false }, func() { e.CoreOpts.DecorrelateExistential = true }},
 		{"oj", func() { e.CoreOpts.UseOuterJoin = false }, func() { e.CoreOpts.UseOuterJoin = true }},
 		{"ms", func() { e.MagicSets = true }, func() { e.MagicSets = false }},
-		{"cse", func() { e.MaterializeCSE = true }, func() { e.MaterializeCSE = false }},
+		{"cse", func() { e.MaterializeCSE = false }, func() { e.MaterializeCSE = true }},
 	} {
 		c.flip()
 		if prepares() == 0 {

@@ -28,6 +28,7 @@ func TestExplainAnalyzeShowsNestedIteration(t *testing.T) {
 
 func TestExplainAnalyzeShowsCSERecomputation(t *testing.T) {
 	e := engine.New(tpcd.Generate(tpcd.Config{SF: 0.1, Seed: 42}))
+	e.MaterializeCSE = false // Starburst's recompute; engine.New materializes
 	p, err := e.Prepare(tpcd.Query1, engine.Magic)
 	if err != nil {
 		t.Fatal(err)

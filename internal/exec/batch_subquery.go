@@ -193,7 +193,7 @@ func (ex *Exec) strippedRows(b *qgm.Box, sig *qgm.BatchSignature, env *Env) (out
 			return boxOut{}, err
 		}
 		outs, err = parallelMap(ex, tuples, rowMorsel, func(t *Env) (keyedRow, error) {
-			key, null, kerr := ex.keyFor(sig.Inner, t)
+			key, null, kerr := ex.keyFor(sig.Inner, nil, t)
 			if kerr != nil || null {
 				return keyedRow{}, kerr
 			}
@@ -236,7 +236,7 @@ func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env
 		return nil, err
 	}
 	return parallelMap(ex, reps, rowMorsel, func(rep *Env) ([]storage.Row, error) {
-		key, null, kerr := ex.keyFor(sig.Outer, rep)
+		key, null, kerr := ex.keyFor(sig.Outer, nil, rep)
 		if kerr != nil || null {
 			// NULL probe keys match nothing, same as the stripped
 			// predicate evaluating UNKNOWN for every subtree row.

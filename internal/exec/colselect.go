@@ -224,11 +224,11 @@ func (ex *Exec) colBindForEach(s *Step, batch *colBatch, env *Env) (*colBatch, e
 			return nil, err
 		}
 		bump(&ex.Stats.HashBuilds, 1)
-		ht, err := ex.colBuildHash(s.QKeys, qb, env)
+		ht, err := ex.colBuildHash(s.QKeys, s.NullSafe, qb, env)
 		if err != nil {
 			return nil, err
 		}
-		tupleIdx, rowIdx, err := ex.colProbeHash(ht, s.BoundKeys, batch, env)
+		tupleIdx, rowIdx, err := ex.colProbeHash(ht, s.BoundKeys, s.NullSafe, batch, env)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +316,7 @@ func colLen(vecs []colvec.Vec) int {
 
 // colKeyChunk is one chunk's evaluated join- or group-key columns: vecs[j]
 // aligns with the chunk's index list, null[k] marks rows with a NULL key
-// component (never matched, never inserted).
+// component that is not null-safe (never matched, never inserted).
 type colKeyChunk struct {
 	vecs []colvec.Vec
 	null []bool
@@ -324,10 +324,11 @@ type colKeyChunk struct {
 
 // colKeyCols evaluates multi-column key expressions over the chunk with
 // the row path's short-circuit: keyFor stops at a tuple's first NULL
-// component, so expression j+1 must never evaluate on a row whose
-// component j was NULL. The live subset narrows after each nullable
-// component; narrowed results scatter back into chunk-aligned vectors.
-func (ex *Exec) colKeyCols(exprs []qgm.Expr, b *colBatch, idx []int32, env *Env) (colKeyChunk, error) {
+// component that nullSafe does not mark, so expression j+1 must never
+// evaluate on such a row. The live subset narrows after each nullable
+// component that is not null-safe; narrowed results scatter back into
+// chunk-aligned vectors. A null-safe component keeps its NULLs in the key.
+func (ex *Exec) colKeyCols(exprs []qgm.Expr, nullSafe []bool, b *colBatch, idx []int32, env *Env) (colKeyChunk, error) {
 	ck := colKeyChunk{vecs: make([]colvec.Vec, len(exprs)), null: make([]bool, len(idx))}
 	live := idx
 	var livePos []int // nil while live == idx (identity)
@@ -348,7 +349,7 @@ func (ex *Exec) colKeyCols(exprs []qgm.Expr, b *colBatch, idx []int32, env *Env)
 			}
 			ck.vecs[j] = colvec.FromMixed(full)
 		}
-		if !v.HasNulls() {
+		if !v.HasNulls() || nullSafe[j] {
 			continue
 		}
 		var nl []int32
@@ -450,10 +451,10 @@ func intKeyOf(v sqltypes.Value) (int64, bool) {
 // colBuildHash evaluates the build-side key columns chunk-parallel and
 // fills the table sequentially in build-row order (the row path's exact
 // structure: parallel key evaluation, deterministic sequential fill).
-func (ex *Exec) colBuildHash(exprs []qgm.Expr, qb *colBatch, env *Env) (*colHashTable, error) {
+func (ex *Exec) colBuildHash(exprs []qgm.Expr, nullSafe []bool, qb *colBatch, env *Env) (*colHashTable, error) {
 	sel := qb.sel
 	chunks, err := parallelChunks(ex, len(sel), colMorsel, func(lo, hi int) (colKeyChunk, error) {
-		return ex.colKeyCols(exprs, qb, sel[lo:hi], env)
+		return ex.colKeyCols(exprs, nullSafe, qb, sel[lo:hi], env)
 	})
 	if err != nil {
 		return nil, err
@@ -470,9 +471,13 @@ func (ex *Exec) colBuildHash(exprs []qgm.Expr, qb *colBatch, env *Env) (*colHash
 		hash: make([]uint64, 0, n),
 		row:  make([]int32, 0, n),
 	}
+	// The typed table has no NULL key: a null-safe key column holding
+	// NULLs takes the encoded mode, which files NULL as a value.
 	intKeys := len(exprs) == 1
 	for _, ck := range chunks {
-		if intKeys && !(ck.vecs[0].K == sqltypes.KindInt && ck.vecs[0].Mixed == nil) {
+		v := &ck.vecs[0]
+		typed := v.K == sqltypes.KindInt && v.Mixed == nil
+		if intKeys && (!typed || nullSafe[0] && v.HasNulls()) {
 			intKeys = false
 		}
 	}
@@ -530,19 +535,21 @@ func (ex *Exec) colBuildHash(exprs []qgm.Expr, qb *colBatch, env *Env) (*colHash
 // colProbeHash probes the table with the batch's key columns, emitting
 // matches in (probe order, ascending build order) — the row path's
 // emission order.
-func (ex *Exec) colProbeHash(ht *colHashTable, exprs []qgm.Expr, batch *colBatch, env *Env) (tuple, row []int32, err error) {
+func (ex *Exec) colProbeHash(ht *colHashTable, exprs []qgm.Expr, nullSafe []bool, batch *colBatch, env *Env) (tuple, row []int32, err error) {
 	chunks, err := parallelChunks(ex, len(batch.sel), colMorsel, func(lo, hi int) (colPairs, error) {
 		idx := batch.sel[lo:hi]
-		ck, err := ex.colKeyCols(exprs, batch, idx, env)
+		ck, err := ex.colKeyCols(exprs, nullSafe, batch, idx, env)
 		if err != nil {
 			return colPairs{}, err
 		}
 		var p colPairs
 		if ht.intKeys {
 			if v := &ck.vecs[0]; v.K == sqltypes.KindInt && v.Mixed == nil {
-				// Typed probe: int64 keys straight from the vector.
+				// Typed probe: int64 keys straight from the vector. The
+				// typed table holds no NULL key, so a NULL probe — one a
+				// null-safe key leaves unmarked — matches nothing.
 				for k := range idx {
-					if ck.null[k] {
+					if ck.null[k] || v.IsNull(k) {
 						continue
 					}
 					key := v.Ints[k]

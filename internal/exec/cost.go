@@ -156,7 +156,7 @@ func (w *costWalk) box(b *qgm.Box) float64 {
 		ql, qr := b.Quants[0], b.Quants[1]
 		l, r := ex.estBoxRows(ql.Input), ex.estBoxRows(qr.Input)
 		pairs := l * r // no equality to hash on: every left row meets every right row
-		if keys, _, _ := qgm.LojKeys(b); len(keys) > 0 {
+		if keys, _, _, _ := qgm.LojKeys(b); len(keys) > 0 {
 			pairs = l + r
 		}
 		c = w.startup + w.box(ql.Input) + w.box(qr.Input) + pairs

@@ -45,8 +45,10 @@ const (
 type Options struct {
 	// MaterializeCSE caches the result of shared, uncorrelated boxes
 	// instead of recomputing them per reference. The Starburst prototype
-	// in the paper "always recomputes common sub-expressions" (§5.1);
-	// the default therefore is false, and the ablation benchmark flips it.
+	// in the paper "always recomputes common sub-expressions" (§5.1), and
+	// false reproduces it; engine.New sets it, because §5.3 expects
+	// materialization to "perform much better", and the figure harness
+	// clears it to measure what the paper measured.
 	MaterializeCSE bool
 	// Reuse is the binding-reuse policy of correlated subquery evaluation —
 	// the one knob separating the nested-iteration family (NI, NIBatch).
@@ -473,16 +475,18 @@ type boxOut struct {
 // evalBox, the fused columnar inputs (colBindForEach, colGroupChunks) and
 // the batched subquery's stripped root (batchSingleExec) — runs eval inside
 // it, and the streamed root opens it from start to finish (enterBox,
-// observe). In order: the governance checkpoint and the BoxEvals count
-// (enterBox); the CSE policy of a shared uncorrelated box (cseEval); the
-// tracer span and profile record (observe). vecs says which form the
-// caller reads.
+// observe). In order: the CSE policy of a shared uncorrelated box
+// (cseEval); the governance checkpoint and the BoxEvals count (enterBox);
+// the tracer span and profile record (observe). A read of a materialized
+// shared box passes the checkpoint but evaluates nothing, so it is neither
+// counted nor observed — what the cost model prices it as. vecs says
+// which form the caller reads.
 func (ex *Exec) inBox(b *qgm.Box, vecs bool, eval func() (boxOut, error)) (boxOut, error) {
-	if err := ex.enterBox(); err != nil {
-		return boxOut{}, err
-	}
 	if ex.refs[b] > 1 && !ex.isCorrelated(b) {
 		return ex.cseEval(b, vecs, eval)
+	}
+	if err := ex.enterBox(); err != nil {
+		return boxOut{}, err
 	}
 	return ex.observed(b, eval)
 }
@@ -545,6 +549,9 @@ func (ex *Exec) cseEval(b *qgm.Box, vecs bool, eval func() (boxOut, error)) (box
 		bump(&ex.Stats.CSERecomputes, 1)
 		return ex.cseCompute(b, eval)
 	}
+	if err := ex.gov.checkpoint(); err != nil {
+		return boxOut{}, err
+	}
 	<-e.done
 	if e.panic != nil {
 		panic(e.panic)
@@ -600,10 +607,13 @@ func (ex *Exec) cseFirst(b *qgm.Box, e *cseEntry, eval func() (boxOut, error)) (
 	return out, err
 }
 
-// cseCompute evaluates shared box b and charges the result against the
-// byte budget: every compute, first or recompute, as the recompute policy
-// holds each copy.
+// cseCompute evaluates shared box b — a box evaluation like any other —
+// and charges the result against the byte budget: every compute, first or
+// recompute, as the recompute policy holds each copy.
 func (ex *Exec) cseCompute(b *qgm.Box, eval func() (boxOut, error)) (boxOut, error) {
+	if err := ex.enterBox(); err != nil {
+		return boxOut{}, err
+	}
 	out, err := ex.observed(b, eval)
 	if err != nil || ex.gov == nil || ex.gov.maxBytes == 0 {
 		return out, err
@@ -899,12 +909,12 @@ func (ex *Exec) evalLeftJoin(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		return nil, err
 	}
 	left, right := ins[0], ins[1]
-	lKeys, rKeys, residual := qgm.LojKeys(b)
+	lKeys, rKeys, nullSafe, residual := qgm.LojKeys(b)
 	nullRight := nullRow(len(qr.Input.Cols))
 	var rHash map[string][]storage.Row
 	if len(lKeys) > 0 {
 		rHash, err = ex.rowHash(right, func(i int) (string, bool, error) {
-			return ex.keyFor(rKeys, Bind(env, qr, right[i]))
+			return ex.keyFor(rKeys, nullSafe, Bind(env, qr, right[i]))
 		})
 		if err != nil {
 			return nil, err
@@ -933,7 +943,7 @@ func (ex *Exec) evalLeftJoin(b *qgm.Box, env *Env) ([]storage.Row, error) {
 			matched := false
 			candidates := right
 			if rHash != nil {
-				key, null, err := ex.keyFor(lKeys, lenv)
+				key, null, err := ex.keyFor(lKeys, nullSafe, lenv)
 				if err != nil {
 					return nil, err
 				}
@@ -981,8 +991,8 @@ func (ex *Exec) evalLeftJoin(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	return out, nil
 }
 
-// buildKey is one build row's hash key; skip marks a NULL component, which
-// no equality matches.
+// buildKey is one build row's hash key; skip marks a NULL component that no
+// equality matches (one a null-safe key files as a value instead).
 type buildKey struct {
 	key  string
 	skip bool
@@ -990,11 +1000,12 @@ type buildKey struct {
 
 // rowHash is the row engine's one hash-table build, shared by the inner
 // join, the left outer join, the EXISTS/IN semi-join and the batched
-// subquery partition: build[i] filed under key(i), rows with a NULL key
-// component left out. The gate and the HashBuilds count come
-// first; keys evaluate in parallel; the table fills sequentially in row
-// order, so every bucket chain — and with it whatever a probe emits — is
-// the same at every worker count. What a probe emits is the caller's.
+// subquery partition: build[i] filed under key(i), rows whose key says
+// skip (a NULL component of a key that is not null-safe) left out. The
+// gate and the HashBuilds count come first; keys evaluate in parallel;
+// the table fills sequentially in row order, so every bucket chain — and
+// with it whatever a probe emits — is the same at every worker count.
+// What a probe emits is the caller's.
 func (ex *Exec) rowHash(build []storage.Row, key func(i int) (string, bool, error)) (map[string][]storage.Row, error) {
 	if err := ex.hashBuildCheck(build); err != nil {
 		return nil, err

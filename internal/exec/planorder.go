@@ -59,7 +59,10 @@ type Step struct {
 	// ForEach quantifier to the bound ones (Q side, bound side): the hash
 	// join's keys, and on an index step the keys the shared-nothing model
 	// repartitions on. Neither an index nor keys means a cross product.
+	// NullSafe[i] marks key i as a null-safe equality (qgm.NewNullEq),
+	// under which a NULL component matches NULL.
 	QKeys, BoundKeys []qgm.Expr
+	NullSafe         []bool
 	// Growth is the per-tuple growth of binding Q here; local is Q's input
 	// size after its local predicates alone (estQuantRows at this step).
 	Growth float64
@@ -385,8 +388,10 @@ func (ex *Exec) joinStep(s *Step, st *selState) {
 		key := false
 		if !local {
 			var qs, bs qgm.Expr
-			if qs, bs, key = splitEqui(pi.expr, q, st.bound); key {
+			var nullSafe bool
+			if qs, bs, nullSafe, key = splitEqui(pi.expr, q, st.bound); key {
 				s.QKeys, s.BoundKeys = append(s.QKeys, qs), append(s.BoundKeys, bs)
+				s.NullSafe = append(s.NullSafe, nullSafe)
 			}
 		}
 		switch {
@@ -427,7 +432,7 @@ func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, 
 		if !st.joinable(i, q) {
 			continue
 		}
-		if ref, other, ok := qgm.SplitEq(pi.expr, indexed, notQ); ok {
+		if ref, other, nullSafe, ok := qgm.SplitEq(pi.expr, indexed, notQ); ok && !nullSafe {
 			return tbl, i, ref.(*qgm.ColRef).Col, other
 		}
 	}
@@ -447,8 +452,8 @@ func depsSubset(deps, bound map[*qgm.Quantifier]bool, q *qgm.Quantifier) bool {
 
 // splitEqui decomposes p as qSideExpr = boundSideExpr where the q side
 // references q (and possibly outer quantifiers) and the bound side only
-// bound/outer quantifiers.
-func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSide, boundSide qgm.Expr, ok bool) {
+// bound/outer quantifiers; nullSafe as qgm.SplitEq reports it.
+func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSide, boundSide qgm.Expr, nullSafe, ok bool) {
 	sideOK := func(e qgm.Expr, wantQ bool) bool {
 		hasQ := false
 		for qq := range qgm.QuantSet(e) {

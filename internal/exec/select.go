@@ -213,13 +213,13 @@ func (ex *Exec) bindForEach(s *Step, tuples []*Env, env *Env) ([]*Env, error) {
 	}
 	if len(s.QKeys) > 0 {
 		h, err := ex.rowHash(rows, func(i int) (string, bool, error) {
-			return ex.keyFor(s.QKeys, Bind(env, q, rows[i]))
+			return ex.keyFor(s.QKeys, s.NullSafe, Bind(env, q, rows[i]))
 		})
 		if err != nil {
 			return nil, err
 		}
 		out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
-			key, null, err := ex.keyFor(s.BoundKeys, t)
+			key, null, err := ex.keyFor(s.BoundKeys, s.NullSafe, t)
 			if err != nil {
 				return nil, err
 			}
@@ -260,16 +260,18 @@ func (ex *Exec) bindForEach(s *Step, tuples []*Env, env *Env) ([]*Env, error) {
 	return out, nil
 }
 
-// keyFor evaluates the key expressions under env; null=true when any
-// component is NULL (null join keys never match).
-func (ex *Exec) keyFor(exprs []qgm.Expr, env *Env) (string, bool, error) {
+// keyFor evaluates the key expressions under env; null=true when a
+// component is NULL (null join keys never match) unless nullSafe marks
+// it, in which case NULL is a key value like any other. A nil nullSafe
+// marks none.
+func (ex *Exec) keyFor(exprs []qgm.Expr, nullSafe []bool, env *Env) (string, bool, error) {
 	vals := make([]sqltypes.Value, len(exprs))
 	for i, e := range exprs {
 		v, err := ex.EvalExpr(e, env)
 		if err != nil {
 			return "", false, err
 		}
-		if v.IsNull() {
+		if v.IsNull() && (nullSafe == nil || !nullSafe[i]) {
 			return "", true, nil
 		}
 		vals[i] = v

@@ -26,6 +26,7 @@ func (p *selectPlan) snapshot() *selectPlan {
 	for _, s := range p.steps {
 		s.ties, s.filter, s.after = preds(s.ties), preds(s.filter), preds(s.after)
 		s.QKeys, s.BoundKeys = exprs(s.QKeys), exprs(s.BoundKeys)
+		s.NullSafe = append([]bool(nil), s.NullSafe...)
 		c.steps = append(c.steps, s)
 	}
 	for _, pi := range p.preds {

@@ -44,13 +44,13 @@ func (ex *Exec) bindSubqueryCheck(q *qgm.Quantifier, ties []*selPred, correlated
 	probeExprs, subExprs, hashable := splitTies(ties, q)
 	if hashable && (q.Kind == qgm.QExists || q.Kind == qgm.QNotExists || q.Kind == qgm.QAny) {
 		h, err := ex.rowHash(rows, func(i int) (string, bool, error) {
-			return ex.keyFor(subExprs, Bind(env, q, rows[i]))
+			return ex.keyFor(subExprs, nil, Bind(env, q, rows[i]))
 		})
 		if err != nil {
 			return nil, err
 		}
 		return parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-			key, null, err := ex.keyFor(probeExprs, t)
+			key, null, err := ex.keyFor(probeExprs, nil, t)
 			if err != nil {
 				return false, err
 			}
@@ -77,8 +77,8 @@ func splitTies(ties []*selPred, q *qgm.Quantifier) (probe, sub []qgm.Expr, ok bo
 	notQ := func(e qgm.Expr) bool { return !qgm.RefsQuant(e, q) }
 	hasQ := func(e qgm.Expr) bool { return qgm.RefsQuant(e, q) }
 	for _, pi := range ties {
-		p, s, ok := qgm.SplitEq(pi.expr, notQ, hasQ)
-		if !ok {
+		p, s, nullSafe, ok := qgm.SplitEq(pi.expr, notQ, hasQ)
+		if !ok || nullSafe {
 			return nil, nil, false
 		}
 		probe = append(probe, p)

@@ -178,7 +178,7 @@ func (w *planWalker) walk(b *qgm.Box) relInfo {
 // left outer join hashes on (left side, right side); "" when it hashes on
 // none and meets every pair.
 func (w *planWalker) lojKeys(b *qgm.Box) (string, string) {
-	left, right, _ := qgm.LojKeys(b)
+	left, right, _, _ := qgm.LojKeys(b)
 	return firstKeys(left, right)
 }
 

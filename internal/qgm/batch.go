@@ -124,7 +124,8 @@ func batchCheckedSlots(box, root *Box, sig *BatchSignature) []Expr {
 // references at least one varying quantifier and nothing inside the
 // subtree; the inner side references no varying quantifier. References to
 // run-constant ancestors (neither varying nor inside) are allowed on both
-// sides — they evaluate identically under every binding.
+// sides — they evaluate identically under every binding. A null-safe
+// equality is not split: the partition drops NULL bindings.
 func splitBatchEq(p Expr, varying map[*Quantifier]bool, inside map[*Box]bool) (outer, inner Expr, ok bool) {
 	side := func(e Expr) (hasVarying, hasInside bool) {
 		for q := range QuantSet(e) {
@@ -137,7 +138,8 @@ func splitBatchEq(p Expr, varying map[*Quantifier]bool, inside map[*Box]bool) (o
 		}
 		return
 	}
-	return SplitEq(p,
+	outer, inner, nullSafe, ok := SplitEq(p,
 		func(e Expr) bool { v, in := side(e); return v && !in },
 		func(e Expr) bool { v, _ := side(e); return !v })
+	return outer, inner, ok && !nullSafe
 }

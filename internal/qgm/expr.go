@@ -183,41 +183,76 @@ func NewNullEq(l, r Expr) Expr {
 
 // SplitEq decomposes p as aSide = bSide in whichever orientation has one
 // side satisfying a and the other satisfying b; ok=false when p is not an
-// equality or neither orientation fits. Every "is this predicate a join
+// equality or neither orientation fits. nullSafe reports that p is
+// NewNullEq's form, under which NULL matches NULL: still a hash key, but
+// one that files a NULL component as a value. A caller that cannot honour
+// that treats a nullSafe split as no key. Every "is this predicate a join
 // key" question in the repository is this function plus the caller's two
 // side tests (make join-guard).
-func SplitEq(p Expr, a, b func(Expr) bool) (aSide, bSide Expr, ok bool) {
-	bin, isBin := p.(*Bin)
-	if !isBin || bin.Op != OpEq {
-		return nil, nil, false
+func SplitEq(p Expr, a, b func(Expr) bool) (aSide, bSide Expr, nullSafe, ok bool) {
+	l, r, nullSafe, isEq := eqOperands(p)
+	if !isEq {
+		return nil, nil, false, false
 	}
 	switch {
-	case a(bin.L) && b(bin.R):
-		return bin.L, bin.R, true
-	case a(bin.R) && b(bin.L):
-		return bin.R, bin.L, true
+	case a(l) && b(r):
+		return l, r, nullSafe, true
+	case a(r) && b(l):
+		return r, l, nullSafe, true
 	}
-	return nil, nil, false
+	return nil, nil, false, false
+}
+
+// eqOperands unwraps `l = r`, or NewNullEq's `l = r OR (l IS NULL AND r IS
+// NULL)` with nullSafe set; the IS NULL operands must be the equality's
+// own, in either order.
+func eqOperands(p Expr) (l, r Expr, nullSafe, ok bool) {
+	bin, isBin := p.(*Bin)
+	if !isBin {
+		return nil, nil, false, false
+	}
+	if bin.Op == OpOr {
+		eq, isEq := bin.L.(*Bin)
+		both, isAnd := bin.R.(*Bin)
+		if !isEq || !isAnd || eq.Op != OpEq || both.Op != OpAnd {
+			return nil, nil, false, false
+		}
+		n1, ok1 := both.L.(*IsNull)
+		n2, ok2 := both.R.(*IsNull)
+		if !ok1 || !ok2 || n1.Negate || n2.Negate {
+			return nil, nil, false, false
+		}
+		if EqualExpr(n1.E, eq.L) && EqualExpr(n2.E, eq.R) || EqualExpr(n1.E, eq.R) && EqualExpr(n2.E, eq.L) {
+			return eq.L, eq.R, true, true
+		}
+		return nil, nil, false, false
+	}
+	if bin.Op != OpEq {
+		return nil, nil, false, false
+	}
+	return bin.L, bin.R, false, true
 }
 
 // LojKeys decomposes a left-outer-join box's ON predicates into the hash
 // keys — equalities with one side over the left quantifier only and the
-// other over the right only, outer references allowed on both — and the
+// other over the right only, outer references allowed on both; nullSafe[i]
+// marks pair i as NewNullEq's, which matches NULL to NULL — and the
 // residual predicates evaluated per candidate pair. The executor, the cost
 // model and the shared-nothing simulator all read this one decomposition.
-func LojKeys(b *Box) (left, right, residual []Expr) {
+func LojKeys(b *Box) (left, right []Expr, nullSafe []bool, residual []Expr) {
 	ql, qr := b.Quants[0], b.Quants[1]
 	onlyL := func(e Expr) bool { return RefsQuant(e, ql) && !RefsQuant(e, qr) }
 	onlyR := func(e Expr) bool { return RefsQuant(e, qr) && !RefsQuant(e, ql) }
 	for _, p := range b.Preds {
-		if l, r, ok := SplitEq(p, onlyL, onlyR); ok {
+		if l, r, ns, ok := SplitEq(p, onlyL, onlyR); ok {
 			left = append(left, l)
 			right = append(right, r)
+			nullSafe = append(nullSafe, ns)
 		} else {
 			residual = append(residual, p)
 		}
 	}
-	return left, right, residual
+	return left, right, nullSafe, residual
 }
 
 // Ref builds a column reference.

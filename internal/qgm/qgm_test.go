@@ -283,35 +283,47 @@ func TestSplitEqAndLojKeys(t *testing.T) {
 	la, rc, rd, ox := Ref(ql, 0), Ref(qr, 0), Ref(qr, 1), Ref(qo, 0)
 	plus := func(l, r Expr) Expr { return &Bin{Op: OpAdd, L: l, R: r} }
 
+	// The null-safe form with IS NULL operands other than the equality's:
+	// (l.a = r.c) OR (l.a IS NULL AND r.d IS NULL) is no null-safe key.
+	strayNull := &Bin{Op: OpOr, L: NewEq(la, rc),
+		R: &Bin{Op: OpAnd, L: &IsNull{E: la}, R: &IsNull{E: rd}}}
+
 	cases := []struct {
 		name        string
 		pred        Expr
 		left, right Expr // nil: not a hash key, the predicate is residual
+		nullSafe    bool
 	}{
-		{"left = right", NewEq(la, rc), la, rc},
-		{"right = left is turned round", NewEq(rc, la), la, rc},
-		{"a constant rides on either side", NewEq(plus(la, ConstInt(1)), rc), plus(la, ConstInt(1)), rc},
-		{"an outer reference rides on the left side", NewEq(plus(la, ox), rc), plus(la, ox), rc},
-		{"an outer reference rides on the right side", NewEq(plus(rc, ox), la), la, plus(rc, ox)},
-		{"a side mixing both inputs declines", NewEq(plus(la, rd), rc), nil, nil},
-		{"a side reading neither input declines", NewEq(la, ox), nil, nil},
-		{"left = constant is a filter, not a key", NewEq(la, ConstInt(5)), nil, nil},
-		{"an inequality declines", &Bin{Op: OpLt, L: la, R: rc}, nil, nil},
-		{"a non-Bin declines", &IsNull{E: la}, nil, nil},
-		{"the null-safe equality is an OR, not (yet) a key", NewNullEq(la, rc), nil, nil},
+		{"left = right", NewEq(la, rc), la, rc, false},
+		{"right = left is turned round", NewEq(rc, la), la, rc, false},
+		{"a constant rides on either side", NewEq(plus(la, ConstInt(1)), rc), plus(la, ConstInt(1)), rc, false},
+		{"an outer reference rides on the left side", NewEq(plus(la, ox), rc), plus(la, ox), rc, false},
+		{"an outer reference rides on the right side", NewEq(plus(rc, ox), la), la, plus(rc, ox), false},
+		{"a side mixing both inputs declines", NewEq(plus(la, rd), rc), nil, nil, false},
+		{"a side reading neither input declines", NewEq(la, ox), nil, nil, false},
+		{"left = constant is a filter, not a key", NewEq(la, ConstInt(5)), nil, nil, false},
+		{"an inequality declines", &Bin{Op: OpLt, L: la, R: rc}, nil, nil, false},
+		{"a non-Bin declines", &IsNull{E: la}, nil, nil, false},
+		{"the null-safe equality is a null-safe key", NewNullEq(la, rc), la, rc, true},
+		{"the null-safe equality is turned round too", NewNullEq(rc, la), la, rc, true},
+		{"IS NULL operands that are not the equality's decline", strayNull, nil, nil, false},
+		{"a bare OR declines", &Bin{Op: OpOr, L: NewEq(la, rc), R: NewEq(la, rd)}, nil, nil, false},
 	}
 	for _, c := range cases {
 		loj.Preds = []Expr{c.pred}
-		left, right, residual := LojKeys(loj)
+		left, right, nullSafe, residual := LojKeys(loj)
 		if c.left == nil {
 			if len(left) != 0 || len(right) != 0 || len(residual) != 1 || residual[0] != c.pred {
 				t.Errorf("%s: keys %d/%d, residual %d; want the predicate left residual", c.name, len(left), len(right), len(residual))
 			}
 			continue
 		}
-		if len(left) != 1 || len(right) != 1 || len(residual) != 0 {
+		if len(left) != 1 || len(right) != 1 || len(nullSafe) != 1 || len(residual) != 0 {
 			t.Errorf("%s: keys %d/%d, residual %d; want one key pair", c.name, len(left), len(right), len(residual))
 			continue
+		}
+		if nullSafe[0] != c.nullSafe {
+			t.Errorf("%s: nullSafe %v, want %v", c.name, nullSafe[0], c.nullSafe)
 		}
 		if got, want := FormatExpr(left[0])+" | "+FormatExpr(right[0]), FormatExpr(c.left)+" | "+FormatExpr(c.right); got != want {
 			t.Errorf("%s: split %s, want %s", c.name, got, want)
@@ -322,13 +334,13 @@ func TestSplitEqAndLojKeys(t *testing.T) {
 	// tries both orientations, first the written one.
 	anySide := func(Expr) bool { return true }
 	isRef := func(e Expr) bool { _, ok := e.(*ColRef); return ok }
-	if a, b, ok := SplitEq(NewEq(la, rc), anySide, anySide); !ok || a != Expr(la) || b != Expr(rc) {
-		t.Errorf("both orientations fit: want the written one, got %v %v %v", a, b, ok)
+	if a, b, ns, ok := SplitEq(NewEq(la, rc), anySide, anySide); !ok || ns || a != Expr(la) || b != Expr(rc) {
+		t.Errorf("both orientations fit: want the written one, got %v %v %v %v", a, b, ns, ok)
 	}
-	if a, _, ok := SplitEq(NewEq(ConstInt(5), la), isRef, anySide); !ok || a != Expr(la) {
+	if a, _, _, ok := SplitEq(NewEq(ConstInt(5), la), isRef, anySide); !ok || a != Expr(la) {
 		t.Errorf("5 = l.a with a bare column wanted first: got %v %v", a, ok)
 	}
-	if _, _, ok := SplitEq(NewEq(ConstInt(5), ConstInt(6)), isRef, anySide); ok {
+	if _, _, _, ok := SplitEq(NewEq(ConstInt(5), ConstInt(6)), isRef, anySide); ok {
 		t.Error("no side is a bare column, yet SplitEq accepted")
 	}
 }
