@@ -64,7 +64,9 @@ func Variants() []Variant {
 		// The rowmode variants force the row-at-a-time executor; since the
 		// oracle runs with default knobs (vectorized engine on), every
 		// fuzzed statement cross-checks the columnar and row paths for
-		// bit-identical bags under both NI and decorrelated plan shapes.
+		// bit-identical bags under both NI and decorrelated plan shapes —
+		// NI's outer blocks included, whose subquery, scalar and lateral
+		// steps the columnar engine runs in place.
 		{Name: "rowmode-ni", Strategy: engine.NI,
 			Configure: func(e *engine.Engine) { e.RowMode = true }},
 		{Name: "rowmode-magic", Strategy: engine.Magic,

@@ -32,30 +32,39 @@ func autoChoice(t *testing.T, db *storage.DB, name, sql string, want engine.Stra
 func TestAutoChoosesPerQuery(t *testing.T) {
 	sf1 := tpcd.Generate(tpcd.Config{SF: 1, Seed: 42})
 	// Thousands of invocations with duplicate bindings (Figure 6):
-	// NIBatch 51.1 / 92.1 ms, OptMagic 11.4 / 17.9 ms.
+	// NIBatch 25.7 / 38.3 ms, OptMagic 10.3 / 15.0 ms (20 rounds).
 	autoChoice(t, sf1, "SF=1 Query1b", tpcd.Query1b, engine.OptMagic)
 	// 200 invocations of a 4-box lateral for 5 distinct nations (Figure 9).
-	// Batching runs the lateral once per nation: NIBatch 0.94 / 1.61 ms,
-	// OptMagic 1.23 / 1.86 ms (NI 26.8 / 37.7 ms). The pick is OptMagic,
-	// estimated 27 150 against NIBatch's 36 100, and it is the slower plan:
+	// Batching runs the lateral once per nation: NIBatch 0.86 / 1.35 ms,
+	// OptMagic 1.05 / 1.63 ms (NI 28.3 / 43.1 ms). The pick is OptMagic,
+	// estimated 27 050 against NIBatch's 34 500, and it is the slower plan:
 	// a recorded exception. The cause is NIBatch's over-estimate (10.3x
 	// row operations in TestCostAudit): s_region = 'EUROPE' determines
 	// s_nation, so 5 distinct bindings reach the lateral where the model,
 	// taking the columns as independent, prices 20 (ROADMAP item 1).
 	autoChoice(t, sf1, "SF=1 Query3", tpcd.Query3, engine.OptMagic)
 	// A key correlation over a cheap indexed subquery (Figure 8's
-	// "decorrelation unnecessary" case, no longer so): NIBatch 6.27 / 9.44
-	// ms, OptMagic 1.43 / 2.17 ms. The decorrelated plan's two null-safe
+	// "decorrelation unnecessary" case, no longer so): NIBatch 2.20 / 3.25
+	// ms, OptMagic 1.21 / 1.87 ms. The decorrelated plan's two null-safe
 	// joins against the 210-row magic table hash on their key, and the
-	// magic table, read three times, is computed once.
+	// magic table, read three times, is computed once. Its estimate, 58 902
+	// against NIBatch's 105 102, holds because a column of a derived box
+	// is traced to its base table's distinct count (estNDV): at rows ÷ 10
+	// it was 115 102 and lost the race.
 	autoChoice(t, sf1, "SF=1 Query2", tpcd.Query2, engine.OptMagic)
 
 	sf01 := tpcd.Generate(tpcd.Config{SF: 0.1, Seed: 42})
-	// The same statement at a tenth of the scale: NIBatch 0.64 / 0.80 ms,
-	// OptMagic 0.30 / 0.35 ms. (An earlier model pinned NIBatch here, on an
-	// estimate that took p_container = '6 PACK' for one value in ten where
-	// it is one in four and so expected 8 invocations where 27 happen.)
+	// The same statement at a tenth of the scale: NIBatch 0.27 / 0.40 ms,
+	// OptMagic 0.21 / 0.30 ms (200 rounds). (An earlier model pinned
+	// NIBatch here, on an estimate that took p_container = '6 PACK' for one
+	// value in ten where it is one in four and so expected 8 invocations
+	// where 27 happen.)
 	autoChoice(t, sf01, "SF=0.1 Query2", tpcd.Query2, engine.OptMagic)
+	// Query 1 at a tenth of the scale: two invocations, and nested
+	// iteration's outer block is columnar, so the batched plan is the
+	// faster one: NIBatch 53 / 102 us, OptMagic 76 / 136 us (300 rounds);
+	// estimated 1 054 against 1 193.
+	autoChoice(t, sf01, "SF=0.1 Query1", tpcd.Query1, engine.NIBatch)
 
 	// Query 1(c): the index the subquery probes is gone; each invocation
 	// is a full scan and decorrelation must win (Figure 7): NIBatch 20.9 /
@@ -105,14 +114,12 @@ func TestAutoColdShapes(t *testing.T) {
 	db := tpcd.Generate(tpcd.Config{SF: 1, Seed: 42})
 	for i, want := range []engine.Strategy{
 		// The partsupp shape decorrelates into three boxes, as many as nested
-		// iteration evaluates, all of them columnar where nested iteration's
-		// outer block is not: estimated 321 against 341, measured OptMagic
-		// 25.6 / 52.8 us against NIBatch 23.1 / 45.6 us. The parent kept
-		// NIBatch. That the vectorized engine takes 3 us longer than the row
-		// interpreter to join a dozen rows is a fixed cost per join step the
-		// model does not carry (ROADMAP item 1), 1 % of the statement's
-		// prepare.
-		engine.OptMagic,
+		// iteration evaluates, and every box of both plans is columnar:
+		// NIBatch estimated 321 against OptMagic's 327, measured 27.7 / 52.7
+		// us against 29.3 / 55.3 us. (While nested iteration's outer block
+		// ran on the row path it was estimated at 341 and OptMagic won the
+		// race, the slower plan by 2-3 us.)
+		engine.NIBatch,
 		// The lineitem shape keeps its outer join for the COUNT bug: NIBatch
 		// 30.9 / 47.3 us, OptMagic 39.8 / 63.5 us.
 		engine.NIBatch,

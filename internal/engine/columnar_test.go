@@ -6,6 +6,7 @@ import (
 
 	"decorr/internal/engine"
 	"decorr/internal/exec"
+	"decorr/internal/qgm"
 	"decorr/internal/schema"
 	"decorr/internal/sqltypes"
 	"decorr/internal/storage"
@@ -229,6 +230,33 @@ func TestRowModeEnv(t *testing.T) {
 	for i := range w {
 		if w[i] != g[i] {
 			t.Fatalf("rowmode env row %d: got %q want %q", i, g[i], w[i])
+		}
+	}
+}
+
+// TestColumnarNestedPlans pins that nested iteration runs on the vectorized
+// engine: under NI and NIBatch every select box of the paper's four
+// statements, the outer blocks that own the correlated subquery or lateral
+// included, is planned columnar.
+func TestColumnarNestedPlans(t *testing.T) {
+	db := tpcd.Generate(tpcd.Config{SF: 0.01, Seed: 7})
+	e := engine.New(db)
+	for _, q := range []struct{ name, sql string }{
+		{"Query1", tpcd.Query1}, {"Query1b", tpcd.Query1b},
+		{"Query2", tpcd.Query2}, {"Query3", tpcd.Query3},
+	} {
+		for _, s := range []engine.Strategy{engine.NI, engine.NIBatch} {
+			p, err := e.Prepare(q.sql, s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", q.name, s, err)
+			}
+			ex := exec.New(db, exec.Options{})
+			ex.EstimateCost(p.Graph) // plans every box
+			for _, b := range qgm.Boxes(p.Graph.Root) {
+				if b.Kind == qgm.BoxSelect && !ex.Columnar(b) {
+					t.Errorf("%s/%s: select box %d runs on the row path", q.name, s, b.ID)
+				}
+			}
 		}
 	}
 }

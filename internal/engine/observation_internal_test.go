@@ -25,8 +25,9 @@ func TestObservationParity(t *testing.T) {
 		{"Query1", tpcd.Query1}, {"Query1b", tpcd.Query1b},
 		{"Query2", tpcd.Query2}, {"Query3", tpcd.Query3},
 	}
-	// FormatProfile without its wall-clock column.
-	untimed := regexp.MustCompile(` time=\S+`)
+	// FormatProfile without its wall-clock column and its engine label,
+	// which differ between the engines by design.
+	untimed := regexp.MustCompile(` time=\S+( col| row\(\w+\))?`)
 	for _, row := range strategyTable {
 		for _, q := range queries {
 			t.Run(row.name+"/"+q.name, func(t *testing.T) {

@@ -5,7 +5,9 @@
 // index/hash/cross dispatch are shared by construction; the statistics
 // bumps, governance charges and fault-injection points are the row path's
 // exactly — only the unit of work changes from one bound tuple to one
-// column-batch morsel.
+// column-batch morsel. A scalar, existential/universal or lateral step is
+// the one step both engines run with the same code: the columnar engine
+// hands the row path's binder one Env per live tuple (colBindNested).
 // Hash joins replace the per-row string-keyed map with an arena hash
 // table: all key encodings live in one []byte, buckets are power-of-two
 // FNV-1a, and chains emit in ascending build-row order so probe output
@@ -15,6 +17,7 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"decorr/internal/colvec"
 	"decorr/internal/qgm"
@@ -22,38 +25,37 @@ import (
 	"decorr/internal/storage"
 )
 
-// colSelectable reports whether the vectorized engine can evaluate select
-// box b: every quantifier is a plain ForEach over either a stored base
-// table or an uncorrelated derived input (evaluated through evalBox and
-// re-columnarized at the boundary). Subqueries, laterals, and synthetic
-// relations stay on the row path, and every predicate and output
-// expression must vectorize. It is the plan builder's last step.
-func (ex *Exec) colSelectable(b *qgm.Box, p *selectPlan) bool {
+// colSelectable reports why the vectorized engine cannot evaluate select
+// box b, or "" when it can: the engine is switched off ("rowmode"), a
+// ForEach reads a synthetic or storageless table whose cached vectors could
+// go stale ("synthetic"), or a predicate or output expression does not
+// vectorize ("expr"). Every quantifier kind runs columnar: a scalar,
+// existential/universal or lateral step runs in place through the row
+// binders (colBindNested). It is the plan builder's last step and the one
+// source of the reason EXPLAIN ANALYZE prints.
+func (ex *Exec) colSelectable(b *qgm.Box) string {
+	if !ex.colOK {
+		return "rowmode"
+	}
 	for _, q := range b.Quants {
-		if q.Kind != qgm.QForEach {
-			return false
-		}
-		if q.Input.Kind == qgm.BoxBase {
+		if q.Kind == qgm.QForEach && q.Input.Kind == qgm.BoxBase {
 			tbl := ex.db.Table(q.Input.Table.Name)
 			if tbl == nil || tbl.Synthetic() {
-				return false
+				return "synthetic"
 			}
-		} else if p.correlated(q) {
-			// Lateral derived table: joined on the row path (bindLateral).
-			return false
 		}
 	}
 	for _, p := range b.Preds {
 		if !colExprOK(p) {
-			return false
+			return "expr"
 		}
 	}
 	for _, c := range b.Cols {
 		if !colExprOK(c.Expr) {
-			return false
+			return "expr"
 		}
 	}
-	return true
+	return ""
 }
 
 // colEvalSelect is the vectorized evalSelect: phase 1 builds the bound
@@ -78,6 +80,9 @@ func (ex *Exec) colEvalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 // bound, fully filtered batch (nil when the result is empty).
 func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
 	plan := ex.planOf(b)
+	if plan.err != nil {
+		return nil, plan.err
+	}
 	// The seed batch is the row path's single outer tuple: one live row
 	// with no bound quantifiers, so predicates over only outer bindings
 	// and constants can apply before the first join.
@@ -90,7 +95,13 @@ func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
 			return nil, nil
 		}
 		s := &plan.steps[i]
-		next, err := ex.colBindForEach(s, batch, env)
+		var next *colBatch
+		var err error
+		if s.Q.Kind == qgm.QForEach && !s.Correlated {
+			next, err = ex.colBindForEach(s, batch, env)
+		} else {
+			next, err = ex.colBindNested(s, batch, env)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -270,6 +281,130 @@ func (ex *Exec) colBindForEach(s *Step, batch *colBatch, env *Env) (*colBatch, e
 		return nil, err
 	}
 	return joined, nil
+}
+
+// colBindNested runs a step whose input the row binders own — a scalar,
+// existential/universal or lateral quantifier — in place. Each live tuple
+// becomes one Env (colTupleEnvs) and the row path's binder runs over them,
+// so correlatedMap, NIBatch's batching and memo, three-valued logic and
+// cardinality errors stay in one place. A binder's output Envs extend the
+// tuples they came from, in stream order, which maps them back: an
+// existential/universal step narrows the selection vector to the tuples
+// it kept, a scalar or lateral step joins the rows it bound to q.
+func (ex *Exec) colBindNested(s *Step, batch *colBatch, env *Env) (*colBatch, error) {
+	q := s.Q
+	tuples, err := ex.colTupleEnvs(s, batch, env)
+	if err != nil {
+		return nil, err
+	}
+	if q.Kind.IsSubquery() {
+		kept, err := ex.bindSubqueryCheck(q, s.ties, s.Correlated, tuples, env)
+		if err != nil {
+			return nil, err
+		}
+		sel, i := make([]int32, len(kept)), 0
+		for k, t := range kept {
+			for tuples[i] != t {
+				i++
+			}
+			sel[k] = batch.sel[i]
+		}
+		batch.sel = sel
+		return batch, nil
+	}
+	var bound []*Env
+	if q.Kind == qgm.QScalar {
+		bound, err = ex.bindScalar(q, s.Correlated, tuples, env)
+	} else {
+		bound, err = ex.bindLateral(q, tuples, env)
+	}
+	if err != nil {
+		return nil, err
+	}
+	tupleIdx, rows, i := make([]int32, len(bound)), make([]storage.Row, len(bound)), 0
+	for k, t := range bound {
+		for tuples[i] != t.parent {
+			i++
+		}
+		tupleIdx[k], rows[k] = batch.sel[i], t.row
+	}
+	vecs := colsFromRows(rows, len(q.Input.Cols))
+	return ex.colJoin(batch, tupleIdx, q, vecs, ex.identity(len(rows)))
+}
+
+// colTupleEnvs builds one Env per live tuple of the batch for step s,
+// binding only what the step reads of the batch's quantifiers: the
+// columns its input subtree references (its free references) and those its
+// tie predicates reference. Other columns of a bound row stay NULL, since
+// nothing of the step can read them. Every tuple gets an Env of its own,
+// even when the step reads nothing of the batch, so that colBindNested can
+// map a binder's output back to its tuple by identity.
+func (ex *Exec) colTupleEnvs(s *Step, batch *colBatch, env *Env) ([]*Env, error) {
+	type read struct {
+		qi   int
+		cols []int
+	}
+	var reads []read
+	add := func(q *qgm.Quantifier, col int) {
+		qi := batch.quantIdx(q)
+		if qi < 0 {
+			return // bound by env, or not bound at all
+		}
+		for i := range reads {
+			if reads[i].qi == qi {
+				if !slices.Contains(reads[i].cols, col) {
+					reads[i].cols = append(reads[i].cols, col)
+				}
+				return
+			}
+		}
+		reads = append(reads, read{qi: qi, cols: []int{col}})
+	}
+	for _, rk := range ex.freeRefs[s.Q.Input] {
+		add(rk.Q, rk.Col)
+	}
+	for _, pi := range s.ties {
+		for _, r := range qgm.Refs(pi.expr) {
+			add(r.Q, r.Col)
+		}
+	}
+	links := max(len(reads), 1)
+	chunks, err := parallelChunks(ex, len(batch.sel), colMorsel, func(lo, hi int) ([]*Env, error) {
+		idx := batch.sel[lo:hi]
+		n := len(idx)
+		nodes := make([]Env, n*links)
+		out := make([]*Env, n)
+		for k := range out {
+			out[k] = &nodes[k*links]
+			*out[k] = Env{parent: env}
+		}
+		for ri, r := range reads {
+			vecs := batch.cols[r.qi]
+			width := len(vecs)
+			arena := make([]sqltypes.Value, n*width)
+			for _, c := range r.cols {
+				if c >= width {
+					continue // EvalExpr reports the out-of-range column
+				}
+				v := vecs[c].GatherVia(idx, batch.rowMap(r.qi))
+				for k := range idx {
+					arena[k*width+c] = v.Value(k)
+				}
+			}
+			for k := range out {
+				row := storage.Row(arena[k*width : (k+1)*width : (k+1)*width])
+				if ri == 0 {
+					out[k].q, out[k].row = batch.quants[r.qi], row
+					continue
+				}
+				node := &nodes[k*links+ri]
+				*node = Env{parent: out[k], q: batch.quants[r.qi], row: row}
+				out[k] = node
+			}
+		}
+		return out, nil
+	})
+	return concat(chunks), err
 }
 
 // colPairs is one chunk's join output: parallel arrays of probe-side

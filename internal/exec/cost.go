@@ -80,14 +80,17 @@ func (ex *Exec) FanOut(g *qgm.Graph) int {
 // range over three such printouts on the 2.1 GHz reference VM, and
 // EXPERIMENTS.md "§7 plan choice" reproduces them). The choices pinned in
 // internal/engine/auto_test.go hold for any rowPathFactor in 4–5 and any
-// boxStartup in 75–200: the constants set the scale of an estimate, the
-// cardinalities decide a race.
+// boxStartup in 30–200 (at 15, Query2 and Query3 at SF=1 flip to
+// NIBatch): the constants set the scale of an estimate, the cardinalities
+// decide a race.
 const (
 	// rowPathFactor is how much more one row operation costs in the row
 	// interpreter than in the vectorized engine: a select box the columnar
-	// engine declines (selectPlan.col false — it owns a subquery or lateral
-	// quantifier, or an expression colExprOK rejects) pays it on its own
-	// scan, join and projection terms.
+	// engine declines (selectPlan.col false — RowMode, a synthetic table or
+	// an expression colExprOK rejects; see colSelectable) pays it on its
+	// own scan, join and projection terms. A box that owns a subquery,
+	// scalar or lateral quantifier no longer pays it: its outer joins run
+	// columnar and only the nested step goes through the row binders.
 	//
 	// Measured on the four decorrelated plans, every box of which is
 	// columnar-eligible, with Engine.RowMode on ÷ off: Query1 4.7 ms / 0.47
@@ -107,12 +110,20 @@ const (
 	// Measured as nested iteration's time beyond its outer block and
 	// beyond the rows it touches, per box evaluation: Query1b under NI
 	// re-enters its 2-box subquery 6567 times — (88–92 ms, less 27–36 ms
-	// for the outer block alone in RowMode, less 80 297 row operations) /
-	// 13 134 evaluations = 3.7–4.3 us; Query2 its 3-box subquery 210
-	// times — (5.4–7.1 ms less 1.3–1.5 ms less 7889 row operations) / 632 =
+	// for the outer block alone, less 80 297 row operations) / 13 134
+	// evaluations = 3.7–4.3 us; Query2 its 3-box subquery 210 times —
+	// (5.4–7.1 ms less 1.3–1.5 ms less 7889 row operations) / 632 =
 	// 5.2–8.1 us. One columnar row operation is 75–99 ns (the four
 	// decorrelated plans: 25–33 ms for 334 959 row operations), so a box
 	// evaluation is worth 37–58 of them on Query1b and 53–108 on Query2.
+	// The outer block subtracted there ran on the row path, as nested
+	// iteration's outer block then did. It runs columnar now, and so does
+	// the calibration's subtrahend; two printouts re-derive Query1b
+	// (43–49 ms less 3.6–5.4 ms less 80 297 row operations) / 13 134 =
+	// 2.4–3.0 us, or 29–37 row operations of 80–82 ns, and Query2
+	// (2.4–2.9 ms less 1.1–1.5 ms less 7889) / 632 = 1.1–1.2 us, or 13–15.
+	// The constant stays at 100, inside the range the pinned choices hold
+	// for; ROADMAP item 15 calibrates it against the executor's unit.
 	boxStartup = 100.0
 )
 

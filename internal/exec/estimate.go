@@ -118,17 +118,15 @@ func (ex *Exec) estColNDV(e qgm.Expr) float64 {
 	return math.Inf(1)
 }
 
-// estNDV estimates the number of distinct values of an expression; exact
-// for base-table column references, a root heuristic otherwise.
+// estNDV estimates the number of distinct values of an expression: a
+// column reference traced to its base table (estColNDV), else a tenth of
+// its box's rows; a root heuristic for anything else.
 func (ex *Exec) estNDV(e qgm.Expr) float64 {
 	if r, ok := e.(*qgm.ColRef); ok {
-		in := r.Q.Input
-		if in.Kind == qgm.BoxBase {
-			if t := ex.db.Table(in.Table.Name); t != nil {
-				return math.Max(1, float64(t.NDV(r.Col)))
-			}
+		if n := ex.estColNDV(r); !math.IsInf(n, 1) {
+			return n
 		}
-		return math.Max(1, ex.estBoxRows(in)/defaultNDVRatio)
+		return math.Max(1, ex.estBoxRows(r.Q.Input)/defaultNDVRatio)
 	}
 	return defaultNDVRatio
 }

@@ -34,7 +34,10 @@ type selectPlan struct {
 	sibs  map[*qgm.Quantifier]map[*qgm.Quantifier]bool
 	order []*qgm.Quantifier
 	selWalk
-	col bool // the columnar engine can evaluate the box (colSelectable)
+	// col: the columnar engine evaluates the box; rowWhy says why not
+	// (colSelectable's reason, "" when col).
+	col    bool
+	rowWhy string
 }
 
 // selWalk is the predicate-consumption walk over a plan's order: the
@@ -184,7 +187,8 @@ func (ex *Exec) JoinOrder(b *qgm.Box) []*qgm.Quantifier {
 func (ex *Exec) buildSelectPlan(b *qgm.Box) *selectPlan {
 	p := ex.orderSelect(b)
 	p.selWalk = ex.walkPlan(b, p, nil)
-	p.col = ex.colOK && ex.colSelectable(b, p)
+	p.rowWhy = ex.colSelectable(b)
+	p.col = p.rowWhy == ""
 	return p
 }
 

@@ -117,7 +117,8 @@ func boxSpanName(b *qgm.Box) string {
 // timed EXPLAIN ANALYZE view. Correlated subquery boxes show one eval per
 // binding; the §5.1 CSE-recomputation behavior shows up as eval counts
 // above one on shared boxes; time is cumulative wall-clock (inclusive of
-// input evaluation).
+// input evaluation). A select box ends with the engine its plan runs on:
+// col, or row(<reason>) with colSelectable's reason.
 func (ex *Exec) FormatProfile(g *qgm.Graph) string {
 	var sb strings.Builder
 	for _, b := range qgm.Boxes(g.Root) {
@@ -126,8 +127,16 @@ func (ex *Exec) FormatProfile(g *qgm.Graph) string {
 		if tag != "" {
 			tag = " [" + tag + "]"
 		}
-		fmt.Fprintf(&sb, "Box %d: %s%s  evals=%d rows=%d time=%s\n",
+		fmt.Fprintf(&sb, "Box %d: %s%s  evals=%d rows=%d time=%s",
 			b.ID, b.Kind, tag, p.Evals, p.RowsOut, p.Elapsed().Round(time.Microsecond))
+		if plan := ex.plans[b]; plan != nil {
+			if plan.col {
+				sb.WriteString(" col")
+			} else {
+				fmt.Fprintf(&sb, " row(%s)", plan.rowWhy)
+			}
+		}
+		sb.WriteString("\n")
 	}
 	return sb.String()
 }

@@ -35,7 +35,11 @@ func (ex *Exec) evalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 // lookups and hash joins where predicates permit, and re-evaluates
 // correlated subquery inputs per outer tuple (nested iteration). The
 // result is the fully bound, fully filtered tuple stream awaiting
-// projection.
+// projection. It is the row engine's phase 1: a box the vectorized engine
+// plans (colSelectable) runs colSelectBatch instead, whose scalar,
+// existential/universal and lateral steps call the same binders below
+// (bindScalar, bindSubqueryCheck, bindLateral) over one Env per live
+// tuple. The batched subquery path's stripped root always comes here.
 func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
 	return ex.selectTuplesSkip(b, env, nil)
 }

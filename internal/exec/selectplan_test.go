@@ -18,7 +18,7 @@ import (
 func (p *selectPlan) snapshot() *selectPlan {
 	preds := func(ps []*selPred) []*selPred { return append([]*selPred(nil), ps...) }
 	exprs := func(es []qgm.Expr) []qgm.Expr { return append([]qgm.Expr(nil), es...) }
-	c := &selectPlan{err: p.err, col: p.col,
+	c := &selectPlan{err: p.err, col: p.col, rowWhy: p.rowWhy,
 		order: append([]*qgm.Quantifier(nil), p.order...),
 		preds: make([]*selPred, 0, len(p.preds)),
 		sibs:  map[*qgm.Quantifier]map[*qgm.Quantifier]bool{}}

@@ -298,20 +298,19 @@ func (b *Box) ForEachQuants() []*Quantifier {
 // Boxes returns every box reachable from root (root first, then inputs,
 // depth-first, each box once even when shared).
 func Boxes(root *Box) []*Box {
-	var out []*Box
-	seen := map[*Box]bool{}
-	var walk func(*Box)
-	walk = func(b *Box) {
-		if b == nil || seen[b] {
-			return
-		}
-		seen[b] = true
-		out = append(out, b)
-		for _, q := range b.Quants {
-			walk(q.Input)
-		}
+	return appendBoxes(make([]*Box, 0, 16), root)
+}
+
+// appendBoxes is Boxes' walk. A graph holds tens of boxes, so scanning the
+// output for a shared box is cheaper than allocating a visited set per call.
+func appendBoxes(out []*Box, b *Box) []*Box {
+	if b == nil || slices.Contains(out, b) {
+		return out
 	}
-	walk(root)
+	out = append(out, b)
+	for _, q := range b.Quants {
+		out = appendBoxes(out, q.Input)
+	}
 	return out
 }
 
