@@ -18,7 +18,7 @@ import (
 // Core query-processing types.
 type (
 	// DB is an in-memory database: a catalog plus stored tables with
-	// optional hash indexes.
+	// optional per-column indexes.
 	DB = storage.DB
 	// Row is one result or stored tuple.
 	Row = storage.Row

@@ -226,8 +226,9 @@ var deleted = []struct {
 	{"internal/exec", []string{
 		"colEnabled", "colInputVecs", "cseVecEntry", "groupByPartials", "mergeableAggs",
 		"identitySel", "hasIndexPath", "depsAllBound", "ownDeps", "lateQuant",
-		"colPlanned", "estQuantGrowth", "ReuseMemo",
+		"colPlanned", "estQuantGrowth", "ReuseMemo", "intKeyOf",
 	}},
+	{"internal/storage", []string{"LookupBuf", "add"}},
 	{"internal/qgm", []string{"RewriteSubtree", "Parents", "SubqueryQuants", "equiSides"}},
 	{"internal/core", []string{"decorrelator", "orderOf"}},
 	{"internal/engine", []string{"NIMemo", "prepareRow", "prepareStages", "prepareStagesGuarded", "queryText"}},

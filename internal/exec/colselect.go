@@ -565,24 +565,6 @@ func hashInt64(x int64) uint64 {
 	return h
 }
 
-// intKeyOf converts a probe value into the typed integer key space — the
-// same exact conversion an integer index applies to a float probe.
-// ok=false means the value can never equal an integer key.
-func intKeyOf(v sqltypes.Value) (int64, bool) {
-	switch v.K {
-	case sqltypes.KindInt:
-		return v.I, true
-	case sqltypes.KindFloat:
-		f := v.F
-		if f >= -9223372036854775808 && f < 9223372036854775808 {
-			if i := int64(f); float64(i) == f {
-				return i, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // colBuildHash evaluates the build-side key columns chunk-parallel and
 // fills the table sequentially in build-row order (the row path's exact
 // structure: parallel key evaluation, deterministic sequential fill).
@@ -701,7 +683,7 @@ func (ex *Exec) colProbeHash(ht *colHashTable, exprs []qgm.Expr, nullSafe []bool
 				if ck.null[k] {
 					continue
 				}
-				key, ok := intKeyOf(ck.vecs[0].Value(k))
+				key, ok := sqltypes.IntKey(ck.vecs[0].Value(k))
 				if !ok {
 					continue // can never equal an integer build key
 				}
@@ -738,10 +720,9 @@ func (ex *Exec) colProbeHash(ht *colHashTable, exprs []qgm.Expr, nullSafe []bool
 }
 
 // colIndexBind is the vectorized indexBind: per probe row the table's
-// hash index supplies candidate ids, then the locally applicable
-// predicates filter the joined batch. The row path reads indexed rows
-// directly (no Scan), so there is no scan fault point or RowsScanned bump
-// here either.
+// index supplies candidate ids, then the locally applicable predicates
+// filter the joined batch. The row path reads indexed rows directly (no
+// Scan), so there is no scan fault point or RowsScanned bump here either.
 func (ex *Exec) colIndexBind(s *Step, batch *colBatch, env *Env) (*colBatch, error) {
 	q, tbl, col := s.Q, s.index, s.col
 	intIdx := tbl.IntIndex(col)
@@ -753,30 +734,30 @@ func (ex *Exec) colIndexBind(s *Step, batch *colBatch, env *Env) (*colBatch, err
 		}
 		if intIdx != nil && v.K == sqltypes.KindInt && v.Mixed == nil {
 			// Typed probe: int64 keys straight from the column vector into
-			// the index's integer map — no per-row boxing or key encoding.
-			// Probe twice: a counting pass sizes the pair arrays exactly
-			// (index fan-out can exceed the chunk size, and append-doubling
-			// on the output pair lists is pure waste), then a fill pass.
-			// The duplicate map accesses are cheaper than the GC pressure of
-			// remembering the per-probe hit slices.
+			// the index's integer resolver — no per-row boxing or key
+			// encoding. A run's length is offset arithmetic, so a counting
+			// pass sizes the pair arrays exactly (index fan-out can exceed
+			// the chunk size), and the fill pass copies each run.
 			total := 0
 			for k, key := range v.Ints {
 				if !v.IsNull(k) {
-					total += len(intIdx[key])
+					total += len(intIdx.Lookup(key))
 				}
 			}
 			p := colPairs{
-				tuple: make([]int32, 0, total),
-				row:   make([]int32, 0, total),
+				tuple: make([]int32, total),
+				row:   make([]int32, total),
 			}
+			n := 0
 			for k, key := range v.Ints {
 				if v.IsNull(k) {
 					continue
 				}
-				for _, id := range intIdx[key] {
-					p.tuple = append(p.tuple, idx[k])
-					p.row = append(p.row, int32(id))
+				m := n + copy(p.row[n:], intIdx.Lookup(key))
+				for j := n; j < m; j++ {
+					p.tuple[j] = idx[k]
 				}
+				n = m
 			}
 			bump(&ex.Stats.IndexLookups, int64(len(idx)))
 			return p, nil
@@ -785,20 +766,17 @@ func (ex *Exec) colIndexBind(s *Step, batch *colBatch, env *Env) (*colBatch, err
 			tuple: make([]int32, 0, hi-lo),
 			row:   make([]int32, 0, hi-lo),
 		}
-		var buf []byte
 		looked := 0
 		for k := range idx {
-			var ids []int
-			var ok bool
-			ids, buf, ok = tbl.LookupBuf(col, v.Value(k), buf)
+			ids, ok := tbl.Lookup(col, v.Value(k))
 			if !ok {
 				bump(&ex.Stats.IndexLookups, int64(looked))
 				return colPairs{}, fmt.Errorf("exec: index on %s.%d vanished mid-plan", tbl.Def.Name, col)
 			}
 			looked++
-			for _, id := range ids {
+			p.row = append(p.row, ids...)
+			for range ids {
 				p.tuple = append(p.tuple, idx[k])
-				p.row = append(p.row, int32(id))
 			}
 		}
 		// One atomic add per chunk, same total as the row path's per-lookup

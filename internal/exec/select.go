@@ -304,7 +304,7 @@ func (ex *Exec) filterLocal(q *qgm.Quantifier, local []*selPred, rows []storage.
 }
 
 // indexBind performs an index (nested-loop) join: for each tuple, probe the
-// base table's hash index, then filter by the step's remaining predicates.
+// base table's index, then filter by the step's remaining predicates.
 func (ex *Exec) indexBind(s *Step, tuples []*Env) ([]*Env, error) {
 	q, tbl := s.Q, s.index
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {

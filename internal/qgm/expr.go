@@ -188,7 +188,7 @@ func NewNullEq(l, r Expr) Expr {
 // one that files a NULL component as a value. A caller that cannot honour
 // that treats a nullSafe split as no key. Every "is this predicate a join
 // key" question in the repository is this function plus the caller's two
-// side tests (make join-guard).
+// side tests (the join/split-eq row of internal/archtest).
 func SplitEq(p Expr, a, b func(Expr) bool) (aSide, bSide Expr, nullSafe, ok bool) {
 	l, r, nullSafe, isEq := eqOperands(p)
 	if !isEq {

@@ -423,6 +423,27 @@ func appendFloatKey(dst []byte, f float64) []byte {
 	return dst
 }
 
+// IntKey converts v into the integer key space: an integer is itself, and
+// a float is the integer it equals exactly (-0.0 is 0; fractions, NaN, ±Inf
+// and values outside int64 have none). ok=false means v can never equal an
+// integer key — NULL, strings and booleans included. It agrees with
+// AppendKey: for an integer k, IntKey(v) = (k, true) iff v and NewInt(k)
+// encode identically.
+func IntKey(v Value) (k int64, ok bool) {
+	switch v.K {
+	case KindInt:
+		return v.I, true
+	case KindFloat:
+		f := v.F
+		if f >= -9223372036854775808 && f < 9223372036854775808 {
+			if i := int64(f); float64(i) == f {
+				return i, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Key returns the canonical encoding of a tuple of values, suitable as a
 // map key for hash joins, grouping, and DISTINCT.
 func Key(vs []Value) string {

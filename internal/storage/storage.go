@@ -1,13 +1,21 @@
-// Package storage implements the in-memory row store with hash indexes.
-// It stands in for Starburst's storage layer: the execution engine reads
-// tables through scans and (when present) per-column hash indexes, and the
+// Package storage implements the in-memory row store with per-column
+// indexes. It stands in for Starburst's storage layer: the execution
+// engine reads tables through scans and (when present) indexes, and the
 // benchmark harness drops indexes to reproduce the paper's Figure 7
 // experiment ("we dropped the index ... thereby increasing the work
 // performed in each correlated invocation").
+//
+// An index is built once from a table's rows as pointer-free CSR
+// (compressed sparse row) arrays: the row ids grouped by key, and each
+// key's run bounds. An integer key finds its run by direct addressing or
+// binary search, any other key through one map entry per distinct key;
+// a probe returns a view of the run and allocates nothing.
 package storage
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -32,7 +40,7 @@ func (r Row) Clone() Row {
 // return rows they will not mutate afterwards.
 type RowSource func() []Row
 
-// Table is the stored form of a relation: a row slice plus optional hash
+// Table is the stored form of a relation: a row slice plus optional
 // indexes keyed by a single column ordinal. A table created with
 // CreateSynthetic has no stored rows; every scan invokes its RowSource
 // instead (the engine's sys.* catalog tables are such relations).
@@ -40,7 +48,7 @@ type Table struct {
 	Def     *schema.Table
 	Rows    []Row
 	src     RowSource
-	indexes map[int]*index
+	indexes []*index // by column ordinal; nil where a column has none
 
 	// statMu guards the lazily built optimizer statistics below. The
 	// estimator runs on the execution path, so parallel query workers can
@@ -122,7 +130,7 @@ func (t *Table) NDV(col int) int {
 
 // NewTable creates an empty stored table for a definition.
 func NewTable(def *schema.Table) *Table {
-	return &Table{Def: def, indexes: map[int]*index{}}
+	return &Table{Def: def, indexes: make([]*index, len(def.Columns))}
 }
 
 // Synthetic reports whether the table's rows come from a RowSource.
@@ -138,10 +146,17 @@ func (t *Table) Insert(r Row) error {
 		return fmt.Errorf("storage: row arity %d does not match table %q arity %d",
 			len(r), t.Def.Name, len(t.Def.Columns))
 	}
-	id := len(t.Rows)
+	if len(t.Rows) >= maxIndexRows && slices.ContainsFunc(t.indexes, func(x *index) bool { return x != nil }) {
+		return fmt.Errorf("storage: indexed table %q is full (%d rows)", t.Def.Name, len(t.Rows))
+	}
 	t.Rows = append(t.Rows, r)
-	for col, idx := range t.indexes {
-		idx.add(r[col], id)
+	// An index is built once from the rows, so an insert into an indexed
+	// table rebuilds its indexes. Tables are loaded before they are
+	// indexed, so loads never pay for this.
+	for c, x := range t.indexes {
+		if x != nil {
+			t.indexes[c] = buildIndex(t.Rows, c)
+		}
 	}
 	return nil
 }
@@ -150,32 +165,146 @@ func keyOf(v sqltypes.Value) string {
 	return string(sqltypes.AppendKey(nil, v))
 }
 
-// index is a per-column hash index. byKey maps the canonical key encoding
-// to row ids and answers every boxed probe. byInt is a typed fast path
-// maintained while every non-NULL key in the column is an integer — the
-// common case for join columns — letting the vectorized executor probe
-// with an int64 instead of encoding a key per row. It is abandoned (set
-// to nil) the first time a non-integer key is inserted.
+// index is one column's index in CSR (compressed sparse row) form: the
+// ids of the rows whose key falls in run r are ids[off[r]:off[r+1]],
+// ascending. Both arrays are pointer-free, so the collector never scans
+// them. A key resolves to its run in one of three ways, chosen when the
+// index is built:
+//   - dense (keys and runOf nil): every non-NULL key is an integer and
+//     the key span is below twice the row count; key k is run k-base;
+//   - sparse (keys set): every non-NULL key is an integer; key keys[r] is
+//     run r, found by binary search;
+//   - encoded (runOf set): otherwise; runOf maps a key's
+//     sqltypes.AppendKey encoding to its run, one entry per distinct key.
+//
+// NULL keys belong to no run: SQL equality with NULL is never true.
 type index struct {
-	byKey map[string][]int
-	byInt map[int64][]int
+	ids   []int32
+	off   []int32
+	base  int64
+	keys  []int64
+	runOf map[string]int32
 }
 
-func (idx *index) add(v sqltypes.Value, id int) {
-	k := keyOf(v)
-	idx.byKey[k] = append(idx.byKey[k], id)
-	if idx.byInt == nil {
-		return
+// maxIndexRows bounds an indexed table: row ids are int32.
+const maxIndexRows = math.MaxInt32
+
+// buildIndex indexes column c of rows.
+func buildIndex(rows []Row, c int) *index {
+	x := &index{}
+	ints, n := true, 0
+	var lo, hi int64
+	for _, r := range rows {
+		switch v := r[c]; v.K {
+		case sqltypes.KindNull:
+		case sqltypes.KindInt:
+			if n == 0 || v.I < lo {
+				lo = v.I
+			}
+			if n == 0 || v.I > hi {
+				hi = v.I
+			}
+			n++
+		default:
+			ints = false
+		}
 	}
-	switch v.K {
-	case sqltypes.KindInt:
-		idx.byInt[v.I] = append(idx.byInt[v.I], id)
-	case sqltypes.KindNull:
-		// NULL keys never match a probe (SQL equality), so they do not
-		// invalidate the typed path.
+	runs := 0
+	switch {
+	case !ints:
+		x.runOf = map[string]int32{}
+		var buf []byte
+		for _, r := range rows {
+			if r[c].IsNull() {
+				continue
+			}
+			buf = sqltypes.AppendKey(buf[:0], r[c])
+			if _, ok := x.runOf[string(buf)]; !ok {
+				x.runOf[string(buf)] = int32(len(x.runOf))
+			}
+		}
+		runs = len(x.runOf)
+	case n == 0:
+	case uint64(hi)-uint64(lo) < 2*uint64(len(rows)):
+		x.base, runs = lo, int(uint64(hi)-uint64(lo))+1
 	default:
-		idx.byInt = nil
+		x.keys = make([]int64, 0, n)
+		for _, r := range rows {
+			if r[c].K == sqltypes.KindInt {
+				x.keys = append(x.keys, r[c].I)
+			}
+		}
+		slices.Sort(x.keys)
+		x.keys = slices.Clip(slices.Compact(x.keys))
+		runs = len(x.keys)
 	}
+	// Count each run into off[r+1] and prefix-sum, so off[r] is where run
+	// r starts; placing ids in row order bumps off[r] to where it ends,
+	// and shifting off right by one restores the starts.
+	x.off = make([]int32, runs+1)
+	for _, r := range rows {
+		if run := x.find(r[c]); run >= 0 {
+			x.off[run+1]++
+		}
+	}
+	for r := 1; r <= runs; r++ {
+		x.off[r] += x.off[r-1]
+	}
+	x.ids = make([]int32, x.off[runs])
+	for id, r := range rows {
+		if run := x.find(r[c]); run >= 0 {
+			x.ids[x.off[run]] = int32(id)
+			x.off[run]++
+		}
+	}
+	copy(x.off[1:], x.off[:runs])
+	x.off[0] = 0
+	return x
+}
+
+// find returns the run of v, or -1 when no row's key equals v. It
+// allocates nothing unless v is a string whose key encoding outgrows the
+// stack buffer.
+func (x *index) find(v sqltypes.Value) int {
+	if x.runOf == nil {
+		if k, ok := sqltypes.IntKey(v); ok {
+			return x.findInt(k)
+		}
+		return -1
+	}
+	if v.IsNull() {
+		return -1
+	}
+	var buf [64]byte
+	if r, ok := x.runOf[string(sqltypes.AppendKey(buf[:0], v))]; ok {
+		return int(r)
+	}
+	return -1
+}
+
+// findInt is find for an integer key on a dense or sparse index.
+func (x *index) findInt(k int64) int {
+	if x.keys != nil {
+		if r, ok := slices.BinarySearch(x.keys, k); ok {
+			return r
+		}
+		return -1
+	}
+	// k-base wraps for keys below base, landing far above the last run.
+	if d := uint64(k - x.base); d < uint64(len(x.off)-1) {
+		return int(d)
+	}
+	return -1
+}
+
+// run returns run r's ids (none for r < 0), capped so that a caller's
+// append cannot write into the next run.
+func (x *index) run(r int) []int32 {
+	if r < 0 {
+		return nil
+	}
+	lo, hi := x.off[r], x.off[r+1]
+	return x.ids[lo:hi:hi]
 }
 
 // Scan returns the table's full row slice. It is the executor's only
@@ -195,7 +324,7 @@ func (t *Table) Scan() ([]Row, error) {
 	return t.Rows, nil
 }
 
-// CreateIndex builds a hash index on the named column. Creating an index
+// CreateIndex builds an index on the named column. Creating an index
 // that already exists is a no-op. Synthetic tables cannot be indexed:
 // their rows change on every scan, so a built index would silently serve
 // stale row ids.
@@ -207,98 +336,75 @@ func (t *Table) CreateIndex(col string) error {
 	if c < 0 {
 		return fmt.Errorf("storage: no column %q in table %q", col, t.Def.Name)
 	}
-	if _, ok := t.indexes[c]; ok {
+	if t.indexes[c] != nil {
 		return nil
 	}
-	idx := &index{
-		byKey: make(map[string][]int, len(t.Rows)),
-		byInt: make(map[int64][]int, len(t.Rows)),
+	if len(t.Rows) > maxIndexRows {
+		return fmt.Errorf("storage: table %q has %d rows, too many to index", t.Def.Name, len(t.Rows))
 	}
-	for id, r := range t.Rows {
-		idx.add(r[c], id)
-	}
-	t.indexes[c] = idx
+	t.indexes[c] = buildIndex(t.Rows, c)
 	return nil
 }
 
-// DropIndex removes the hash index on the named column if present.
+// DropIndex removes the index on the named column if present.
 func (t *Table) DropIndex(col string) error {
 	c := t.Def.ColIndex(col)
 	if c < 0 {
 		return fmt.Errorf("storage: no column %q in table %q", col, t.Def.Name)
 	}
-	delete(t.indexes, c)
+	if c < len(t.indexes) {
+		t.indexes[c] = nil
+	}
 	return nil
 }
 
-// HasIndex reports whether a hash index exists on the column ordinal.
+// HasIndex reports whether an index exists on the column ordinal.
 func (t *Table) HasIndex(col int) bool {
-	_, ok := t.indexes[col]
-	return ok
+	return t.indexOn(col) != nil
 }
 
-// Lookup returns the row ids whose column equals v, using the index.
-// It returns ok=false when no index exists on the column. A NULL probe
-// returns no rows (SQL equality with NULL is never true).
-func (t *Table) Lookup(col int, v sqltypes.Value) (ids []int, ok bool) {
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	if v.IsNull() {
-		return nil, true
-	}
-	return idx.byKey[keyOf(v)], true
-}
-
-// IntIndex returns the typed integer probe map of the column's index, or
-// nil when the column is unindexed or holds non-integer keys. The map is
-// shared live state: callers may only read it. The vectorized executor
-// probes it directly from typed int64 vectors, skipping per-row key
-// encoding entirely.
-func (t *Table) IntIndex(col int) map[int64][]int {
-	idx, ok := t.indexes[col]
-	if !ok {
+func (t *Table) indexOn(col int) *index {
+	if col < 0 || col >= len(t.indexes) {
 		return nil
 	}
-	return idx.byInt
+	return t.indexes[col]
 }
 
-// LookupBuf is Lookup with a caller-owned scratch buffer for the key
-// encoding: probe loops pass the returned buffer back in, so the per-probe
-// key string allocation disappears (the map access via string(buf) does
-// not allocate).
-func (t *Table) LookupBuf(col int, v sqltypes.Value, buf []byte) (ids []int, out []byte, ok bool) {
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, buf, false
+// Lookup returns the ids of the rows whose column equals v, ascending,
+// using the index. It returns ok=false when no index exists on the
+// column. A NULL probe returns no rows (SQL equality with NULL is never
+// true); a float probe of an integer column matches the integer it equals
+// exactly. The ids are a view into the index: callers may only read them.
+// Lookup allocates nothing unless v is a string whose key encoding
+// outgrows a small stack buffer.
+func (t *Table) Lookup(col int, v sqltypes.Value) (ids []int32, ok bool) {
+	x := t.indexOn(col)
+	if x == nil {
+		return nil, false
 	}
-	if v.IsNull() {
-		return nil, buf, true
+	return x.run(x.find(v)), true
+}
+
+// IntIndex is an index whose non-NULL keys are all integers, probed by
+// its integer resolver. It shares the index's arrays: callers may only
+// read what Lookup returns.
+type IntIndex index
+
+// Lookup returns the ids of the rows whose key is k, ascending.
+func (x *IntIndex) Lookup(k int64) []int32 {
+	return (*index)(x).run((*index)(x).findInt(k))
+}
+
+// IntIndex returns the column's index when every non-NULL key in it is an
+// integer, or nil when the column is unindexed or holds other keys. The
+// vectorized executor probes it directly from typed int64 vectors,
+// without boxing or encoding a key per row.
+func (t *Table) IntIndex(col int) *IntIndex {
+	x := t.indexOn(col)
+	if x == nil || x.runOf != nil {
+		return nil
 	}
-	if idx.byInt != nil {
-		switch v.K {
-		case sqltypes.KindInt:
-			return idx.byInt[v.I], buf, true
-		case sqltypes.KindFloat:
-			// A float probe can only equal an integer key when it converts
-			// to int64 exactly (the key encoding routes such integers
-			// through the float representation, so equality is exact
-			// numeric equality; -0.0 normalizes to 0).
-			f := v.F
-			if f >= -9223372036854775808 && f < 9223372036854775808 {
-				if i := int64(f); float64(i) == f {
-					return idx.byInt[i], buf, true
-				}
-			}
-			return nil, buf, true
-		default:
-			// Strings and booleans never compare equal to integer keys.
-			return nil, buf, true
-		}
-	}
-	buf = sqltypes.AppendKey(buf[:0], v)
-	return idx.byKey[string(buf)], buf, true
+	return (*IntIndex)(x)
 }
 
 // DB is a database instance: a catalog plus stored tables.
@@ -327,7 +433,7 @@ func (db *DB) Create(def *schema.Table) *Table {
 // its sys.* introspection tables through this.
 func (db *DB) CreateSynthetic(def *schema.Table, src RowSource) *Table {
 	db.Catalog.Add(def)
-	t := &Table{Def: def, src: src, indexes: map[int]*index{}}
+	t := &Table{Def: def, src: src}
 	db.tables[strings.ToLower(def.Name)] = t
 	return t
 }

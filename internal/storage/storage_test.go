@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,48 +76,164 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 }
 
-// Property: for random data, Lookup agrees with a linear scan.
+// Property: for random columns of every index form, Lookup agrees with a
+// linear scan, ids ascending. Some rows are inserted after CreateIndex, and
+// the probes cover every key present, absent keys, NULL, cross-kind values
+// and the float probes of an integer key: exact, fractional, -0.0, NaN,
+// ±Inf and ±2^63.
 func TestQuickLookupMatchesScan(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		def := schema.NewTable("q", schema.Column{Name: "k", Type: schema.TInt})
-		tb := NewTable(def)
-		n := r.Intn(50)
-		for i := 0; i < n; i++ {
-			v := sqltypes.NewInt(int64(r.Intn(8)))
-			if r.Intn(10) == 0 {
-				v = sqltypes.Null
+	twoTo63 := math.Ldexp(1, 63)
+	gens := []struct {
+		name string
+		key  func(r *rand.Rand) sqltypes.Value
+	}{
+		{"dense", func(r *rand.Rand) sqltypes.Value { return sqltypes.NewInt(int64(r.Intn(8)) - 3) }},
+		{"sparse", func(r *rand.Rand) sqltypes.Value {
+			edge := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, -1 << 40, 1 << 53, 1<<53 + 1}
+			if r.Intn(2) == 0 {
+				return sqltypes.NewInt(edge[r.Intn(len(edge))])
 			}
-			if err := tb.Insert(Row{v}); err != nil {
-				return false
+			return sqltypes.NewInt(r.Int63n(1<<20) - 1<<19)
+		}},
+		{"string", func(r *rand.Rand) sqltypes.Value { return sqltypes.NewString(string(rune('a' + r.Intn(6)))) }},
+		{"mixed", func(r *rand.Rand) sqltypes.Value {
+			k := int64(r.Intn(6))
+			switch r.Intn(3) {
+			case 0:
+				return sqltypes.NewFloat(float64(k)) // one key with NewInt(k)
+			case 1:
+				return sqltypes.NewFloat(float64(k) + 0.5)
 			}
-		}
-		if err := tb.CreateIndex("k"); err != nil {
-			return false
-		}
-		probe := sqltypes.NewInt(int64(r.Intn(8)))
-		ids, ok := tb.Lookup(0, probe)
-		if !ok {
-			return false
-		}
-		var want []int
-		for i, row := range tb.Rows {
-			if sqltypes.Identical(row[0], probe) {
-				want = append(want, i)
-			}
-		}
-		if len(ids) != len(want) {
-			return false
-		}
-		for i := range ids {
-			if ids[i] != want[i] {
-				return false
-			}
-		}
-		return true
+			return sqltypes.NewInt(k)
+		}},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	probesOf := func(tb *Table, r *rand.Rand, gen func(*rand.Rand) sqltypes.Value) []sqltypes.Value {
+		ps := []sqltypes.Value{
+			sqltypes.Null, sqltypes.NewString("a"), sqltypes.NewInt(0), sqltypes.NewBool(true),
+			sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewFloat(math.NaN()),
+			sqltypes.NewFloat(math.Inf(1)), sqltypes.NewFloat(math.Inf(-1)),
+			sqltypes.NewFloat(twoTo63), sqltypes.NewFloat(-twoTo63),
+			sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64),
+			gen(r), gen(r),
+		}
+		for _, row := range tb.Rows {
+			ps = append(ps, row[0])
+			if row[0].K == sqltypes.KindInt {
+				f := float64(row[0].I)
+				ps = append(ps, sqltypes.NewFloat(f), sqltypes.NewFloat(f+0.5), sqltypes.NewInt(row[0].I+1))
+			}
+		}
+		return ps
+	}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				tb := NewTable(schema.NewTable("q", schema.Column{Name: "k", Type: schema.TInt}))
+				n, late := r.Intn(60), r.Intn(4)
+				insert := func() {
+					v := g.key(r)
+					if r.Intn(10) == 0 {
+						v = sqltypes.Null
+					}
+					must(t, tb.Insert(Row{v}))
+				}
+				for i := 0; i < n; i++ {
+					insert()
+				}
+				must(t, tb.CreateIndex("k"))
+				for i := 0; i < late; i++ {
+					insert()
+				}
+				for _, probe := range probesOf(tb, r, g.key) {
+					ids, ok := tb.Lookup(0, probe)
+					if !ok {
+						t.Errorf("seed %d: no index", seed)
+						return false
+					}
+					var want []int32
+					for i, row := range tb.Rows {
+						if !probe.IsNull() && sqltypes.Identical(row[0], probe) {
+							want = append(want, int32(i))
+						}
+					}
+					if !slices.Equal(ids, want) {
+						t.Errorf("seed %d: Lookup(%v) = %v, scan %v", seed, probe, ids, want)
+						return false
+					}
+					if ii := tb.IntIndex(0); ii != nil {
+						if k, ok := sqltypes.IntKey(probe); ok && !slices.Equal(ii.Lookup(k), want) {
+							t.Errorf("seed %d: IntIndex.Lookup(%d) = %v, scan %v", seed, k, ii.Lookup(k), want)
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// The integer forms answer IntIndex; a column with any other key does not.
+func TestIntIndexForms(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		keys []sqltypes.Value
+		ints bool
+	}{
+		{"dense", []sqltypes.Value{sqltypes.NewInt(3), sqltypes.Null, sqltypes.NewInt(1)}, true},
+		{"sparse", []sqltypes.Value{sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64)}, true},
+		{"all NULL", []sqltypes.Value{sqltypes.Null}, true},
+		{"string", []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewString("1")}, false},
+		{"float", []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewFloat(1)}, false},
+	} {
+		tb := NewTable(schema.NewTable("q", schema.Column{Name: "k", Type: schema.TInt}))
+		for _, k := range c.keys {
+			must(t, tb.Insert(Row{k}))
+		}
+		if tb.IntIndex(0) != nil {
+			t.Errorf("%s: IntIndex before CreateIndex", c.name)
+		}
+		must(t, tb.CreateIndex("k"))
+		if got := tb.IntIndex(0) != nil; got != c.ints {
+			t.Errorf("%s: IntIndex present = %v, want %v", c.name, got, c.ints)
+		}
+	}
+}
+
+// A probe allocates nothing: the index hands out a view of its ids, and
+// an encoded key lives on the stack.
+func TestLookupAllocs(t *testing.T) {
+	ints := NewTable(schema.NewTable("i", schema.Column{Name: "k", Type: schema.TInt}))
+	strs := NewTable(schema.NewTable("s", schema.Column{Name: "k", Type: schema.TString}))
+	for i := 0; i < 100; i++ {
+		must(t, ints.Insert(Row{sqltypes.NewInt(int64(i % 10))}))
+		must(t, strs.Insert(Row{sqltypes.NewString(string(rune('a' + i%10)))}))
+	}
+	must(t, ints.CreateIndex("k"))
+	must(t, strs.CreateIndex("k"))
+	for _, c := range []struct {
+		name  string
+		tb    *Table
+		probe sqltypes.Value
+	}{
+		{"int", ints, sqltypes.NewInt(3)},
+		{"float on int", ints, sqltypes.NewFloat(3)},
+		{"string", strs, sqltypes.NewString("c")},
+	} {
+		var ids []int32
+		allocs := testing.AllocsPerRun(100, func() {
+			ids, _ = c.tb.Lookup(0, c.probe)
+		})
+		if len(ids) != 10 {
+			t.Errorf("%s: %d ids, want 10", c.name, len(ids))
+		}
+		if allocs != 0 {
+			t.Errorf("%s: Lookup allocates %v times per probe, want 0", c.name, allocs)
+		}
 	}
 }
 

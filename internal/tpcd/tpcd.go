@@ -200,7 +200,7 @@ func Generate(cfg Config) *storage.DB {
 	return db
 }
 
-// CreateAllIndexes builds the hash indexes the paper assumes ("indexes
+// CreateAllIndexes builds the indexes the paper assumes ("indexes
 // were available on all the necessary attributes").
 func CreateAllIndexes(db *storage.DB) {
 	for table, cols := range map[string][]string{
