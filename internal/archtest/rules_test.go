@@ -30,6 +30,8 @@ var rules = append([]rule{
 
 	// One select plan: buildSelectPlan (planorder.go) classifies a box's
 	// predicates once; evaluators and estimators read the memoized plan.
+	// One physical plan: NewPlan (plan.go) builds it once per prepared
+	// statement, and every execution and the cost model read it.
 	{
 		name:    "plan/one-classification",
 		files:   []string{execFiles},
@@ -65,6 +67,25 @@ var rules = append([]rule{
 		msg:     "a second predicate-consumption walk grew back beside walkPlan",
 		fixture: "internal/exec/select.go",
 		bad:     `func (p *selectPlan) takeLocal(st *selState) {}`,
+	},
+	{
+		name:    "plan/built-once",
+		files:   []string{execFiles},
+		match:   ref("buildSelectPlan", "computeVolatile", "colGroupable", "planBatchSite", "RefCounts"),
+		in:      []string{"internal/exec/plan.go:NewPlan", "internal/exec/batch_subquery.go:computeVolatile"},
+		min:     1,
+		max:     many,
+		msg:     "a plan decision is made outside NewPlan; an execution reads the Plan it was given",
+		fixture: "internal/exec/stream.go",
+		bad:     `func (it *RowIterator) replan(b *qgm.Box) { _ = it.ex.plan.buildSelectPlan(b) }`,
+	},
+	{
+		name:    "deleted/exec.DisableColumnar",
+		files:   []string{"..."},
+		match:   ident("DisableColumnar"),
+		msg:     "exec.Options.DisableColumnar grew back; the engine is NewPlan's rowMode, an input of the plan",
+		fixture: "internal/exec/exec.go",
+		bad:     `type Options struct{ DisableColumnar bool }`,
 	},
 	{
 		name:    "plan/correlated-map",
@@ -227,11 +248,13 @@ var deleted = []struct {
 		"colEnabled", "colInputVecs", "cseVecEntry", "groupByPartials", "mergeableAggs",
 		"identitySel", "hasIndexPath", "depsAllBound", "ownDeps", "lateQuant",
 		"colPlanned", "estQuantGrowth", "ReuseMemo", "intKeyOf",
+		"analyze", "planOf", "subtreeVolatile", "varyingQuants", "selectTuplesSkip",
+		"dedupRefs", "EstimateCostUnder",
 	}},
 	{"internal/storage", []string{"LookupBuf", "add"}},
 	{"internal/qgm", []string{"RewriteSubtree", "Parents", "SubqueryQuants", "equiSides"}},
 	{"internal/core", []string{"decorrelator", "orderOf"}},
-	{"internal/engine", []string{"NIMemo", "prepareRow", "prepareStages", "prepareStagesGuarded", "queryText"}},
+	{"internal/engine", []string{"NIMemo", "prepareRow", "prepareStages", "prepareStagesGuarded", "queryText", "planCost"}},
 	{"internal/server", []string{"strategyNames"}},
 	{".", []string{"NIMemo"}},
 }

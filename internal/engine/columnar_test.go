@@ -250,10 +250,9 @@ func TestColumnarNestedPlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q.name, s, err)
 			}
-			ex := exec.New(db, exec.Options{})
-			ex.EstimateCost(p.Graph) // plans every box
+			plan := exec.NewPlan(db, p.Graph, false)
 			for _, b := range qgm.Boxes(p.Graph.Root) {
-				if b.Kind == qgm.BoxSelect && !ex.Columnar(b) {
+				if b.Kind == qgm.BoxSelect && !plan.Columnar(b) {
 					t.Errorf("%s/%s: select box %d runs on the row path", q.name, s, b.ID)
 				}
 			}

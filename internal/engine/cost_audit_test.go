@@ -88,8 +88,7 @@ func TestCostAudit(t *testing.T) {
 			}
 			us, stats := timeRuns(t, p, 5)
 			// Estimate under the options the engine runs with, as Prepare does.
-			ex := exec.New(c.db, exec.Options{MaterializeCSE: e.MaterializeCSE})
-			ops, evals := ex.EstimateWork(p.Graph, r.reuse)
+			ops, evals := exec.NewPlan(c.db, p.Graph, e.RowMode).EstimateWork(r.reuse, e.MaterializeCSE)
 			opsRatio, evalsRatio := ops/float64(stats.Work()), evals/float64(stats.BoxEvals)
 			mark := ""
 			if auto.Chosen == r.s {

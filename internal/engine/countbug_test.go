@@ -173,12 +173,12 @@ func TestNullKeyCountBugDeterminism(t *testing.T) {
 // hashesNullSafe reports whether some join of g hashes on a null-safe key:
 // a select box's join step or a left outer join.
 func hashesNullSafe(db *storage.DB, g *qgm.Graph) bool {
-	ex := exec.New(db, exec.Options{})
+	plan := exec.NewPlan(db, g, false)
 	for _, b := range qgm.Boxes(g.Root) {
 		var flags []bool
 		switch b.Kind {
 		case qgm.BoxSelect:
-			for _, s := range ex.Steps(b) {
+			for _, s := range plan.Steps(b) {
 				flags = append(flags, s.NullSafe...)
 			}
 		case qgm.BoxLeftJoin:

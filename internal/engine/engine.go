@@ -61,8 +61,9 @@ type Engine struct {
 	// columnar engine even for plans it supports. Rows, statistics, and
 	// errors are identical either way; the knob exists for benchmarking
 	// the two engines against each other and for bisecting a suspected
-	// vectorization bug. Like Limits it is execution-time policy, read at
-	// each run and absent from the plan-cache key.
+	// vectorization bug. It is an input of the physical plan, which Auto
+	// prices and every execution of the statement runs, so it is read at
+	// prepare and is part of the plan-cache key.
 	RowMode bool
 	// Tracer, when non-nil, threads span/event tracing through the whole
 	// pipeline: parse, semant, every rewrite rule, decorrelation steps,
@@ -256,7 +257,13 @@ func (e *Engine) ExecParamsContext(ctx context.Context, sql string, s Strategy, 
 	return p.RunParamsContext(ctx, params)
 }
 
-// Prepared is a parsed, rewritten, validated query ready to run.
+// Prepared is a parsed, rewritten, validated query ready to run, with the
+// physical plan its EstimatedCost priced: every execution runs that plan
+// and builds only its own run state. The plan fixes each index probe, so
+// after index DDL (storage.Table.CreateIndex or DropIndex) on a table the
+// statement reads, prepare it afresh: an old plan whose probe index was
+// dropped fails with an "index … vanished mid-plan" error, and one
+// prepared before an index was created keeps running without it.
 type Prepared struct {
 	Graph    *qgm.Graph
 	Strategy Strategy
@@ -279,7 +286,10 @@ type Prepared struct {
 	// the AST's normalized rendering. The panic-isolation path attaches it
 	// to trace events so a recovered operator panic identifies the
 	// offending query.
-	Text   string
+	Text string
+	// plan is the physical plan EstimatedCost priced, built once at
+	// prepare and run by every execution.
+	plan   *exec.Plan
 	engine *Engine
 }
 
@@ -334,8 +344,7 @@ func (e *Engine) prepare(sql string, q ast.QueryExpr, s Strategy, traced bool) (
 	if s == Auto {
 		return e.prepareAuto(sql, g, traced)
 	}
-	p, _, err = e.prepareBack(sql, g, s, traced)
-	return p, err
+	return e.prepareBack(sql, g, s, traced)
 }
 
 // notePanic records one recovered panic: the engine.panics counter moves
@@ -388,13 +397,12 @@ func (e *Engine) prepareFront(q ast.QueryExpr) (*qgm.Graph, error) {
 
 // prepareBack is strategy s's half of the pipeline over g, a graph the
 // front half cleaned: the strategy rewrite, cleanup-post, magic sets and
-// validation. It prices the plan, and returns beside it the estimator with
-// its cardinality memo and select plans warm, for Auto to cost further
-// reuse policies on.
-func (e *Engine) prepareBack(text string, g *qgm.Graph, s Strategy, traced bool) (*Prepared, *exec.Exec, error) {
+// validation. It builds the physical plan and prices it, under one
+// plan-cost span; Auto prices the same plan under further reuse policies.
+func (e *Engine) prepareBack(text string, g *qgm.Graph, s Strategy, traced bool) (*Prepared, error) {
 	row := s.row()
 	if row == nil {
-		return nil, nil, fmt.Errorf("engine: unknown strategy %v", s)
+		return nil, fmt.Errorf("engine: unknown strategy %v", s)
 	}
 	p := &Prepared{Graph: g, Strategy: s, Chosen: s, NumParams: g.Params, Text: text, engine: e}
 	if traced {
@@ -410,36 +418,37 @@ func (e *Engine) prepareBack(text string, g *qgm.Graph, s Strategy, traced bool)
 		err := row.rewrite(e, p)
 		sp.End()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		histDecorrelate.Observe(time.Since(start).Nanoseconds())
 	}
 	if err := e.cleanup(g, "cleanup-post"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if e.MagicSets {
 		if err := core.ApplyMagicSets(g); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := e.cleanup(g, "cleanup-magicsets"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := qgm.Validate(g); err != nil {
-		return nil, nil, fmt.Errorf("engine: %s rewrite produced an invalid graph: %w", s, err)
+		return nil, fmt.Errorf("engine: %s rewrite produced an invalid graph: %w", s, err)
 	}
 	p.Columns = g.Root.OutNames()
-	ex := exec.New(e.DB, exec.Options{MaterializeCSE: e.MaterializeCSE})
-	p.EstimatedCost = e.planCost(ex, p, row)
-	return p, ex, nil
+	p.EstimatedCost = e.priced(row, func() float64 {
+		p.plan = exec.NewPlan(e.DB, g, e.RowMode)
+		return p.plan.EstimateCost(row.reuse, e.MaterializeCSE)
+	})
+	return p, nil
 }
 
-// planCost prices p's graph as row would execute it, under a plan-cost
-// span.
-func (e *Engine) planCost(ex *exec.Exec, p *Prepared, row *strategyRow) float64 {
+// priced runs one §7 pricing for row under a plan-cost span.
+func (e *Engine) priced(row *strategyRow, price func() float64) float64 {
 	sp := e.Tracer.Begin("plan-cost", "prepare", trace.Str("strategy", row.label))
 	defer sp.End()
-	return ex.EstimateCostUnder(p.Graph, row.reuse)
+	return price()
 }
 
 // cleanup runs the cleanup rule set under a named span; wall time records
@@ -464,9 +473,10 @@ func (e *Engine) cleanup(g *qgm.Graph, stage string) error {
 // each row finishes its own qgm.CloneGraph of it, which keeps every ID, so
 // a row's plan is the one it gets prepared alone. (The as-bound row needs
 // its copy too: magic sets may rewrite it.) Rows without a rewrite share
-// the first such row's finished graph and warm estimator, so a further row
+// the first such row's finished graph and physical plan, so a further row
 // is one more cost walk. What cannot differ is not raced: a graph with no
-// nested-iteration fan-out (exec.FanOut) runs as bound.
+// nested-iteration fan-out (exec.Plan.FanOut) runs as bound. The winner
+// keeps the plan it was priced with, and that plan runs.
 //
 // Ties go to the later row. Within the nested-iteration family the table
 // runs from least to most sharing, the batched estimate is the per-tuple
@@ -475,11 +485,9 @@ func (e *Engine) cleanup(g *qgm.Graph, stage string) error {
 // only do better than estimated.
 func (e *Engine) prepareAuto(text string, clean *qgm.Graph, traced bool) (*Prepared, error) {
 	var (
-		bound  *Prepared  // the as-bound pipeline
-		ex     *exec.Exec // its estimator
-		fanOut int        // its nested-iteration sites
-		alts   []Alternative
-		plans  []*Prepared // plans[i] runs alts[i]
+		bound *Prepared // the as-bound pipeline
+		alts  []Alternative
+		plans []*Prepared // plans[i] runs alts[i]
 	)
 	for i := range strategyTable {
 		row := &strategyTable[i]
@@ -487,17 +495,17 @@ func (e *Engine) prepareAuto(text string, clean *qgm.Graph, traced bool) (*Prepa
 		case !row.auto:
 		case bound == nil:
 			var err error
-			if bound, ex, err = e.prepareBack(text, qgm.CloneGraph(clean), row.id, false); err != nil {
+			if bound, err = e.prepareBack(text, qgm.CloneGraph(clean), row.id, false); err != nil {
 				return nil, err
 			}
-			fanOut = ex.FanOut(bound.Graph)
 			alts, plans = append(alts, Alternative{row.id, bound.EstimatedCost}), append(plans, bound)
-		case fanOut == 0:
+		case bound.plan.FanOut() == 0:
 			// Nothing to share and nothing to decorrelate.
 		case row.rewrite == nil:
-			alts, plans = append(alts, Alternative{row.id, e.planCost(ex, bound, row)}), append(plans, bound)
+			cost := e.priced(row, func() float64 { return bound.plan.EstimateCost(row.reuse, e.MaterializeCSE) })
+			alts, plans = append(alts, Alternative{row.id, cost}), append(plans, bound)
 		default:
-			rewritten, _, err := e.prepareBack(text, qgm.CloneGraph(clean), row.id, traced)
+			rewritten, err := e.prepareBack(text, qgm.CloneGraph(clean), row.id, traced)
 			switch {
 			case err == nil:
 				alts, plans = append(alts, Alternative{row.id, rewritten.EstimatedCost}), append(plans, rewritten)
@@ -537,10 +545,10 @@ func (p *Prepared) Run() ([]storage.Row, *exec.Stats, error) {
 
 // RunParams executes the prepared query with params bound to the `?`
 // placeholders in statement text order. A *Prepared is safe for
-// concurrent RunParams calls: every call builds its own executor, the
-// graph is read-only during execution, and parameter values live in the
-// per-call executor — which is what lets the plan cache hand one plan to
-// many clients.
+// concurrent RunParams calls: every call builds only its own run state
+// over the shared, read-only physical plan and graph, and parameter values
+// live in that run state — which is what lets the plan cache hand one plan
+// to many clients.
 func (p *Prepared) RunParams(params []sqltypes.Value) ([]storage.Row, *exec.Stats, error) {
 	return p.RunParamsContext(context.Background(), params)
 }
@@ -601,7 +609,7 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (out string, err e
 			out, err = "", pe
 		}
 	}()
-	ex := exec.New(p.engine.DB, p.execOptions(ctx, nil, StreamOpts{}))
+	ex := p.plan.Executor(p.execOptions(ctx, nil, StreamOpts{}))
 	ex.EnableProfiling()
 	sp := p.engine.Tracer.Begin("explain-analyze", "engine", trace.Str("strategy", p.Strategy.String()))
 	_, runErr := ex.Run(p.Graph)
@@ -696,15 +704,16 @@ func trimStatement(sql string) string {
 }
 
 // cacheKey folds every knob that changes the produced plan in ahead of
-// the statement text. Absent on purpose: CoreOpts.Order and
+// the statement text — RowMode too, as the cached physical plan fixes the
+// engine that runs it. Absent on purpose: CoreOpts.Order and
 // CoreOpts.EliminateSupplementary, which the engine overrides (the latter
 // from the strategy, already in the key), and Tracer and CleanupFactory,
 // which disable caching entirely (see cacheable).
 func (e *Engine) cacheKey(text string, s Strategy) string {
 	o := e.CoreOpts
-	return fmt.Sprintf("s=%d de=%t oj=%t ms=%t cse=%t|%s",
+	return fmt.Sprintf("s=%d de=%t oj=%t ms=%t cse=%t rm=%t|%s",
 		int(s), o.DecorrelateExistential, o.UseOuterJoin,
-		e.MagicSets, e.MaterializeCSE, text)
+		e.MagicSets, e.MaterializeCSE, e.RowMode, text)
 }
 
 // PrepareCached returns a plan for sql, serving it from the plan cache

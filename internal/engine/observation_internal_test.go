@@ -38,9 +38,8 @@ func TestObservationParity(t *testing.T) {
 				run := func(w int, rowMode, profiled bool, tr *trace.Tracer) ([]string, exec.Stats, *exec.Exec) {
 					t.Helper()
 					opts := p.execOptions(context.Background(), nil, StreamOpts{Workers: w})
-					opts.DisableColumnar = rowMode
 					opts.Tracer = tr
-					ex := exec.New(db, opts)
+					ex := exec.NewPlan(db, p.Graph, rowMode).Executor(opts)
 					if profiled {
 						ex.EnableProfiling()
 					}

@@ -136,6 +136,7 @@ func TestCacheKeySeparatesStrategiesAndKnobs(t *testing.T) {
 		{"oj", func() { e.CoreOpts.UseOuterJoin = false }, func() { e.CoreOpts.UseOuterJoin = true }},
 		{"ms", func() { e.MagicSets = true }, func() { e.MagicSets = false }},
 		{"cse", func() { e.MaterializeCSE = false }, func() { e.MaterializeCSE = true }},
+		{"rm", func() { e.RowMode = true }, func() { e.RowMode = false }},
 	} {
 		c.flip()
 		if prepares() == 0 {

@@ -49,9 +49,9 @@ type Stream struct {
 // placeholders. It fails fast only on parameter arity; execution starts
 // lazily, so every run-time failure (including a pre-canceled context)
 // surfaces from Next. Concurrent Stream calls on one *Prepared are safe:
-// every call builds its own executor, the graph is read-only during
-// execution, and parameter values live in the per-call executor — which is
-// what lets the plan cache hand one plan to many clients.
+// every call builds only its own run state over the shared, read-only
+// physical plan and graph, and parameter values live in that run state —
+// which is what lets the plan cache hand one plan to many clients.
 func (p *Prepared) Stream(ctx context.Context, params []sqltypes.Value) (*Stream, error) {
 	return p.StreamWithOpts(ctx, params, StreamOpts{})
 }
@@ -71,7 +71,7 @@ func (p *Prepared) StreamWithOpts(ctx context.Context, params []sqltypes.Value, 
 		s.aq = reg.begin(p.Text, p.Chosen, cancel)
 	}
 	s.sp = p.engine.Tracer.Begin("execute", "engine", trace.Str("strategy", p.Strategy.String()))
-	s.ex = exec.New(p.engine.DB, p.execOptions(ctx, params, opts))
+	s.ex = p.plan.Executor(p.execOptions(ctx, params, opts))
 	if s.aq != nil {
 		s.aq.stats.Store(&s.ex.Stats)
 	}
@@ -83,17 +83,17 @@ func (p *Prepared) StreamWithOpts(ctx context.Context, params []sqltypes.Value, 
 // p — the only place engine knobs, per-call overrides and the chosen
 // strategy's reuse policy become exec.Options. Everything here is
 // execution-time policy read per call, never captured by a cached plan.
+// (RowMode is not: it is an input of the plan p holds.)
 func (p *Prepared) execOptions(ctx context.Context, params []sqltypes.Value, o StreamOpts) exec.Options {
 	e := p.engine
 	opts := exec.Options{
-		MaterializeCSE:  e.MaterializeCSE,
-		Reuse:           p.Chosen.row().reuse,
-		Workers:         e.Workers,
-		Tracer:          e.Tracer,
-		Params:          params,
-		Ctx:             ctx,
-		Limits:          e.Limits,
-		DisableColumnar: e.RowMode,
+		MaterializeCSE: e.MaterializeCSE,
+		Reuse:          p.Chosen.row().reuse,
+		Workers:        e.Workers,
+		Tracer:         e.Tracer,
+		Params:         params,
+		Ctx:            ctx,
+		Limits:         e.Limits,
 	}
 	if o.Workers != 0 {
 		opts.Workers = o.Workers

@@ -9,8 +9,9 @@ package exec
 // evaluation), then evaluates the subtree set-at-a-time:
 //
 //   - Single-execution path: when the correlation enters the subtree only
-//     through root-level equalities (qgm.ExtractBatchSignature) and the
-//     stream carries two or more distinct bindings, the subtree runs ONCE
+//     through root-level equalities (the plan's batchSite, planned once
+//     from qgm.ExtractBatchSignature) and the stream carries two or more
+//     distinct bindings, the subtree runs ONCE
 //     with those predicates stripped and each distinct binding probes the
 //     row engine's shared hash build (rowHash) over its rows, keyed by the
 //     subquery side — one decorrelated execution instead of one per
@@ -75,7 +76,7 @@ func correlatedMap[T any](ex *Exec, q *qgm.Quantifier, tuples []*Env, env *Env, 
 // bindings for this Run: by the batched evaluation path, or by the memo
 // cache in evalSubqueryInput.
 func (ex *Exec) batchEligible(b *qgm.Box) bool {
-	return ex.opts.Reuse == ReuseBatch && !ex.subtreeVolatile(b)
+	return ex.opts.Reuse == ReuseBatch && !ex.plan.volatileBox[b]
 }
 
 // batchSubqueryRows evaluates the correlated subtree q.Input for every
@@ -84,7 +85,7 @@ func (ex *Exec) batchEligible(b *qgm.Box) bool {
 // to the per-tuple NI loop.
 func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (per [][]storage.Row, ok bool, err error) {
 	b := q.Input
-	if !ex.batchEligible(b) || !ex.isCorrelated(b) {
+	if !ex.batchEligible(b) || !ex.plan.isCorrelated(b) {
 		return nil, false, nil
 	}
 	keys, err := parallelMap(ex, tuples, rowMorsel, func(t *Env) (string, error) {
@@ -130,8 +131,8 @@ func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (p
 		return nil, true, err
 	}
 	var perRep [][]storage.Row
-	if sig, sok := qgm.ExtractBatchSignature(b, ex.varyingQuants(b, q.Owner)); sok && len(reps) > 1 {
-		perRep, err = ex.batchSingleExec(b, sig, reps, env)
+	if site := ex.plan.batch[q]; site != nil && len(reps) > 1 {
+		perRep, err = ex.batchSingleExec(b, site, reps, env)
 	} else {
 		// Per-distinct-binding fallback: plain nested iteration over the
 		// bindings relation, fanned out like the NI hot loop.
@@ -157,20 +158,6 @@ func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (p
 	return per, true, nil
 }
 
-// varyingQuants returns the sibling quantifiers of owner that subtree b's
-// free references resolve to — the quantifiers whose bindings vary across
-// the outer tuple stream. References to quantifiers of ancestor boxes are
-// run-constant here (env binds them once) and are excluded.
-func (ex *Exec) varyingQuants(b *qgm.Box, owner *qgm.Box) map[*qgm.Quantifier]bool {
-	varying := map[*qgm.Quantifier]bool{}
-	for _, rk := range ex.freeRefs[b] {
-		if rk.Q.Owner == owner && !rk.Q.Kind.IsSubquery() {
-			varying[rk.Q] = true
-		}
-	}
-	return varying
-}
-
 // keyedRow is one phase-1 tuple of a stripped root, keyed by the
 // signature's subquery side and projected. A NULL key component can never
 // satisfy the stripped equality: the tuple belongs to no binding's result
@@ -180,20 +167,20 @@ type keyedRow struct {
 	row storage.Row
 }
 
-// strippedRows runs subtree b once under the run-constant env with the
-// signature's correlated predicates stripped, and keys and projects every
-// phase-1 tuple. The stripped root is not the box's own evaluation, so it
-// does not go through evalBox — but it is one evaluation of b, inside the
-// box envelope. (A function of its own for the reason colSelectBatchIn is.)
-func (ex *Exec) strippedRows(b *qgm.Box, sig *qgm.BatchSignature, env *Env) (outs []keyedRow, err error) {
+// strippedRows runs subtree b once under the run-constant env along the
+// site's stripped walk, and keys and projects every phase-1 tuple. The
+// stripped root is not the box's own evaluation, so it does not go through
+// evalBox — but it is one evaluation of b, inside the box envelope. (A
+// function of its own for the reason colSelectBatchIn is.)
+func (ex *Exec) strippedRows(b *qgm.Box, site *batchSite, env *Env) (outs []keyedRow, err error) {
 	_, err = ex.inBox(b, false, func() (boxOut, error) {
 		bump(&ex.Stats.BatchExecutions, 1)
-		tuples, err := ex.selectTuplesSkip(b, env, sig.Skip)
+		tuples, err := ex.walkTuples(ex.plan.plans[b], &site.walk, env)
 		if err != nil {
 			return boxOut{}, err
 		}
 		outs, err = parallelMap(ex, tuples, rowMorsel, func(t *Env) (keyedRow, error) {
-			key, null, kerr := ex.keyFor(sig.Inner, nil, t)
+			key, null, kerr := ex.keyFor(site.sig.Inner, nil, t)
 			if kerr != nil || null {
 				return keyedRow{}, kerr
 			}
@@ -216,8 +203,8 @@ func (ex *Exec) strippedRows(b *qgm.Box, sig *qgm.BatchSignature, env *Env) (out
 // subtree once (strippedRows), hash the projected rows (rowHash, the build
 // every join-shaped operator shares), and probe once per distinct binding;
 // the probe hands back the binding's whole chain.
-func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env, env *Env) ([][]storage.Row, error) {
-	outs, err := ex.strippedRows(b, sig, env)
+func (ex *Exec) batchSingleExec(b *qgm.Box, site *batchSite, reps []*Env, env *Env) ([][]storage.Row, error) {
+	outs, err := ex.strippedRows(b, site, env)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +223,7 @@ func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env
 		return nil, err
 	}
 	return parallelMap(ex, reps, rowMorsel, func(rep *Env) ([]storage.Row, error) {
-		key, null, kerr := ex.keyFor(sig.Outer, nil, rep)
+		key, null, kerr := ex.keyFor(site.sig.Outer, nil, rep)
 		if kerr != nil || null {
 			// NULL probe keys match nothing, same as the stripped
 			// predicate evaluating UNKNOWN for every subtree row.
@@ -246,31 +233,17 @@ func (ex *Exec) batchSingleExec(b *qgm.Box, sig *qgm.BatchSignature, reps []*Env
 	})
 }
 
-// subtreeVolatile reports whether subtree b reads any relation whose
+// computeVolatile reports whether subtree b reads any relation whose
 // contents may differ between evaluations within one Run: sys.* synthetic
 // tables (RowSource-backed views of live engine state) or tables with no
 // storage at all. Such subtrees must not have results shared across
-// bindings (batching) or across invocations (the memo cache). Boxes
-// reachable from the Run root are precomputed by analyze; the lazy path
-// only runs on estimation entry points.
-func (ex *Exec) subtreeVolatile(b *qgm.Box) bool {
-	if v, ok := ex.volatileBox[b]; ok {
+// bindings (batching) or across invocations (the memo cache). It walks
+// b's subtree once, memoizing every box into memo.
+func computeVolatile(db *storage.DB, b *qgm.Box, memo map[*qgm.Box]bool) bool {
+	if v, ok := memo[b]; ok {
 		return v
 	}
-	v := computeVolatile(ex.db, b, nil)
-	ex.volatileBox[b] = v
-	return v
-}
-
-// computeVolatile walks b's subtree looking for volatile leaves, memoizing
-// into memo when non-nil.
-func computeVolatile(db *storage.DB, b *qgm.Box, memo map[*qgm.Box]bool) bool {
-	if memo != nil {
-		if v, ok := memo[b]; ok {
-			return v
-		}
-		memo[b] = false // DAG guard; final value stored below
-	}
+	memo[b] = false // DAG guard; final value stored below
 	v := false
 	if b.Kind == qgm.BoxBase {
 		t := db.Table(b.Table.Name)
@@ -281,8 +254,6 @@ func computeVolatile(db *storage.DB, b *qgm.Box, memo map[*qgm.Box]bool) bool {
 			v = true
 		}
 	}
-	if memo != nil {
-		memo[b] = v
-	}
+	memo[b] = v
 	return v
 }

@@ -22,7 +22,7 @@ import (
 // box b: single input quantifier, vectorizable keys and aggregate
 // arguments, and only aggregate ops whose accumulators exist (unknown ops
 // must keep producing the row path's per-row behavior).
-func (ex *Exec) colGroupable(b *qgm.Box) bool {
+func colGroupable(b *qgm.Box) bool {
 	if len(b.Quants) != 1 {
 		return false
 	}
@@ -218,7 +218,7 @@ func addGroupRow(gs *groupState, aggs []*qgm.Agg, ch grpChunk, k int) {
 // evalBox and re-columnarizes at the boundary.
 func (ex *Exec) colGroupChunks(b *qgm.Box, qg *qgm.Quantifier, aggs []*qgm.Agg, env *Env) ([]grpChunk, int, error) {
 	in := qg.Input
-	if in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct && ex.refs[in] <= 1 {
+	if in.Kind == qgm.BoxSelect && ex.plan.Columnar(in) && !in.Distinct && ex.plan.refs[in] <= 1 {
 		batch, err := ex.colSelectBatchIn(in, env)
 		if err != nil {
 			return nil, 0, err

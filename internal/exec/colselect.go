@@ -33,13 +33,13 @@ import (
 // existential/universal or lateral step runs in place through the row
 // binders (colBindNested). It is the plan builder's last step and the one
 // source of the reason EXPLAIN ANALYZE prints.
-func (ex *Exec) colSelectable(b *qgm.Box) string {
-	if !ex.colOK {
+func (p *Plan) colSelectable(b *qgm.Box) string {
+	if !p.colOK {
 		return "rowmode"
 	}
 	for _, q := range b.Quants {
 		if q.Kind == qgm.QForEach && q.Input.Kind == qgm.BoxBase {
-			tbl := ex.db.Table(q.Input.Table.Name)
+			tbl := p.db.Table(q.Input.Table.Name)
 			if tbl == nil || tbl.Synthetic() {
 				return "synthetic"
 			}
@@ -79,7 +79,7 @@ func (ex *Exec) colEvalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 // in order, applies each predicate at the same point, and returns the fully
 // bound, fully filtered batch (nil when the result is empty).
 func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
-	plan := ex.planOf(b)
+	plan := ex.plan.plans[b]
 	if plan.err != nil {
 		return nil, plan.err
 	}
@@ -195,7 +195,7 @@ func (ex *Exec) colBindForEach(s *Step, batch *colBatch, env *Env) (*colBatch, e
 		} else {
 			vecs = colsFromRows(scanned, len(tbl.Def.Columns))
 		}
-	case in.Kind == qgm.BoxSelect && ex.Columnar(in) && !in.Distinct:
+	case in.Kind == qgm.BoxSelect && ex.plan.Columnar(in) && !in.Distinct:
 		// Fused select→select: the derived input is itself a vectorizable
 		// select, so its output columns project straight into dense vectors
 		// — no row materialization and re-columnarization round trip. The
@@ -360,7 +360,7 @@ func (ex *Exec) colTupleEnvs(s *Step, batch *colBatch, env *Env) ([]*Env, error)
 		}
 		reads = append(reads, read{qi: qi, cols: []int{col}})
 	}
-	for _, rk := range ex.freeRefs[s.Q.Input] {
+	for _, rk := range ex.plan.freeRefs[s.Q.Input] {
 		add(rk.Q, rk.Col)
 	}
 	for _, pi := range s.ties {

@@ -113,12 +113,13 @@ func TestColumnarNestedSteps(t *testing.T) {
 // returns that path's error.
 func checkNestedParity(t *testing.T, db *storage.DB, g *qgm.Graph) error {
 	t.Helper()
-	run := func(reuse exec.Reuse, rowMode bool, w int) ([]string, exec.Stats, error, *exec.Exec) {
-		ex := exec.New(db, exec.Options{Reuse: reuse, Workers: w, DisableColumnar: rowMode})
+	run := func(reuse exec.Reuse, rowMode bool, w int) ([]string, exec.Stats, error, *exec.Plan) {
+		plan := exec.NewPlan(db, g, rowMode)
+		ex := plan.Executor(exec.Options{Reuse: reuse, Workers: w})
 		rows, err := ex.Run(g)
 		bag := render(rows)
 		slices.Sort(bag)
-		return bag, ex.Stats, err, ex
+		return bag, ex.Stats, err, plan
 	}
 	wantBag, _, wantErr, _ := run(exec.ReuseNone, true, 1)
 	for _, reuse := range []exec.Reuse{exec.ReuseNone, exec.ReuseBatch} {
@@ -126,8 +127,8 @@ func checkNestedParity(t *testing.T, db *storage.DB, g *qgm.Graph) error {
 		for _, rowMode := range []bool{true, false} {
 			for _, w := range []int{1, 2, 8} {
 				where := fmt.Sprintf("reuse=%d rowmode=%v workers=%d", reuse, rowMode, w)
-				bag, stats, err, ex := run(reuse, rowMode, w)
-				if ex.Columnar(g.Root) == rowMode {
+				bag, stats, err, plan := run(reuse, rowMode, w)
+				if plan.Columnar(g.Root) == rowMode {
 					t.Fatalf("%s: root planned columnar=%v", where, !rowMode)
 				}
 				if fmt.Sprint(err) != fmt.Sprint(wantErr) {

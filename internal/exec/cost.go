@@ -17,61 +17,31 @@ import (
 // per-box selectPlan steps the evaluators run: its join order, each step's
 // index probe, hash keys or cross product, which engine evaluates the box
 // (selectPlan.col), a start-up charge per box evaluation, re-evaluation of
-// correlated subquery inputs as often as the Exec's Reuse policy asks, and
-// recomputation of shared uncorrelated boxes (unless materialization is
-// enabled).
-func (ex *Exec) EstimateCost(g *qgm.Graph) float64 {
-	return ex.EstimateCostUnder(g, ex.opts.Reuse)
+// correlated subquery inputs as often as reuse policy r asks, and
+// recomputation of shared uncorrelated boxes (unless materializeCSE).
+func (p *Plan) EstimateCost(r Reuse, materializeCSE bool) float64 {
+	return p.walkCost(r, materializeCSE, rowPathFactor, boxStartup)
 }
 
-// EstimateCostUnder is EstimateCost with reuse policy r in place of the
-// Exec's own. §7's race prices one as-bound graph once per
-// nested-iteration strategy on one Exec: the cardinality memo and the
-// select plans stay warm, only the cost walk repeats.
-func (ex *Exec) EstimateCostUnder(g *qgm.Graph, r Reuse) float64 {
-	return ex.walkCost(g, r, rowPathFactor, boxStartup)
+// EstimateCost is the Plan's EstimateCost of g under the executor's own
+// reuse and CSE policies.
+func (ex *Exec) EstimateCost(g *qgm.Graph) float64 {
+	return ex.planFor(g).EstimateCost(ex.opts.Reuse, ex.opts.MaterializeCSE)
 }
 
 // EstimateWork is the model's unpriced half: the row operations and box
 // evaluations it expects of one run under reuse policy r — what
 // Stats.Work() and Stats.BoxEvals come to if its cardinalities hold. The
 // cost audit holds the two side by side.
-func (ex *Exec) EstimateWork(g *qgm.Graph, r Reuse) (rowOps, boxEvals float64) {
-	rowOps = ex.walkCost(g, r, 1, 0)
-	return rowOps, ex.walkCost(g, r, 1, 1) - rowOps
+func (p *Plan) EstimateWork(r Reuse, materializeCSE bool) (rowOps, boxEvals float64) {
+	rowOps = p.walkCost(r, materializeCSE, 1, 0)
+	return rowOps, p.walkCost(r, materializeCSE, 1, 1) - rowOps
 }
 
-// walkCost is one costWalk over g at the given prices.
-func (ex *Exec) walkCost(g *qgm.Graph, r Reuse, rowFactor, startup float64) float64 {
-	ex.analyze(g.Root)
-	w := costWalk{ex: ex, reuse: r, rowFactor: rowFactor, startup: startup, memo: map[*qgm.Box]float64{}}
-	return w.box(g.Root)
-}
-
-// EstimateRows exposes the cardinality estimate of one box (used by the
-// shared-nothing plan model in internal/parallel).
-func (ex *Exec) EstimateRows(b *qgm.Box) float64 { return ex.estBoxRows(b) }
-
-// FanOut counts the graph's nested-iteration sites: quantifiers whose
-// input is correlated to siblings of their own box (subqueries and lateral
-// derived tables alike; every reuse policy shares both). A graph with none
-// runs the same under every nested-iteration strategy and has nothing to
-// decorrelate.
-func (ex *Exec) FanOut(g *qgm.Graph) int {
-	ex.analyze(g.Root)
-	n := 0
-	for _, b := range qgm.Boxes(g.Root) {
-		plan := ex.plans[b]
-		if plan == nil {
-			continue
-		}
-		for _, q := range b.Quants {
-			if plan.correlated(q) {
-				n++
-			}
-		}
-	}
-	return n
+// walkCost is one costWalk over the plan at the given prices.
+func (p *Plan) walkCost(r Reuse, materializeCSE bool, rowFactor, startup float64) float64 {
+	w := costWalk{p: p, reuse: r, cse: materializeCSE, rowFactor: rowFactor, startup: startup, memo: map[*qgm.Box]float64{}}
+	return w.box(p.g.Root)
 }
 
 // The model's two prices, in columnar row operations. Both are measured by
@@ -130,19 +100,20 @@ const (
 // costWalk is one pricing pass over a graph under one reuse policy and one
 // price list (rowPathFactor and boxStartup, or EstimateWork's unit prices).
 type costWalk struct {
-	ex                 *Exec
+	p                  *Plan
 	reuse              Reuse
+	cse                bool // MaterializeCSE
 	rowFactor, startup float64
 	memo               map[*qgm.Box]float64
 }
 
 // box prices one evaluation of b including its inputs.
 func (w *costWalk) box(b *qgm.Box) float64 {
-	ex := w.ex
+	p := w.p
 	if c, ok := w.memo[b]; ok {
-		if ex.opts.MaterializeCSE && !ex.isCorrelated(b) {
+		if w.cse && !p.isCorrelated(b) {
 			// A later reference reads the materialized rows.
-			return ex.estBoxRows(b)
+			return p.estBoxRows(b)
 		}
 		// Shared boxes are recomputed per reference (Starburst, §5.1):
 		// each referencing quantifier pays the full price again.
@@ -152,20 +123,20 @@ func (w *costWalk) box(b *qgm.Box) float64 {
 	var c float64
 	switch b.Kind {
 	case qgm.BoxBase:
-		c = ex.estBoxRows(b)
+		c = p.estBoxRows(b)
 	case qgm.BoxSelect:
 		c = w.startup + w.selectBox(b)
 	case qgm.BoxGroup:
 		in := b.Quants[0].Input
-		c = w.startup + w.box(in) + ex.estBoxRows(in)
+		c = w.startup + w.box(in) + p.estBoxRows(in)
 	case qgm.BoxUnion, qgm.BoxIntersect, qgm.BoxExcept:
 		c = w.startup
 		for _, q := range b.Quants {
-			c += w.box(q.Input) + ex.estBoxRows(q.Input)
+			c += w.box(q.Input) + p.estBoxRows(q.Input)
 		}
 	case qgm.BoxLeftJoin:
 		ql, qr := b.Quants[0], b.Quants[1]
-		l, r := ex.estBoxRows(ql.Input), ex.estBoxRows(qr.Input)
+		l, r := p.estBoxRows(ql.Input), p.estBoxRows(qr.Input)
 		pairs := l * r // no equality to hash on: every left row meets every right row
 		if keys, _, _, _ := qgm.LojKeys(b); len(keys) > 0 {
 			pairs = l + r
@@ -193,9 +164,9 @@ func (w *costWalk) invocations(q *qgm.Quantifier, plan *selectPlan, card float64
 			continue
 		}
 		ndv := 1.0
-		for _, rk := range w.ex.freeRefs[q.Input] {
+		for _, rk := range w.p.freeRefs[q.Input] {
 			if rk.Q == s {
-				ndv *= w.ex.estNDV(&qgm.ColRef{Q: rk.Q, Col: rk.Col})
+				ndv *= w.p.estNDV(&qgm.ColRef{Q: rk.Q, Col: rk.Col})
 			}
 		}
 		distinct *= math.Min(ndv, math.Max(plan.step(s).local, 1))
@@ -209,8 +180,8 @@ func (w *costWalk) invocations(q *qgm.Quantifier, plan *selectPlan, card float64
 // row operations are priced for the engine that will run it; its inputs
 // carry their own price.
 func (w *costWalk) selectBox(b *qgm.Box) float64 {
-	ex := w.ex
-	plan := ex.planOf(b)
+	p := w.p
+	plan := p.plans[b]
 	card := 1.0
 	own, inputs := 0.0, 0.0
 	for i := range plan.steps {
@@ -230,7 +201,7 @@ func (w *costWalk) selectBox(b *qgm.Box) float64 {
 			}
 		case s.Correlated: // lateral derived table
 			inputs += w.invocations(q, plan, card) * inputCost
-			card *= math.Max(ex.estBoxRows(q.Input), 0.1)
+			card *= math.Max(p.estBoxRows(q.Input), 0.1)
 		default:
 			// An index probe visits only the matching rows; a scan pays
 			// for the input, and with no keys to hash on either the step

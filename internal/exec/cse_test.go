@@ -55,7 +55,7 @@ func TestColumnarCSEServesRowReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Columnar(a) {
+	if !ex.plan.Columnar(a) {
 		t.Fatal("A is not vectorized; the shape no longer reads S's vectors first")
 	}
 	want := []string{"1|10", "2|NULL", "3|30"}

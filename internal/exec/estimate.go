@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"decorr/internal/qgm"
+	"decorr/internal/storage"
 )
 
 // The estimator is deliberately small: it exists to order joins the way the
@@ -20,23 +21,25 @@ const (
 	defaultNDVRatio = 10.0
 )
 
-// estBoxRows estimates the output cardinality of a box, memoized. analyze
-// warms the memo for every box reachable from the Run root before any
-// fan-out, so calls during parallel execution are pure memo hits and the
-// join order cannot depend on which worker resolved an estimate first; the
-// lock is for -race cleanliness on the estimation-only entry points.
-func (ex *Exec) estBoxRows(b *qgm.Box) float64 {
-	ex.estMu.Lock()
-	if v, ok := ex.est[b]; ok {
-		ex.estMu.Unlock()
+// estimator is the cardinality model over one database: per-box row
+// estimates, memoized in est. A Plan's memo is complete once NewPlan
+// returns and only read after that, so concurrent executions and the cost
+// model share it without a lock; JoinOrder's fills as the rewrite asks.
+type estimator struct {
+	db  *storage.DB
+	est map[*qgm.Box]float64
+}
+
+// estBoxRows estimates the output cardinality of a box, memoized.
+func (es *estimator) estBoxRows(b *qgm.Box) float64 {
+	if v, ok := es.est[b]; ok {
 		return v
 	}
-	ex.est[b] = 1 // guard against cycles (impossible in valid graphs)
-	ex.estMu.Unlock()
+	es.est[b] = 1 // guard against cycles (impossible in valid graphs)
 	var v float64
 	switch b.Kind {
 	case qgm.BoxBase:
-		if t := ex.db.Table(b.Table.Name); t != nil {
+		if t := es.db.Table(b.Table.Name); t != nil {
 			v = math.Max(1, float64(len(t.Rows)))
 		} else {
 			v = 1
@@ -45,43 +48,41 @@ func (ex *Exec) estBoxRows(b *qgm.Box) float64 {
 		v = 1
 		for _, q := range b.Quants {
 			if q.Kind == qgm.QForEach {
-				v *= ex.estBoxRows(q.Input)
+				v *= es.estBoxRows(q.Input)
 			}
 		}
 		for _, p := range b.Preds {
-			v *= ex.predSel(p)
+			v *= es.predSel(p)
 		}
 		if b.Distinct {
-			v = math.Min(v, ex.estDistinctRows(b))
+			v = math.Min(v, es.estDistinctRows(b))
 		}
 		v = math.Max(1, v)
 	case qgm.BoxGroup:
 		if len(b.GroupBy) == 0 {
 			v = 1
 		} else {
-			in := ex.estBoxRows(b.Quants[0].Input)
+			in := es.estBoxRows(b.Quants[0].Input)
 			ndv := 1.0
 			for _, g := range b.GroupBy {
-				ndv *= ex.estNDV(g)
+				ndv *= es.estNDV(g)
 			}
 			v = math.Max(1, math.Min(in, ndv))
 		}
 	case qgm.BoxUnion:
 		for _, q := range b.Quants {
-			v += ex.estBoxRows(q.Input)
+			v += es.estBoxRows(q.Input)
 		}
 	case qgm.BoxIntersect:
-		v = math.Max(1, math.Min(ex.estBoxRows(b.Quants[0].Input), ex.estBoxRows(b.Quants[1].Input))/2)
+		v = math.Max(1, math.Min(es.estBoxRows(b.Quants[0].Input), es.estBoxRows(b.Quants[1].Input))/2)
 	case qgm.BoxExcept:
-		v = math.Max(ex.estBoxRows(b.Quants[0].Input)/2, 1)
+		v = math.Max(es.estBoxRows(b.Quants[0].Input)/2, 1)
 	case qgm.BoxLeftJoin:
-		v = math.Max(ex.estBoxRows(b.Quants[0].Input), 1)
+		v = math.Max(es.estBoxRows(b.Quants[0].Input), 1)
 	default:
 		v = 1
 	}
-	ex.estMu.Lock()
-	ex.est[b] = v
-	ex.estMu.Unlock()
+	es.est[b] = v
 	return v
 }
 
@@ -89,10 +90,10 @@ func (ex *Exec) estBoxRows(b *qgm.Box) float64 {
 // product of its output columns' distinct counts — the [MAGIC] table of a
 // decorrelated plan holds one row per correlation value, not one per
 // supplementary row. +Inf when some column's count is unknown.
-func (ex *Exec) estDistinctRows(b *qgm.Box) float64 {
+func (es *estimator) estDistinctRows(b *qgm.Box) float64 {
 	rows := 1.0
 	for _, c := range b.Cols {
-		rows *= ex.estColNDV(c.Expr)
+		rows *= es.estColNDV(c.Expr)
 	}
 	return rows
 }
@@ -100,19 +101,19 @@ func (ex *Exec) estDistinctRows(b *qgm.Box) float64 {
 // estColNDV is the distinct count of a column traced through select boxes
 // that pass it along unchanged down to its base table, capped by each
 // box's cardinality on the way; +Inf for anything it cannot trace.
-func (ex *Exec) estColNDV(e qgm.Expr) float64 {
+func (es *estimator) estColNDV(e qgm.Expr) float64 {
 	r, ok := e.(*qgm.ColRef)
 	if !ok {
 		return math.Inf(1)
 	}
 	switch in := r.Q.Input; in.Kind {
 	case qgm.BoxBase:
-		if t := ex.db.Table(in.Table.Name); t != nil {
+		if t := es.db.Table(in.Table.Name); t != nil {
 			return math.Max(1, float64(t.NDV(r.Col)))
 		}
 	case qgm.BoxSelect:
 		if r.Col < len(in.Cols) { // JoinOrder plans boxes mid-rewrite
-			return math.Min(ex.estColNDV(in.Cols[r.Col].Expr), ex.estBoxRows(in))
+			return math.Min(es.estColNDV(in.Cols[r.Col].Expr), es.estBoxRows(in))
 		}
 	}
 	return math.Inf(1)
@@ -121,18 +122,18 @@ func (ex *Exec) estColNDV(e qgm.Expr) float64 {
 // estNDV estimates the number of distinct values of an expression: a
 // column reference traced to its base table (estColNDV), else a tenth of
 // its box's rows; a root heuristic for anything else.
-func (ex *Exec) estNDV(e qgm.Expr) float64 {
+func (es *estimator) estNDV(e qgm.Expr) float64 {
 	if r, ok := e.(*qgm.ColRef); ok {
-		if n := ex.estColNDV(r); !math.IsInf(n, 1) {
+		if n := es.estColNDV(r); !math.IsInf(n, 1) {
 			return n
 		}
-		return math.Max(1, ex.estBoxRows(r.Q.Input)/defaultNDVRatio)
+		return math.Max(1, es.estBoxRows(r.Q.Input)/defaultNDVRatio)
 	}
 	return defaultNDVRatio
 }
 
 // predSel estimates the selectivity of one conjunct.
-func (ex *Exec) predSel(p qgm.Expr) float64 {
+func (es *estimator) predSel(p qgm.Expr) float64 {
 	switch x := p.(type) {
 	case *qgm.Bin:
 		switch x.Op {
@@ -141,29 +142,29 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 			_, rc := x.R.(*qgm.ColRef)
 			switch {
 			case lc && rc:
-				return 1 / math.Max(ex.estNDV(x.L), ex.estNDV(x.R))
+				return 1 / math.Max(es.estNDV(x.L), es.estNDV(x.R))
 			case lc: // column = value: one of the column's distinct values
-				return 1 / ex.estNDV(x.L)
+				return 1 / es.estNDV(x.L)
 			case rc:
-				return 1 / ex.estNDV(x.R)
+				return 1 / es.estNDV(x.R)
 			}
 			return selEqDefault // both sides non-columns: generic equality
 		case qgm.OpNe:
 			return selNe
 		case qgm.OpLt, qgm.OpLe, qgm.OpGt, qgm.OpGe:
-			if s, ok := ex.histogramSel(x); ok {
+			if s, ok := es.histogramSel(x); ok {
 				return s
 			}
 			return selRange
 		case qgm.OpAnd:
-			return ex.predSel(x.L) * ex.predSel(x.R)
+			return es.predSel(x.L) * es.predSel(x.R)
 		case qgm.OpOr:
-			return math.Min(1, ex.predSel(x.L)+ex.predSel(x.R))
+			return math.Min(1, es.predSel(x.L)+es.predSel(x.R))
 		}
 	case *qgm.Like:
 		return selLike
 	case *qgm.Not:
-		return 1 - ex.predSel(x.E)
+		return 1 - es.predSel(x.E)
 	case *qgm.IsNull:
 		return 0.1
 	}
@@ -176,8 +177,8 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 // growth factor — local times the selectivity of the join predicates
 // connecting q to the bound set; disconnected quantifiers pay a cross
 // penalty. Predicates already consumed do not count against q.
-func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth float64) {
-	base := ex.estBoxRows(q.Input)
+func (es *estimator) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth float64) {
+	base := es.estBoxRows(q.Input)
 	local = base
 	connected := len(st.bound) == 0
 	for i, pi := range st.preds {
@@ -185,13 +186,13 @@ func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth flo
 			continue
 		}
 		if len(pi.deps) == 1 {
-			sel := ex.predSel(pi.expr) // local predicate
+			sel := es.predSel(pi.expr) // local predicate
 			base *= sel
 			local *= sel
 			continue
 		}
 		if depsSubset(pi.deps, st.bound, q) {
-			base *= ex.predSel(pi.expr)
+			base *= es.predSel(pi.expr)
 			connected = true
 		}
 	}
@@ -203,7 +204,7 @@ func (ex *Exec) estQuantRows(q *qgm.Quantifier, st *selState) (local, growth flo
 
 // histogramSel estimates a range comparison between a base-table column
 // and a constant from the column's equi-depth histogram.
-func (ex *Exec) histogramSel(b *qgm.Bin) (float64, bool) {
+func (es *estimator) histogramSel(b *qgm.Bin) (float64, bool) {
 	ref, cst, op := exprConstSides(b)
 	if ref == nil {
 		return 0, false
@@ -212,7 +213,7 @@ func (ex *Exec) histogramSel(b *qgm.Bin) (float64, bool) {
 	if in.Kind != qgm.BoxBase {
 		return 0, false
 	}
-	t := ex.db.Table(in.Table.Name)
+	t := es.db.Table(in.Table.Name)
 	if t == nil {
 		return 0, false
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -77,23 +76,25 @@ type Options struct {
 	// Limits are the per-Run resource budgets (deadline, output rows,
 	// intermediate rows, tracked bytes). The zero value imposes none.
 	Limits Limits
-	// DisableColumnar forces the row-at-a-time interpreter even for plans
-	// the vectorized engine could run. Rows, Stats, and errors are
-	// identical either way (the differ cross-checks the two paths); the
-	// knob exists for benchmarking and for bisecting a suspected
-	// vectorization bug. The DECORR_ROWMODE environment variable (any
-	// non-empty value) forces it process-wide.
-	DisableColumnar bool
 }
 
-// Exec evaluates QGM graphs against a database. An Exec is single-use per
-// Run for statistics purposes but may be reused; counters accumulate.
-// One Run fans out internally across Options.Workers goroutines, but Run
-// itself must not be called concurrently on the same Exec.
+// Exec is one execution's run state over a Plan: the work counters, the
+// governor, the CSE, memo and bindings caches, the profile and the worker
+// tokens. Everything decided before a row is seen lives in the Plan, which
+// any number of executions share read-only. An Exec is single-use per Run
+// for statistics purposes but may be reused; counters accumulate. One Run
+// fans out internally across Options.Workers goroutines, but Run itself
+// must not be called concurrently on the same Exec.
 type Exec struct {
 	db    *storage.DB
 	opts  Options
 	Stats Stats
+
+	// plan is the plan this execution runs (Plan.Executor), or the one Run
+	// built for the graph it was last given (planFor).
+	plan *Plan
+	// order is JoinOrder's cardinality memo, filled as the rewrite asks.
+	order *estimator
 
 	workers int
 	sem     chan struct{} // worker tokens shared by nested parallel regions
@@ -104,38 +105,13 @@ type Exec struct {
 	gov *governor
 
 	// mu guards the cross-worker memo state (cse, memo, bindings) and the
-	// profile map. freeRefs and refs are written only by analyze
-	// (before any fan-out) and read-only afterwards; est has its own lock
-	// (estMu) because it is read from the scheduling hot path.
-	mu sync.Mutex
-
-	freeRefs map[*qgm.Box][]qgm.RefKey
-	refs     map[*qgm.Box]int
-	// volatileBox marks boxes whose subtree reads a synthetic (sys.*) or
-	// storageless relation; their results are never shared across
-	// bindings. Written only by analyze (before any fan-out) and
-	// read-only afterwards, like freeRefs.
-	volatileBox map[*qgm.Box]bool
-	cse         map[*qgm.Box]*cseEntry
-	memo        map[*qgm.Box]map[string]memoEntry
-	bindings    map[*qgm.Box]map[string]bool
-
-	estMu sync.Mutex
-	est   map[*qgm.Box]float64
+	// profile map.
+	mu       sync.Mutex
+	cse      map[*qgm.Box]*cseEntry
+	memo     map[*qgm.Box]map[string]memoEntry
+	bindings map[*qgm.Box]map[string]bool
 
 	profile map[*qgm.Box]*BoxProfile
-
-	// plans memoizes one selectPlan per select box. Written only by
-	// analyze (before any fan-out, after the est memo is warm) and
-	// read-only afterwards, like freeRefs; the plans themselves are
-	// immutable and shared by every worker.
-	plans map[*qgm.Box]*selectPlan
-
-	// colOK enables the vectorized engine; a select box's plan and colGrp
-	// mark the boxes it may evaluate. colGrp is written only by analyze
-	// (before any fan-out) and read-only afterwards, like freeRefs.
-	colOK  bool
-	colGrp map[*qgm.Box]bool
 }
 
 // idSel caches one shared identity selection vector (0,1,2,...) for the
@@ -162,7 +138,10 @@ func (ex *Exec) identity(n int) []int32 {
 	}
 }
 
-// New creates an executor over db.
+// New creates an executor over db. Run, RunStream and EstimateCost plan
+// the graph they are given (NewPlan, columnar unless DECORR_ROWMODE is
+// set) unless the executor already holds that graph's plan; to run the row
+// engine, build the plan with NewPlan's rowMode and run its Executor.
 func New(db *storage.DB, opts Options) *Exec {
 	w := resolveWorkers(opts.Workers)
 	if opts.Tracer != nil {
@@ -175,21 +154,22 @@ func New(db *storage.DB, opts Options) *Exec {
 		w = 1
 	}
 	return &Exec{
-		db:          db,
-		opts:        opts,
-		workers:     w,
-		sem:         make(chan struct{}, w-1),
-		freeRefs:    map[*qgm.Box][]qgm.RefKey{},
-		refs:        map[*qgm.Box]int{},
-		volatileBox: map[*qgm.Box]bool{},
-		cse:         map[*qgm.Box]*cseEntry{},
-		memo:        map[*qgm.Box]map[string]memoEntry{},
-		bindings:    map[*qgm.Box]map[string]bool{},
-		est:         map[*qgm.Box]float64{},
-		colOK:       !opts.DisableColumnar && os.Getenv("DECORR_ROWMODE") == "",
-		plans:       map[*qgm.Box]*selectPlan{},
-		colGrp:      map[*qgm.Box]bool{},
+		db:       db,
+		opts:     opts,
+		workers:  w,
+		sem:      make(chan struct{}, w-1),
+		cse:      map[*qgm.Box]*cseEntry{},
+		memo:     map[*qgm.Box]map[string]memoEntry{},
+		bindings: map[*qgm.Box]map[string]bool{},
 	}
+}
+
+// planFor returns g's plan: the one the executor holds, or a new one.
+func (ex *Exec) planFor(g *qgm.Graph) *Plan {
+	if ex.plan == nil || ex.plan.g != g {
+		ex.plan = NewPlan(ex.db, g, false)
+	}
+	return ex.plan
 }
 
 func statsDelta(before, after Stats) Stats {
@@ -294,80 +274,9 @@ func orderCmp(v colvec.Vec) func(a, b int32) int {
 	}
 }
 
-// analyze precomputes per-box free references, reference counts,
-// cardinality estimates and — once those estimates are warm — every select
-// box's plan. It runs single-threaded before any fan-out, so that during
-// execution the scheduler workers only ever *read* freeRefs, refs, the
-// est memo and the plan memo — keeping the join order, and with it the
-// output row order, identical at every worker count.
-func (ex *Exec) analyze(root *qgm.Box) {
-	boxes := qgm.Boxes(root)
-	for _, b := range boxes {
-		if _, ok := ex.freeRefs[b]; !ok {
-			ex.freeRefs[b] = dedupRefs(qgm.FreeRefs(b))
-		}
-	}
-	for _, b := range boxes {
-		if _, ok := ex.volatileBox[b]; !ok {
-			computeVolatile(ex.db, b, ex.volatileBox)
-		}
-	}
-	ex.refs = qgm.RefCounts(root)
-	for _, b := range boxes {
-		ex.estBoxRows(b)
-	}
-	for _, b := range boxes {
-		if b.Kind == qgm.BoxSelect && ex.plans[b] == nil {
-			ex.plans[b] = ex.buildSelectPlan(b)
-		}
-		if b.Kind == qgm.BoxGroup && ex.colOK && ex.colGroupable(b) {
-			ex.colGrp[b] = true
-		}
-	}
-}
-
-// Columnar reports whether analyze planned select box b for the
-// vectorized engine.
-func (ex *Exec) Columnar(b *qgm.Box) bool {
-	p := ex.plans[b]
-	return p != nil && p.col
-}
-
-func dedupRefs(refs []*qgm.ColRef) []qgm.RefKey {
-	seen := map[qgm.RefKey]bool{}
-	var out []qgm.RefKey
-	for _, r := range refs {
-		k := qgm.RefKey{Q: r.Q, Col: r.Col}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Q.ID != out[j].Q.ID {
-			return out[i].Q.ID < out[j].Q.ID
-		}
-		return out[i].Col < out[j].Col
-	})
-	return out
-}
-
-// isCorrelated reports whether box b has free references (i.e. needs outer
-// bindings to evaluate). Boxes reachable from the Run root are filled in by
-// analyze; the lazy path below only runs on the single-threaded estimation
-// entry points (EstimateCost and friends).
-func (ex *Exec) isCorrelated(b *qgm.Box) bool {
-	fr, ok := ex.freeRefs[b]
-	if !ok {
-		fr = dedupRefs(qgm.FreeRefs(b))
-		ex.freeRefs[b] = fr
-	}
-	return len(fr) > 0
-}
-
 // bindingKey evaluates b's free references under env and encodes them.
 func (ex *Exec) bindingKey(b *qgm.Box, env *Env) (string, error) {
-	fr := ex.freeRefs[b]
+	fr := ex.plan.freeRefs[b]
 	vals := make([]sqltypes.Value, len(fr))
 	for i, rk := range fr {
 		v, err := ex.EvalExpr(&qgm.ColRef{Q: rk.Q, Col: rk.Col}, env)
@@ -395,7 +304,7 @@ type memoEntry = func() ([]storage.Row, error)
 // and a memo miss is single-flight, so every binding is evaluated exactly
 // once and the work counters do not depend on scheduling.
 func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
-	if !ex.isCorrelated(b) {
+	if !ex.plan.isCorrelated(b) {
 		return ex.evalBox(b, env)
 	}
 	key, err := ex.bindingKey(b, env)
@@ -482,7 +391,7 @@ type boxOut struct {
 // counted nor observed — what the cost model prices it as. vecs says
 // which form the caller reads.
 func (ex *Exec) inBox(b *qgm.Box, vecs bool, eval func() (boxOut, error)) (boxOut, error) {
-	if ex.refs[b] > 1 && !ex.isCorrelated(b) {
+	if ex.plan.refs[b] > 1 && !ex.plan.isCorrelated(b) {
 		return ex.cseEval(b, vecs, eval)
 	}
 	if err := ex.enterBox(); err != nil {
@@ -655,12 +564,12 @@ func (ex *Exec) dispatch(b *qgm.Box, env *Env) ([]storage.Row, error) {
 		_, rows, err := ex.scanBase(b)
 		return rows, err
 	case qgm.BoxSelect:
-		if ex.Columnar(b) {
+		if ex.plan.Columnar(b) {
 			return ex.colEvalSelect(b, env)
 		}
 		return ex.evalSelect(b, env)
 	case qgm.BoxGroup:
-		if ex.colGrp[b] {
+		if ex.plan.colGrp[b] {
 			return ex.colEvalGroup(b, env)
 		}
 		return ex.evalGroup(b, env)

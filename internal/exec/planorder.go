@@ -22,8 +22,8 @@ type selPred struct {
 // buildSelectPlan is its only producer; the row evaluator, the columnar
 // evaluator, the cost model, the scan streamer and (through Steps) the
 // shared-nothing model read its steps and decide nothing themselves. A
-// plan is immutable once built — analyze memoizes one per box and every
-// worker and every nested-iteration re-entry shares it.
+// plan is immutable once built — NewPlan builds one per box and every
+// execution, worker and nested-iteration re-entry shares it.
 type selectPlan struct {
 	preds []*selPred
 	// err rejects the box: a predicate ties two subquery quantifiers.
@@ -82,11 +82,6 @@ type Step struct {
 	filter []*selPred
 	after  []*selPred // hold once Q is bound
 }
-
-// Steps returns select box b's join steps in binding order. They are the
-// plan's own, shared with every evaluation: callers must not write to
-// them.
-func (ex *Exec) Steps(b *qgm.Box) []Step { return ex.planOf(b).steps }
 
 // step returns q's step.
 func (w *selWalk) step(q *qgm.Quantifier) *Step {
@@ -153,16 +148,6 @@ func (st *selState) checkDone(b *qgm.Box) error {
 	return nil
 }
 
-// planOf returns select box b's memoized plan. A box analyze did not visit
-// is planned on the spot and not stored: the memo is written only before
-// any fan-out, never from a worker.
-func (ex *Exec) planOf(b *qgm.Box) *selectPlan {
-	if p := ex.plans[b]; p != nil {
-		return p
-	}
-	return ex.buildSelectPlan(b)
-}
-
 // JoinOrder computes the static binding order of all quantifiers of a
 // select box. ForEach quantifiers are ordered greedily by estimated growth
 // (selective scans first, connected joins before cross products); scalar
@@ -177,24 +162,30 @@ func (ex *Exec) planOf(b *qgm.Box) *selectPlan {
 // Lineitem inflates the tuple count (§5.3). Magic decorrelation reuses this
 // same order to split off the supplementary table (§7) — on boxes it is in
 // the middle of rewriting, which is why this entry orders b afresh on every
-// call instead of reading the per-box memo, and builds no steps.
+// call instead of reading a Plan, and builds no steps. The executor's
+// cardinality memo persists across calls, as the rewrite asks for one
+// order after another.
 func (ex *Exec) JoinOrder(b *qgm.Box) []*qgm.Quantifier {
-	return ex.orderSelect(b).order
+	if ex.order == nil {
+		ex.order = &estimator{db: ex.db, est: map[*qgm.Box]float64{}}
+	}
+	return ex.order.orderSelect(b, qgm.FreeRefSets(b)).order
 }
 
 // buildSelectPlan orders b, walks the order into steps and judges columnar
 // eligibility.
-func (ex *Exec) buildSelectPlan(b *qgm.Box) *selectPlan {
-	p := ex.orderSelect(b)
-	p.selWalk = ex.walkPlan(b, p, nil)
-	p.rowWhy = ex.colSelectable(b)
-	p.col = p.rowWhy == ""
-	return p
+func (p *Plan) buildSelectPlan(b *qgm.Box) *selectPlan {
+	sp := p.orderSelect(b, p.freeRefs)
+	sp.selWalk = p.walkPlan(b, sp, nil)
+	sp.rowWhy = p.colSelectable(b)
+	sp.col = sp.rowWhy == ""
+	return sp
 }
 
-// orderSelect classifies b's predicates, records sibling correlation and
-// simulates the greedy binding order.
-func (ex *Exec) orderSelect(b *qgm.Box) *selectPlan {
+// orderSelect classifies b's predicates, records sibling correlation (from
+// free, the free references of b's inputs) and simulates the greedy
+// binding order.
+func (es *estimator) orderSelect(b *qgm.Box, free map[*qgm.Box][]qgm.RefKey) *selectPlan {
 	p := &selectPlan{
 		preds: make([]*selPred, 0, len(b.Preds)),
 		sibs:  make(map[*qgm.Quantifier]map[*qgm.Quantifier]bool, len(b.Quants)),
@@ -226,7 +217,7 @@ func (ex *Exec) orderSelect(b *qgm.Box) *selectPlan {
 	deps := map[*qgm.Quantifier]map[*qgm.Quantifier]bool{}
 	for _, q := range b.Quants {
 		sib := map[*qgm.Quantifier]bool{}
-		for _, r := range qgm.FreeRefs(q.Input) {
+		for _, r := range free[q.Input] {
 			if own[r.Q] && !r.Q.Kind.IsSubquery() {
 				sib[r.Q] = true
 			}
@@ -275,7 +266,7 @@ func (ex *Exec) orderSelect(b *qgm.Box) *selectPlan {
 			if !depsSubset(deps[q], st.bound, nil) {
 				continue
 			}
-			if _, score := ex.estQuantRows(q, st); score < bestScore {
+			if _, score := es.estQuantRows(q, st); score < bestScore {
 				best, bestScore = i, score
 			}
 		}
@@ -342,29 +333,29 @@ func bestScoreOr(v, def float64) float64 {
 // hold before anything binds, then per quantifier its tie predicates (a
 // subquery), its access path and the predicates binding it consumes (an
 // uncorrelated ForEach), and the predicates that hold once it is bound.
-// Predicates in skip start out consumed — the batched subquery path's
-// stripped root — so they cannot drive index or hash-join placement
-// either; the order is still the box's own.
-func (ex *Exec) walkPlan(b *qgm.Box, p *selectPlan, skip map[qgm.Expr]bool) selWalk {
-	st := p.newState()
-	for i, pi := range p.preds {
+// Predicates in skip start out consumed — a batched subquery site's
+// stripped root (batchSite) — so they cannot drive index or hash-join
+// placement either; the order is still the box's own.
+func (p *Plan) walkPlan(b *qgm.Box, sp *selectPlan, skip map[qgm.Expr]bool) selWalk {
+	st := sp.newState()
+	for i, pi := range sp.preds {
 		st.applied[i] = skip[pi.expr]
 	}
-	w := selWalk{pre: st.takeReady(), steps: make([]Step, len(p.order))}
-	for k, q := range p.order {
+	w := selWalk{pre: st.takeReady(), steps: make([]Step, len(sp.order))}
+	for k, q := range sp.order {
 		s := &w.steps[k]
-		s.Q, s.Correlated = q, p.correlated(q)
-		s.local, s.Growth = ex.estQuantRows(q, st)
+		s.Q, s.Correlated = q, sp.correlated(q)
+		s.local, s.Growth = p.estQuantRows(q, st)
 		switch {
 		case q.Kind.IsSubquery():
-			for i, pi := range p.preds {
+			for i, pi := range sp.preds {
 				if pi.sub == q && !st.applied[i] {
 					s.ties = append(s.ties, pi)
 					st.applied[i] = true
 				}
 			}
 		case q.Kind == qgm.QForEach && !s.Correlated:
-			ex.joinStep(s, st)
+			p.joinStep(s, st)
 		}
 		st.bound[q] = true
 		s.after = st.takeReady()
@@ -380,10 +371,10 @@ func (ex *Exec) walkPlan(b *qgm.Box, p *selectPlan, skip map[qgm.Expr]bool) selW
 // its equalities with the bound set hash keys; any other join predicate is
 // left to hold once q is bound. Either way the equalities are recorded as
 // the step's keys.
-func (ex *Exec) joinStep(s *Step, st *selState) {
+func (p *Plan) joinStep(s *Step, st *selState) {
 	q := s.Q
 	var ipred int
-	s.index, ipred, s.col, s.probe = ex.findIndexPred(q, st)
+	s.index, ipred, s.col, s.probe = p.findIndexPred(q, st)
 	for i, pi := range st.preds {
 		if !st.joinable(i, q) {
 			continue
@@ -417,11 +408,11 @@ func (ex *Exec) joinStep(s *Step, st *selState) {
 // q.col = <expr over bound/outer> with an index on col. It returns that
 // table, the predicate's position, the column and the probe expression; a
 // nil table means no index path.
-func (ex *Exec) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, int, int, qgm.Expr) {
+func (p *Plan) findIndexPred(q *qgm.Quantifier, st *selState) (*storage.Table, int, int, qgm.Expr) {
 	if q.Input.Kind != qgm.BoxBase {
 		return nil, 0, 0, nil
 	}
-	tbl := ex.db.Table(q.Input.Table.Name)
+	tbl := p.db.Table(q.Input.Table.Name)
 	if tbl == nil {
 		return nil, 0, 0, nil
 	}

@@ -129,7 +129,7 @@ func (ex *Exec) FormatProfile(g *qgm.Graph) string {
 		}
 		fmt.Fprintf(&sb, "Box %d: %s%s  evals=%d rows=%d time=%s",
 			b.ID, b.Kind, tag, p.Evals, p.RowsOut, p.Elapsed().Round(time.Microsecond))
-		if plan := ex.plans[b]; plan != nil {
+		if plan := ex.plan.plans[b]; plan != nil {
 			if plan.col {
 				sb.WriteString(" col")
 			} else {

@@ -15,11 +15,10 @@ import (
 
 // runWorkers executes sql with a fixed worker count, returning rendered
 // rows in engine order (no sorting beyond the query's own ORDER BY).
-func runWorkers(t *testing.T, db *storage.DB, sql string, workers int, opts exec.Options) []string {
+func runWorkers(t *testing.T, db *storage.DB, sql string, workers int, rowMode bool) []string {
 	t.Helper()
 	g := mustBind(t, db, sql)
-	opts.Workers = workers
-	rows, err := exec.New(db, opts).Run(g)
+	rows, err := exec.NewPlan(db, g, rowMode).Executor(exec.Options{Workers: workers}).Run(g)
 	if err != nil {
 		t.Fatalf("run %q workers=%d: %v", sql, workers, err)
 	}
@@ -96,13 +95,13 @@ func TestParallelDeterminism(t *testing.T) {
 	for dbName, db := range dbs {
 		for _, q := range queries {
 			t.Run(dbName+"/"+q.name, func(t *testing.T) {
-				want := runWorkers(t, db, q.sql, 1, exec.Options{})
+				want := runWorkers(t, db, q.sql, 1, false)
 				for _, w := range []int{1, 2, 8} {
 					for _, rowMode := range []bool{false, true} {
 						if w == 1 && !rowMode {
 							continue // the reference run
 						}
-						got := runWorkers(t, db, q.sql, w, exec.Options{DisableColumnar: rowMode})
+						got := runWorkers(t, db, q.sql, w, rowMode)
 						if len(got) != len(want) {
 							t.Fatalf("workers=%d rowmode=%v: %d rows, want %d", w, rowMode, len(got), len(want))
 						}
@@ -162,7 +161,7 @@ func TestParallelDeterministicError(t *testing.T) {
 		}
 		for _, w := range []int{2, 8} {
 			for _, rowMode := range []bool{false, true} {
-				_, err := exec.New(db, exec.Options{Workers: w, DisableColumnar: rowMode}).Run(g)
+				_, err := exec.NewPlan(db, g, rowMode).Executor(exec.Options{Workers: w}).Run(g)
 				if err == nil || err.Error() != err1.Error() {
 					t.Fatalf("%s workers=%d rowMode=%v: error %v, want %v", c.name, w, rowMode, err, err1)
 				}
@@ -226,7 +225,7 @@ func TestConcurrentExecsShareTables(t *testing.T) {
 	db := tpcd.EmpDeptSized(40, 160, 5, 3)
 	sql := `select building, count(*) from emp where name <> 'nobody' group by building`
 	g := mustBind(t, db, sql)
-	want := runWorkers(t, db, sql, 1, exec.Options{})
+	want := runWorkers(t, db, sql, 1, false)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := 0; i < 8; i++ {

@@ -41,26 +41,16 @@ func (ex *Exec) evalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 // (bindScalar, bindSubqueryCheck, bindLateral) over one Env per live
 // tuple. The batched subquery path's stripped root always comes here.
 func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
-	return ex.selectTuplesSkip(b, env, nil)
+	plan := ex.plan.plans[b]
+	return ex.walkTuples(plan, &plan.selWalk, env)
 }
 
-// selectTuplesSkip is selectTuples with a predicate skip set: the batched
-// subquery path strips the correlated equalities (identified by pointer
-// identity) from the root and re-applies their filtering as a
-// partition/probe step. The stripped root is walked on the spot with the
-// skipped predicates consumed up front (walkPlan), so they cannot drive
-// index or hash-join placement either — the set-oriented execution
-// deliberately trades those per-binding access paths for one shared pass.
-// The binding order is the box's own, computed from all of its predicates.
-func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) ([]*Env, error) {
-	plan := ex.planOf(b)
+// walkTuples runs phase 1 along walk w of the box plan belongs to: the
+// plan's own, or a batched subquery site's stripped root (batchSite),
+// whose correlated equalities the partition/probe step re-applies.
+func (ex *Exec) walkTuples(plan *selectPlan, w *selWalk, env *Env) ([]*Env, error) {
 	if plan.err != nil {
 		return nil, plan.err
-	}
-	w := &plan.selWalk
-	if skip != nil {
-		stripped := ex.walkPlan(b, plan, skip)
-		w = &stripped
 	}
 	tuples, err := ex.filterTuples([]*Env{env}, w.pre)
 	if err != nil {

@@ -2,7 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"decorr/internal/parser"
@@ -16,44 +19,66 @@ import (
 // key lists included — so a later DeepEqual against the live plan detects
 // any write to it.
 func (p *selectPlan) snapshot() *selectPlan {
-	preds := func(ps []*selPred) []*selPred { return append([]*selPred(nil), ps...) }
-	exprs := func(es []qgm.Expr) []qgm.Expr { return append([]qgm.Expr(nil), es...) }
 	c := &selectPlan{err: p.err, col: p.col, rowWhy: p.rowWhy,
 		order: append([]*qgm.Quantifier(nil), p.order...),
 		preds: make([]*selPred, 0, len(p.preds)),
 		sibs:  map[*qgm.Quantifier]map[*qgm.Quantifier]bool{}}
-	c.pre, c.left, c.steps = preds(p.pre), p.left, make([]Step, 0, len(p.steps))
-	for _, s := range p.steps {
+	c.selWalk = p.selWalk.snapshot()
+	for _, pi := range p.preds {
+		c.preds = append(c.preds, &selPred{expr: pi.expr, sub: pi.sub, deps: maps.Clone(pi.deps)})
+	}
+	for q, sib := range p.sibs {
+		c.sibs[q] = maps.Clone(sib)
+	}
+	return c
+}
+
+func (w selWalk) snapshot() selWalk {
+	preds := func(ps []*selPred) []*selPred { return append([]*selPred(nil), ps...) }
+	exprs := func(es []qgm.Expr) []qgm.Expr { return append([]qgm.Expr(nil), es...) }
+	c := selWalk{pre: preds(w.pre), left: w.left, steps: make([]Step, 0, len(w.steps))}
+	for _, s := range w.steps {
 		s.ties, s.filter, s.after = preds(s.ties), preds(s.filter), preds(s.after)
 		s.QKeys, s.BoundKeys = exprs(s.QKeys), exprs(s.BoundKeys)
 		s.NullSafe = append([]bool(nil), s.NullSafe...)
 		c.steps = append(c.steps, s)
 	}
-	for _, pi := range p.preds {
-		cp := &selPred{expr: pi.expr, sub: pi.sub, deps: map[*qgm.Quantifier]bool{}}
-		for d, v := range pi.deps {
-			cp.deps[d] = v
-		}
-		c.preds = append(c.preds, cp)
-	}
-	for q, sib := range p.sibs {
-		c.sibs[q] = map[*qgm.Quantifier]bool{}
-		for d, v := range sib {
-			c.sibs[q][d] = v
-		}
-	}
 	return c
 }
 
-// TestSelectPlanSharedDeterminism pins the plan memo's contract: analyze
-// builds one selectPlan per select box, every reader — row evaluator,
-// columnar evaluator, cost model — gets that same pointer, and no
-// evaluation writes to it or to its steps, whatever the reuse policy,
-// worker count or engine. The nested-iteration fan-out re-enters the
-// subquery boxes from all workers at once, so under -race this is also the
-// check that the per-evaluation state really left the plan. The e3 EXISTS
-// takes NIBatch's single-execution path, whose stripped root is walked on
-// the spot: that walk must leave the memo alone too.
+// snapshot copies the whole Plan the same way: every memo, select plan
+// and batch site afresh.
+func (p *Plan) snapshot() *Plan {
+	c := *p
+	c.est, c.refs = maps.Clone(p.est), maps.Clone(p.refs)
+	c.volatileBox, c.colGrp = maps.Clone(p.volatileBox), maps.Clone(p.colGrp)
+	c.freeRefs = map[*qgm.Box][]qgm.RefKey{}
+	for b, fr := range p.freeRefs {
+		c.freeRefs[b] = slices.Clone(fr)
+	}
+	c.plans = map[*qgm.Box]*selectPlan{}
+	for b, sp := range p.plans {
+		c.plans[b] = sp.snapshot()
+	}
+	c.batch = map[*qgm.Quantifier]*batchSite{}
+	for q, site := range p.batch {
+		sig := &qgm.BatchSignature{Skip: maps.Clone(site.sig.Skip),
+			Outer: append([]qgm.Expr(nil), site.sig.Outer...), Inner: append([]qgm.Expr(nil), site.sig.Inner...)}
+		c.batch[q] = &batchSite{sig: sig, walk: site.walk.snapshot()}
+	}
+	return &c
+}
+
+// TestSelectPlanSharedDeterminism pins the Plan's contract: NewPlan builds
+// one selectPlan per select box, and any number of concurrent executions
+// of the Plan — under either reuse policy, at one worker or eight — and
+// the cost model read it without writing to it, its select plans, their
+// steps, its memos or its batch sites. Each engine (row mode is a plan
+// input) gets its own Plan; rows and Stats agree across all of them. The
+// nested-iteration fan-out re-enters the subquery boxes from all workers
+// and all executions at once, so under -race this is also the check that
+// the per-execution state really left the plan. The e3 EXISTS takes
+// NIBatch's single-execution path along its site's stripped walk.
 func TestSelectPlanSharedDeterminism(t *testing.T) {
 	db := tpcd.EmpDeptSized(60, 240, 7, 11)
 	q, err := parser.Parse(`
@@ -70,63 +95,71 @@ func TestSelectPlanSharedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, probe := false, New(db, Options{})
-	probe.analyze(g.Root)
-	for _, q := range g.Root.Quants {
-		if _, ok := qgm.ExtractBatchSignature(q.Input, probe.varyingQuants(q.Input, g.Root)); ok && q.Kind == qgm.QExists {
-			single = true
-		}
-	}
-	if !single {
-		t.Fatal("no EXISTS takes NIBatch's single-execution path; the stripped-root walk goes untested")
+	type result struct {
+		name  string
+		reuse Reuse
+		rows  string
+		stats Stats
+		err   error
 	}
 	var want string
-	for _, reuse := range []Reuse{ReuseNone, ReuseBatch} {
-		for _, workers := range []int{1, 8} {
-			for _, rowMode := range []bool{false, true} {
-				name := fmt.Sprintf("reuse=%d/workers=%d/rowMode=%v", reuse, workers, rowMode)
-				ex := New(db, Options{Reuse: reuse, Workers: workers, DisableColumnar: rowMode})
-				ex.analyze(g.Root)
-				memo := map[*qgm.Box]*selectPlan{}
-				snap := map[*qgm.Box]*selectPlan{}
-				for _, b := range qgm.Boxes(g.Root) {
-					if b.Kind != qgm.BoxSelect {
-						continue
-					}
-					p := ex.plans[b]
-					if p == nil {
-						t.Fatalf("%s: box %d has no memoized plan after analyze", name, b.ID)
-					}
-					memo[b], snap[b] = p, p.snapshot()
-				}
-				if len(memo) < 4 {
-					t.Fatalf("%s: %d select boxes, want the root and all three subqueries", name, len(memo))
-				}
-				planned := len(ex.plans)
+	wantStats := map[Reuse]Stats{}
+	for _, rowMode := range []bool{false, true} {
+		plan := NewPlan(db, g, rowMode)
+		single := false
+		for _, q := range g.Root.Quants {
+			single = single || q.Kind == qgm.QExists && plan.batch[q] != nil
+		}
+		if !single {
+			t.Fatal("no EXISTS takes NIBatch's single-execution path; the stripped-root walk goes untested")
+		}
+		if len(plan.plans) < 4 {
+			t.Fatalf("rowMode=%v: %d select plans, want the root and all three subqueries", rowMode, len(plan.plans))
+		}
+		snap := plan.snapshot()
+		results := make(chan result, 16)
+		var wg sync.WaitGroup
+		for _, reuse := range []Reuse{ReuseNone, ReuseBatch} {
+			for _, workers := range []int{1, 8} {
 				for run := 0; run < 2; run++ {
-					rows, err := ex.Run(g)
-					if err != nil {
-						t.Fatalf("%s: run %d: %v", name, run, err)
-					}
-					if got := fmt.Sprint(rows); want == "" {
-						want = got
-					} else if got != want {
-						t.Errorf("%s: run %d: rows differ from the first configuration", name, run)
-					}
-				}
-				ex.EstimateCost(g)
-				if len(ex.plans) != planned {
-					t.Errorf("%s: %d memoized plans after two runs, want %d", name, len(ex.plans), planned)
-				}
-				for b, p := range memo {
-					if ex.plans[b] != p || ex.planOf(b) != p {
-						t.Errorf("%s: box %d was re-planned", name, b.ID)
-					}
-					if !reflect.DeepEqual(p, snap[b]) {
-						t.Errorf("%s: box %d's plan was written to after analyze", name, b.ID)
-					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						ex := plan.Executor(Options{Reuse: reuse, Workers: workers})
+						rows, err := ex.Run(g)
+						if ex.plan != plan {
+							err = fmt.Errorf("the execution planned its graph afresh")
+						}
+						name := fmt.Sprintf("rowMode=%v/reuse=%d/workers=%d/run=%d", rowMode, reuse, workers, run)
+						results <- result{name, reuse, fmt.Sprint(rows), ex.Stats, err}
+					}()
 				}
 			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan.EstimateCost(ReuseBatch, true)
+		}()
+		wg.Wait()
+		close(results)
+		for r := range results {
+			if r.err != nil {
+				t.Fatalf("%s: %v", r.name, r.err)
+			}
+			if want == "" {
+				want = r.rows
+			} else if r.rows != want {
+				t.Errorf("%s: rows differ from the first execution", r.name)
+			}
+			if ws, ok := wantStats[r.reuse]; !ok {
+				wantStats[r.reuse] = r.stats
+			} else if r.stats != ws {
+				t.Errorf("%s: stats %+v, want %+v", r.name, r.stats, ws)
+			}
+		}
+		if !reflect.DeepEqual(plan, snap) {
+			t.Errorf("rowMode=%v: the plan was written to after NewPlan", rowMode)
 		}
 	}
 }

@@ -99,10 +99,12 @@ type RowIterator struct {
 	rows []storage.Row
 }
 
-// RunStream begins a streaming evaluation of g. The governor (deadline
-// anchor included) arms here; evaluation itself starts lazily at the first
-// Next, so a pre-canceled context surfaces from Next, not RunStream.
+// RunStream begins a streaming evaluation of g along its plan (planFor).
+// The governor (deadline anchor included) arms here; evaluation itself
+// starts lazily at the first Next, so a pre-canceled context surfaces from
+// Next, not RunStream.
 func (ex *Exec) RunStream(g *qgm.Graph) *RowIterator {
+	ex.planFor(g)
 	ex.gov = newGovernor(ex.opts.Ctx, ex.opts.Limits)
 	return &RowIterator{ex: ex, g: g}
 }
@@ -221,7 +223,7 @@ func (it *RowIterator) Collect() ([]storage.Row, error) {
 	}
 }
 
-// start performs the pre-row work: analysis, mode selection, and — in
+// start performs the pre-row work: mode selection and — in
 // tuple and materialized modes — the eager evaluation phases.
 func (it *RowIterator) start() error {
 	it.started = true
@@ -230,7 +232,6 @@ func (it *RowIterator) start() error {
 		return err
 	}
 	it.before = ex.Stats
-	ex.analyze(it.g.Root)
 	root := it.g.Root
 	// Streaming requires a root whose output needs no global pass: a plain
 	// select with no ORDER BY or LIMIT. The root's one evaluation stays
@@ -250,7 +251,7 @@ func (it *RowIterator) start() error {
 			return it.startScan(consts)
 		}
 		it.mode = modeTuples
-		if ex.Columnar(root) {
+		if ex.plan.Columnar(root) {
 			batch, err := ex.colSelectBatch(root, nil)
 			if err != nil {
 				return err
@@ -326,7 +327,7 @@ func (ex *Exec) scanStreamPlan(b *qgm.Box) (q *qgm.Quantifier, consts, locals []
 	if q.Kind != qgm.QForEach || q.Input.Kind != qgm.BoxBase || ex.db.Table(q.Input.Table.Name) == nil {
 		return nil, nil, nil, false
 	}
-	plan := ex.planOf(b)
+	plan := ex.plan.plans[b]
 	if plan.steps[0].index != nil {
 		return nil, nil, nil, false
 	}

@@ -29,10 +29,10 @@ import (
 // plan) reflect real data sizes.
 func PlanCost(db *storage.DB, g *qgm.Graph, cfg Config) Metrics {
 	cfg = cfg.normalized()
-	ex := exec.New(db, exec.Options{})
-	rowOps, _ := ex.EstimateWork(g, exec.ReuseNone) // also primes the reference counts
+	plan := exec.NewPlan(db, g, false)
+	rowOps, _ := plan.EstimateWork(exec.ReuseNone, false)
 	m := &Metrics{}
-	w := &planWalker{db: db, ex: ex, cfg: cfg, m: m, seen: map[*qgm.Box]relInfo{}}
+	w := &planWalker{db: db, plan: plan, cfg: cfg, m: m, seen: map[*qgm.Box]relInfo{}}
 	w.walk(g.Root)
 	m.Work = int64(rowOps)
 	return *m
@@ -48,7 +48,7 @@ type relInfo struct {
 
 type planWalker struct {
 	db   *storage.DB
-	ex   *exec.Exec
+	plan *exec.Plan
 	cfg  Config
 	m    *Metrics
 	seen map[*qgm.Box]relInfo
@@ -136,7 +136,7 @@ func (w *planWalker) walk(b *qgm.Box) relInfo {
 		if len(b.Table.Keys) > 0 && len(b.Table.Keys[0]) > 0 {
 			col = b.Table.Keys[0][0]
 		}
-		r = relInfo{card: w.ex.EstimateRows(b), key: boxColID(b, col)}
+		r = relInfo{card: w.plan.EstimateRows(b), key: boxColID(b, col)}
 	case qgm.BoxSelect:
 		r = w.walkSelect(b)
 	case qgm.BoxGroup:
@@ -152,7 +152,7 @@ func (w *planWalker) walk(b *qgm.Box) relInfo {
 			// Global dedup/set-matching needs co-location by full row.
 			w.ship(cards)
 		}
-		r = relInfo{card: w.ex.EstimateRows(b)}
+		r = relInfo{card: w.plan.EstimateRows(b)}
 	case qgm.BoxLeftJoin:
 		l := w.walk(b.Quants[0].Input)
 		rr := w.walk(b.Quants[1].Input)
@@ -168,7 +168,7 @@ func (w *planWalker) walk(b *qgm.Box) relInfo {
 		default:
 			w.ship(l.card + rr.card)
 		}
-		r = relInfo{card: w.ex.EstimateRows(b), key: lk}
+		r = relInfo{card: w.plan.EstimateRows(b), key: lk}
 	}
 	w.seen[b] = r
 	return r
@@ -217,7 +217,7 @@ func (w *planWalker) walkGroup(b *qgm.Box) relInfo {
 	if !local {
 		w.ship(child.card)
 	}
-	return relInfo{card: w.ex.EstimateRows(b), key: gkey}
+	return relInfo{card: w.plan.EstimateRows(b), key: gkey}
 }
 
 // walkSelect follows the executor's own join steps for b (exec.Steps): the
@@ -226,7 +226,7 @@ func (w *planWalker) walkGroup(b *qgm.Box) relInfo {
 func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 	cur := relInfo{card: 1}
 	first := true
-	for _, s := range w.ex.Steps(b) {
+	for _, s := range w.plan.Steps(b) {
 		q := s.Q
 		switch {
 		case s.Correlated:
@@ -238,7 +238,7 @@ func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 			w.m.RowsShipped += int64(inv) * 2 * int64(w.cfg.Nodes-1)
 			w.m.Fragments += int64(inv) * int64(w.cfg.Nodes)
 			if q.Kind == qgm.QForEach {
-				cur.card *= math.Max(w.ex.EstimateRows(q.Input), 0.1)
+				cur.card *= math.Max(w.plan.EstimateRows(q.Input), 0.1)
 				cur.key = ""
 			}
 		case q.Kind == qgm.QScalar || q.Kind.IsSubquery():
@@ -279,7 +279,7 @@ func (w *planWalker) walkSelect(b *qgm.Box) relInfo {
 			}
 		}
 	}
-	out := relInfo{card: w.ex.EstimateRows(b)}
+	out := relInfo{card: w.plan.EstimateRows(b)}
 	// Output partitioning survives when some output column carries the
 	// current partitioning key.
 	for _, c := range b.Cols {

@@ -1,7 +1,9 @@
 package qgm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // ExprSlots calls f with a pointer to every expression slot of box b (its
@@ -47,6 +49,40 @@ func FreeRefs(b *Box) []*ColRef {
 		})
 	}
 	return out
+}
+
+// FreeRefSets returns the free references of every box of root's subtree:
+// the (quantifier, column) pairs its expressions read from quantifiers
+// owned outside it, deduplicated and ordered by quantifier ID and column.
+// One bottom-up pass: a box's set is its own slots' references and its
+// inputs' sets, less the references to its own quantifiers (a reference
+// leaves the set at the box that owns its quantifier), so each expression
+// is read once — where calling FreeRefs on every box walks each subtree
+// once per ancestor.
+func FreeRefSets(root *Box) map[*Box][]RefKey {
+	free := map[*Box][]RefKey{}
+	var visit func(b *Box) []RefKey
+	visit = func(b *Box) []RefKey {
+		if fr, ok := free[b]; ok {
+			return fr
+		}
+		free[b] = nil // DAG guard; the set is stored below
+		var out []RefKey
+		b.ExprSlots(func(slot *Expr) {
+			for _, r := range Refs(*slot) {
+				out = append(out, RefKey{Q: r.Q, Col: r.Col})
+			}
+		})
+		for _, q := range b.Quants {
+			out = append(out, visit(q.Input)...)
+		}
+		out = slices.DeleteFunc(out, func(k RefKey) bool { return k.Q.Owner == b })
+		slices.SortFunc(out, func(x, y RefKey) int { return cmp.Or(cmp.Compare(x.Q.ID, y.Q.ID), cmp.Compare(x.Col, y.Col)) })
+		free[b] = slices.Compact(out)
+		return free[b]
+	}
+	visit(root)
+	return free
 }
 
 // IsCorrelated reports whether b's subtree has any correlated reference.
