@@ -79,7 +79,7 @@ func benchFigure(b *testing.B, db *decorr.DB, sql string) {
 func BenchmarkTable1Generate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db := decorr.TPCD(0.01, int64(i))
-		if len(db.MustTable("lineitem").Rows) == 0 {
+		if db.MustTable("lineitem").Len() == 0 {
 			b.Fatal("empty lineitem")
 		}
 	}

@@ -35,7 +35,7 @@ func main() {
 			cols[i] = c.Name
 		}
 		fmt.Println(strings.Join(cols, ","))
-		for _, r := range t.Rows {
+		for _, r := range t.RowForm() {
 			parts := make([]string, len(r))
 			for i, v := range r {
 				parts[i] = v.String()
@@ -53,6 +53,6 @@ func main() {
 	fmt.Printf("TPC-D database at SF=%g (seed %d); paper's Table 1 is SF=1\n\n", *sf, *seed)
 	fmt.Printf("%-10s %10s %14s\n", "table", "tuples", "paper (SF=1)")
 	for _, name := range []string{"customers", "parts", "suppliers", "partsupp", "lineitem"} {
-		fmt.Printf("%-10s %10d %14d\n", name, len(db.MustTable(name).Rows), paper[name])
+		fmt.Printf("%-10s %10d %14d\n", name, db.MustTable(name).Len(), paper[name])
 	}
 }

@@ -98,6 +98,29 @@ var rules = append([]rule{
 		bad:     `func (ex *Exec) each(n int) { _, _ = parallelChunks(ex, n, subqMorsel, nil) }`,
 	},
 
+	// Base tables are stored as typed column vectors. The boxed row form
+	// is built on first use for the row engine alone: its scan (scanBase)
+	// and its index probe (indexBind).
+	{
+		name:    "storage/row-form",
+		files:   []string{execFiles},
+		match:   ref(".RowForm", ".Scan"),
+		in:      []string{"internal/exec/exec.go:scanBase", "internal/exec/select.go:indexBind"},
+		min:     1,
+		max:     many,
+		msg:     "internal/exec reads a table's row form outside the row engine; read the column vectors (scanBaseCols, ColVecs)",
+		fixture: "internal/exec/colselect.go",
+		bad:     `func (ex *Exec) rowsOf(t *storage.Table) []storage.Row { return t.RowForm() }`,
+	},
+	{
+		name:    "deleted/storage.Rows",
+		files:   []string{"internal/storage/*.go"},
+		match:   ident("Rows"),
+		msg:     "storage.Table.Rows grew back; a table is stored as its column vectors, and the row engine reads RowForm",
+		fixture: "internal/storage/storage.go",
+		bad:     `type Table struct{ Rows []Row }`,
+	},
+
 	// Auto is one costed race over strategy-table rows (engine.prepareAuto).
 	{
 		name:    "auto/one-race",

@@ -25,7 +25,7 @@ func Table1(cfg Config) (*Report, error) {
 	r.Extra = append(r.Extra, fmt.Sprintf("%-10s %10s %14s", "table", "tuples", "paper (SF=1)"))
 	for _, name := range []string{"customers", "parts", "suppliers", "partsupp", "lineitem"} {
 		t := db.Table(name)
-		r.Extra = append(r.Extra, fmt.Sprintf("%-10s %10d %14d", name, len(t.Rows), paper[name]))
+		r.Extra = append(r.Extra, fmt.Sprintf("%-10s %10d %14d", name, t.Len(), paper[name]))
 	}
 	return r, nil
 }

@@ -148,7 +148,7 @@ func TestDayalRequiresKeys(t *testing.T) {
 	clone.Keys = nil
 	db.Create(&clone)
 	db.Create(tpcd.EmpDept().Catalog.Lookup("emp"))
-	for _, r := range tpcd.EmpDept().MustTable("dept").Rows {
+	for _, r := range tpcd.EmpDept().MustTable("dept").RowForm() {
 		if err := db.MustTable("dept").Insert(r); err != nil {
 			t.Fatal(err)
 		}

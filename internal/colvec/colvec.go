@@ -8,6 +8,8 @@
 package colvec
 
 import (
+	"slices"
+
 	"decorr/internal/sqltypes"
 )
 
@@ -179,6 +181,93 @@ func FromColumn[R ~[]sqltypes.Value](rows []R, col int) Vec {
 			out.Bools[i] = x.B
 		}
 	}
+	return out
+}
+
+// Append adds x after v's last element. Afterwards v is exactly the Vec
+// FromColumn builds over all of its values: it takes the kind of its first
+// non-NULL value and turns Mixed at the first non-NULL value of another
+// kind. Append writes typed elements past v's length or into fresh arrays,
+// so a copy of v taken before the call (Clip) never sees them; a NULL,
+// though, sets its bit in place, so the bitmap's last word may be shared
+// with such a copy. An appender that hands out Clip copies clones Nulls
+// before it appends again.
+func (v *Vec) Append(x sqltypes.Value) {
+	i := v.n
+	v.n++
+	switch {
+	case v.Mixed != nil:
+		v.Mixed = append(v.Mixed, x)
+		return
+	case x.K == sqltypes.KindNull:
+		if v.K == sqltypes.KindNull {
+			return // every value so far is NULL: nothing is stored
+		}
+		v.appendTyped(x)
+		v.Nulls.Set(i)
+		return
+	case v.K == sqltypes.KindNull:
+		// The first non-NULL value fixes the kind; earlier values are NULLs.
+		*v = Vec{K: x.K, n: i}
+		switch x.K {
+		case sqltypes.KindInt:
+			v.Ints = make([]int64, i, i+1)
+		case sqltypes.KindFloat:
+			v.Floats = make([]float64, i, i+1)
+		case sqltypes.KindString:
+			v.Strs = make([]string, i, i+1)
+		case sqltypes.KindBool:
+			v.Bools = make([]bool, i, i+1)
+		}
+		if i > 0 {
+			v.Nulls = NewBitmap(i)
+			for j := range i {
+				v.Nulls.Set(j)
+			}
+		}
+		v.n++
+	case x.K != v.K:
+		mixed := make([]sqltypes.Value, i, i+1)
+		for j := range mixed {
+			mixed[j] = v.Value(j)
+		}
+		*v = Vec{Mixed: append(mixed, x), n: i + 1}
+		return
+	}
+	v.appendTyped(x)
+}
+
+// appendTyped appends x's payload (the zero value for NULL) to v's typed
+// array and grows the null bitmap, if v has one, to cover it.
+func (v *Vec) appendTyped(x sqltypes.Value) {
+	switch v.K {
+	case sqltypes.KindInt:
+		v.Ints = append(v.Ints, x.I)
+	case sqltypes.KindFloat:
+		v.Floats = append(v.Floats, x.F)
+	case sqltypes.KindString:
+		v.Strs = append(v.Strs, x.S)
+	case sqltypes.KindBool:
+		v.Bools = append(v.Bools, x.B)
+	}
+	if x.K == sqltypes.KindNull && v.Nulls == nil {
+		v.Nulls = NewBitmap(v.n)
+	}
+	if v.Nulls != nil && len(v.Nulls) < (v.n+63)/64 {
+		v.Nulls = append(v.Nulls, 0)
+	}
+}
+
+// Clip returns v with every array capped at its length: a later Append to
+// v cannot write into the copy's typed arrays (see Append for the bitmap).
+func (v *Vec) Clip() Vec {
+	out := *v
+	out.Ints = slices.Clip(out.Ints)
+	out.Floats = slices.Clip(out.Floats)
+	out.Strs = slices.Clip(out.Strs)
+	out.Bools = slices.Clip(out.Bools)
+	out.Nulls = slices.Clip(out.Nulls)
+	out.Mixed = slices.Clip(out.Mixed)
 	return out
 }
 

@@ -146,6 +146,11 @@ func (e *Engine) viewsSnapshot() semant.Views {
 	return e.views
 }
 
+// cacheEpoch is the epoch the plan cache checks: the view-DDL epoch plus
+// the DB's index generation, since a plan fixes its index probes. Both
+// only grow, so the sum moves whenever either does.
+func (e *Engine) cacheEpoch() uint64 { return e.epoch.Load() + e.DB.IndexGen() }
+
 // Epoch reports the view-DDL epoch. It moves on every successful
 // CreateView/DropView; plan-cache entries prepared under an older epoch
 // are invalidated on their next lookup.
@@ -261,9 +266,10 @@ func (e *Engine) ExecParamsContext(ctx context.Context, sql string, s Strategy, 
 // physical plan its EstimatedCost priced: every execution runs that plan
 // and builds only its own run state. The plan fixes each index probe, so
 // after index DDL (storage.Table.CreateIndex or DropIndex) on a table the
-// statement reads, prepare it afresh: an old plan whose probe index was
-// dropped fails with an "index … vanished mid-plan" error, and one
-// prepared before an index was created keeps running without it.
+// statement reads, prepare it afresh (PrepareCached does: index DDL moves
+// the cache's epoch): an old plan whose probe index was dropped fails with
+// an "index … vanished mid-plan" error, and one prepared before an index
+// was created keeps running without it.
 type Prepared struct {
 	Graph    *qgm.Graph
 	Strategy Strategy
@@ -745,7 +751,7 @@ func (e *Engine) prepareStatement(sql string, s Strategy) (*Prepared, *ast.Creat
 		// between, the plan is stored under the older epoch and discarded on
 		// its next lookup — stale plans are never served, only
 		// over-invalidated.
-		epoch = e.epoch.Load()
+		epoch = e.cacheEpoch()
 		rawKey = e.cacheKey(trimStatement(sql), s)
 		if v, ok := e.planCache.Get(rawKey, epoch); ok {
 			return v.(*Prepared), nil, nil

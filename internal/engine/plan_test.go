@@ -106,12 +106,23 @@ func TestRowModeAutoPricesRowPlan(t *testing.T) {
 
 // A Plan fixes its index probes: after index DDL a statement prepared
 // before it fails cleanly or still answers right, and one prepared after
-// it answers as nested iteration did.
+// it answers as nested iteration did. The plan cache re-prepares after
+// index DDL: a cached plan neither probes a dropped index nor keeps
+// scanning past a new one.
 func TestIndexDDLNeedsFreshPrepare(t *testing.T) {
 	for _, rowMode := range []bool{false, true} {
 		db := tpcd.Generate(tpcd.Config{SF: 0.01, Seed: 42})
 		e := engine.New(db)
 		e.RowMode = rowMode
+		e.EnablePlanCache(16)
+		cached := func() *engine.Prepared {
+			t.Helper()
+			p, err := e.PrepareCached(tpcd.Query1b, engine.NI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
 		run := func(p *engine.Prepared) ([]string, int64, error) {
 			t.Helper()
 			rows, stats, err := p.Run()
@@ -135,9 +146,17 @@ func TestIndexDDLNeedsFreshPrepare(t *testing.T) {
 		if err != nil || probes == 0 {
 			t.Fatalf("rowMode=%v: %d index lookups, err %v; the statement does not probe ps_partkey", rowMode, probes, err)
 		}
+		if got, lookups, err := run(cached()); err != nil || lookups != probes || !slices.Equal(got, want) {
+			t.Fatalf("rowMode=%v: cached plan: %d rows (NI has %d), %d index lookups of %d, err %v",
+				rowMode, len(got), len(want), lookups, probes, err)
+		}
 		partsupp := db.MustTable("partsupp")
 		if err := partsupp.DropIndex("ps_partkey"); err != nil {
 			t.Fatal(err)
+		}
+		if got, lookups, err := run(cached()); err != nil || lookups >= probes || !slices.Equal(got, want) {
+			t.Errorf("rowMode=%v: cached after DropIndex: %d rows (NI has %d), %d index lookups of %d, err %v",
+				rowMode, len(got), len(want), lookups, probes, err)
 		}
 		if _, _, err := run(probing); err == nil || !strings.Contains(err.Error(), "vanished mid-plan") {
 			t.Errorf("rowMode=%v: a plan probing a dropped index returned %v, want the vanished-index error", rowMode, err)
@@ -150,6 +169,10 @@ func TestIndexDDLNeedsFreshPrepare(t *testing.T) {
 		}
 		if err := partsupp.CreateIndex("ps_partkey"); err != nil {
 			t.Fatal(err)
+		}
+		if got, lookups, err := run(cached()); err != nil || lookups != probes || !slices.Equal(got, want) {
+			t.Errorf("rowMode=%v: cached after CreateIndex: %d rows (NI has %d), %d index lookups, want %d, err %v",
+				rowMode, len(got), len(want), lookups, probes, err)
 		}
 		got, again, err := run(scanning)
 		if err != nil || again != lookups || !slices.Equal(got, want) {

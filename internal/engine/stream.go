@@ -117,7 +117,8 @@ func (e *Engine) QueryStream(ctx context.Context, sql string, s Strategy, params
 
 // Next returns the next non-empty batch of rows, (nil, nil) on exhaustion,
 // or the stream's terminal error (repeated on every later call). Batches
-// may alias stored rows; do not mutate them.
+// are read-only: a batch's rows may be windows of one backing array, and
+// their strings share the stored columns' payloads; do not mutate them.
 func (s *Stream) Next() ([]storage.Row, error) { return s.pull(s.it.Next) }
 
 // drain returns everything the stream has left as one slice and finishes

@@ -27,8 +27,8 @@ import (
 
 // colSelectable reports why the vectorized engine cannot evaluate select
 // box b, or "" when it can: the engine is switched off ("rowmode"), a
-// ForEach reads a synthetic or storageless table whose cached vectors could
-// go stale ("synthetic"), or a predicate or output expression does not
+// ForEach reads a synthetic or storageless table, which has no column
+// form ("synthetic"), or a predicate or output expression does not
 // vectorize ("expr"). Every quantifier kind runs columnar: a scalar,
 // existential/universal or lateral step runs in place through the row
 // binders (colBindNested). It is the plan builder's last step and the one
@@ -152,13 +152,7 @@ func (ex *Exec) colFilterBatch(b *colBatch, e qgm.Expr, env *Env) error {
 		if err != nil {
 			return nil, err
 		}
-		out := idx[:0:0]
-		for k, t := range tris {
-			if t == sqltypes.True {
-				out = append(out, idx[k])
-			}
-		}
-		return out, nil
+		return keepTrue(idx, tris), nil
 	})
 	if err != nil {
 		return err
@@ -167,12 +161,24 @@ func (ex *Exec) colFilterBatch(b *colBatch, e qgm.Expr, env *Env) error {
 	return nil
 }
 
+// keepTrue returns, in a fresh slice, the entries of idx whose predicate
+// value in tris is TRUE.
+func keepTrue(idx []int32, tris []sqltypes.Tri) []int32 {
+	out := idx[:0:0]
+	for k, t := range tris {
+		if t == sqltypes.True {
+			out = append(out, idx[k])
+		}
+	}
+	return out
+}
+
 // colBindForEach is the vectorized bindForEach: index lookup, hash join or
 // cross product as the step says, with the same statistics at each exit.
-// Base tables are read through scanBase and derived inputs evaluate inside
-// the box envelope, exactly as on the row path; a vectorizable select input
-// hands over its output vectors, anything else re-columnarizes its rows at
-// the boundary.
+// Base tables hand over their stored vectors (scanBaseCols) and derived
+// inputs evaluate inside the box envelope, exactly as on the row path; a
+// vectorizable select input hands over its output vectors, anything else
+// re-columnarizes its rows at the boundary.
 func (ex *Exec) colBindForEach(s *Step, batch *colBatch, env *Env) (*colBatch, error) {
 	if s.index != nil {
 		return ex.colIndexBind(s, batch, env)
@@ -182,18 +188,10 @@ func (ex *Exec) colBindForEach(s *Step, batch *colBatch, env *Env) (*colBatch, e
 	var phys int
 	switch in := q.Input; {
 	case in.Kind == qgm.BoxBase:
-		// Table.Scan stays the fault-injection point; the cached column
-		// vectors carry the same rows (eligibility excluded synthetic
-		// tables, whose vectors could go stale).
-		tbl, scanned, err := ex.scanBase(in)
-		if err != nil {
+		// The stored column vectors, behind Table.Scan's fault point.
+		var err error
+		if _, vecs, phys, err = ex.scanBaseCols(in); err != nil {
 			return nil, err
-		}
-		vecs, phys = nil, len(scanned)
-		if v, ok := tbl.ColVecs(); ok && colLen(v) == len(scanned) {
-			vecs = v
-		} else {
-			vecs = colsFromRows(scanned, len(tbl.Def.Columns))
 		}
 	case in.Kind == qgm.BoxSelect && ex.plan.Columnar(in) && !in.Distinct:
 		// Fused select→select: the derived input is itself a vectorizable
@@ -788,10 +786,7 @@ func (ex *Exec) colIndexBind(s *Step, batch *colBatch, env *Env) (*colBatch, err
 		return nil, err
 	}
 	tupleIdx, rowIdx := flattenPairs(chunks)
-	qVecs, ok := tbl.ColVecs()
-	if !ok || colLen(qVecs) != len(tbl.Rows) {
-		qVecs = colsFromRows(tbl.Rows, len(tbl.Def.Columns))
-	}
+	qVecs := tbl.ColVecs() // an indexed table is stored, never synthetic
 	joined, err := ex.colJoin(batch, tupleIdx, q, qVecs, rowIdx)
 	if err != nil {
 		return nil, err

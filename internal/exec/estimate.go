@@ -40,7 +40,7 @@ func (es *estimator) estBoxRows(b *qgm.Box) float64 {
 	switch b.Kind {
 	case qgm.BoxBase:
 		if t := es.db.Table(b.Table.Name); t != nil {
-			v = math.Max(1, float64(len(t.Rows)))
+			v = math.Max(1, float64(t.Len()))
 		} else {
 			v = 1
 		}
@@ -228,9 +228,9 @@ func (es *estimator) histogramSel(b *qgm.Bin) (float64, bool) {
 	case qgm.OpLe:
 		s = h.FracBelow(cst.V, true)
 	case qgm.OpGt:
-		s = float64(h.NonNull)/float64(h.Rows) - h.FracBelow(cst.V, true)
+		s = float64(h.NonNull)/float64(h.Total) - h.FracBelow(cst.V, true)
 	case qgm.OpGe:
-		s = float64(h.NonNull)/float64(h.Rows) - h.FracBelow(cst.V, false)
+		s = float64(h.NonNull)/float64(h.Total) - h.FracBelow(cst.V, false)
 	default:
 		return 0, false
 	}

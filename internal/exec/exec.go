@@ -537,25 +537,56 @@ func (ex *Exec) cseCompute(b *qgm.Box, eval func() (boxOut, error)) (boxOut, err
 	return out, nil
 }
 
-// scanBase is the one base-table read: the table lookup (a table without
-// storage is an error), the Table.Scan fault point, RowsScanned and the
-// intermediate-row charge, and the box's profile line (untimed: a scan
-// hands back the stored rows).
+// scanBase is the row engine's base-table read: the table lookup, the
+// Table.Scan fault point, and the scan's charges (scanned). It hands back
+// the table's row form.
 func (ex *Exec) scanBase(b *qgm.Box) (*storage.Table, []storage.Row, error) {
-	t := ex.db.Table(b.Table.Name)
-	if t == nil {
-		return nil, nil, fmt.Errorf("exec: table %q has no storage", b.Table.Name)
+	t, err := ex.baseTable(b)
+	if err != nil {
+		return nil, nil, err
 	}
 	rows, err := t.Scan()
 	if err != nil {
 		return nil, nil, err
 	}
-	bump(&ex.Stats.RowsScanned, int64(len(rows)))
-	if err := ex.govRows(len(rows)); err != nil {
-		return nil, nil, err
+	return t, rows, ex.scanned(b, len(rows))
+}
+
+// scanBaseCols is scanBase for the vectorized engine: the same fault point
+// and charges, handing back the table's stored column vectors and their
+// length.
+func (ex *Exec) scanBaseCols(b *qgm.Box) (*storage.Table, []colvec.Vec, int, error) {
+	t, err := ex.baseTable(b)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	ex.recordProfile(b, len(rows), 0)
-	return t, rows, nil
+	vecs, err := t.ScanCols()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	n := colLen(vecs)
+	return t, vecs, n, ex.scanned(b, n)
+}
+
+// baseTable looks up base box b's stored table; a table without storage is
+// an error.
+func (ex *Exec) baseTable(b *qgm.Box) (*storage.Table, error) {
+	if t := ex.db.Table(b.Table.Name); t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("exec: table %q has no storage", b.Table.Name)
+}
+
+// scanned charges a full scan of n rows: RowsScanned, the intermediate-row
+// budget, and the box's profile line (untimed: a scan hands back the
+// stored table).
+func (ex *Exec) scanned(b *qgm.Box, n int) error {
+	bump(&ex.Stats.RowsScanned, int64(n))
+	if err := ex.govRows(n); err != nil {
+		return err
+	}
+	ex.recordProfile(b, n, 0)
+	return nil
 }
 
 func (ex *Exec) dispatch(b *qgm.Box, env *Env) ([]storage.Row, error) {

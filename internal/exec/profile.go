@@ -57,7 +57,7 @@ func (ex *Exec) observe(b *qgm.Box) boxObs {
 
 // end closes the span and records the profile line of an evaluation that
 // produced rows rows (or failed with err). A base box's profile line is
-// written by its read (scanBase, an index bind), never here.
+// written by its read (scanned, an index bind), never here.
 func (o boxObs) end(ex *Exec, b *qgm.Box, rows int, err error) {
 	if err != nil {
 		o.sp.End(trace.Str("error", err.Error()))

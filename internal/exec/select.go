@@ -297,6 +297,7 @@ func (ex *Exec) filterLocal(q *qgm.Quantifier, local []*selPred, rows []storage.
 // base table's index, then filter by the step's remaining predicates.
 func (ex *Exec) indexBind(s *Step, tuples []*Env) ([]*Env, error) {
 	q, tbl := s.Q, s.index
+	stored := tbl.RowForm()
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
 		v, err := ex.EvalExpr(s.probe, t)
 		if err != nil {
@@ -309,7 +310,7 @@ func (ex *Exec) indexBind(s *Step, tuples []*Env) ([]*Env, error) {
 		bump(&ex.Stats.IndexLookups, 1)
 		var matched []*Env
 		for _, id := range ids {
-			renv := Bind(t, q, tbl.Rows[id])
+			renv := Bind(t, q, stored[id])
 			keep := true
 			for _, pi := range s.filter {
 				tr, err := ex.EvalPred(pi.expr, renv)

@@ -7,8 +7,9 @@
 //   - scan streaming: the root is a single-table SPJ box (one ForEach
 //     quantifier over a base table, only local/constant predicates, no
 //     usable index). Filtering and projection run per batch directly over
-//     the stored rows, so nothing proportional to the result is ever
-//     materialized — the only resident data is the table itself.
+//     the stored column vectors (the row form on the row engine), so
+//     nothing proportional to the result is ever materialized — the only
+//     resident data is the table itself.
 //   - tuple streaming: any other root select box. Phase 1 (join ordering,
 //     quantifier binding, predicate application — selectTuples) runs
 //     eagerly as in Run; the final projection (and DISTINCT dedup) then
@@ -32,6 +33,7 @@
 package exec
 
 import (
+	"decorr/internal/colvec"
 	"decorr/internal/qgm"
 	"decorr/internal/sqltypes"
 	"decorr/internal/storage"
@@ -55,8 +57,9 @@ const (
 // from RunStream, call Next until it returns (nil, nil) or an error, and
 // Close it (Close is idempotent and safe after exhaustion). A RowIterator
 // is not safe for concurrent use, and its Exec must not start another Run
-// or RunStream until the iterator is closed. Batches are read-only views:
-// they may alias stored rows, so callers must not mutate them.
+// or RunStream until the iterator is closed. Batches are read-only: their
+// rows may share backing arrays and string payloads with other rows and
+// with the stored table, so callers must not mutate them.
 type RowIterator struct {
 	ex *Exec
 	g  *qgm.Graph
@@ -81,10 +84,15 @@ type RowIterator struct {
 	cbatch *colBatch
 	cpos   int
 
-	// scan mode: stored rows awaiting filter+projection.
+	// scan mode: the stored table awaiting filter+projection, slen rows
+	// of which spos are done — as a one-quantifier batch over its column
+	// vectors (cscan) on the vectorized engine, as its row form (scan) on
+	// the row engine.
 	q      *qgm.Quantifier
 	locals []*selPred
+	cscan  *colBatch
 	scan   []storage.Row
+	slen   int
 	spos   int
 
 	// seen carries DISTINCT dedup state across batches (first occurrence
@@ -154,7 +162,7 @@ func (it *RowIterator) Next() ([]storage.Row, error) {
 			}
 		}
 	case modeScan:
-		for it.spos < len(it.scan) {
+		for it.spos < it.slen {
 			batch, err := it.scanBatch()
 			if err != nil {
 				it.finish(err)
@@ -299,7 +307,7 @@ func (it *RowIterator) finish(err error) {
 		it.obs.end(it.ex, it.box, int(it.emitted), err)
 	}
 	it.tuples, it.scan, it.rows = nil, nil, nil
-	it.cbatch = nil
+	it.cbatch, it.cscan = nil, nil
 	it.seen = nil
 	if err != nil {
 		if counter, ok := classifyGovernance(err); ok {
@@ -342,21 +350,102 @@ func (it *RowIterator) startScan(consts []*selPred) error {
 	if kept, err := ex.filterTuples([]*Env{nil}, consts); err != nil || len(kept) == 0 {
 		return err // a false constant: empty scan, stream exhausts immediately
 	}
-	_, rows, err := ex.scanBase(it.q.Input)
-	it.scan = rows
+	if !ex.plan.Columnar(it.box) {
+		_, rows, err := ex.scanBase(it.q.Input)
+		it.scan, it.slen = rows, len(rows)
+		return err
+	}
+	_, vecs, n, err := ex.scanBaseCols(it.q.Input)
+	it.cscan = &colBatch{phys: n, quants: []*qgm.Quantifier{it.q}, cols: [][]colvec.Vec{vecs}}
+	it.slen = n
 	return err
 }
 
-// scanBatch filters and projects the next batch of scanned rows. The fused
-// per-morsel loop evaluates the local conjuncts in declared order and
-// projects survivors immediately, so a batch's working set is one batch of
+// scanBatch filters and projects the next batch of scanned rows, one
+// morsel per scheduler claim, so a batch's working set is one batch of
 // output rows.
 func (it *RowIterator) scanBatch() ([]storage.Row, error) {
-	ex, b, q := it.ex, it.box, it.q
+	ex := it.ex
 	lo := it.spos
-	hi := min(lo+streamBatchRows, len(it.scan))
+	hi := min(lo+streamBatchRows, it.slen)
 	it.spos = hi
-	seg := it.scan[lo:hi]
+	var batch []storage.Row
+	var err error
+	if it.cscan != nil {
+		batch, err = it.colScanBatch(lo, hi)
+	} else {
+		batch, err = it.rowScanBatch(it.scan[lo:hi])
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The surviving bindings are what the materialized path counts as the
+	// (single-quantifier) join result.
+	bump(&ex.Stats.RowsJoined, int64(len(batch)))
+	if err := ex.govRows(len(batch)); err != nil {
+		return nil, err
+	}
+	return it.emit(batch)
+}
+
+// colScanBatch is scanBatch's vectorized half over stored rows [lo, hi):
+// per morsel the filter kernels narrow a selection by each local conjunct
+// in declared order and the output expressions evaluate over the
+// survivors; the batch's rows then share one backing array.
+func (it *RowIterator) colScanBatch(lo, hi int) ([]storage.Row, error) {
+	ex, b, cb := it.ex, it.box, it.cscan
+	phys := ex.identity(hi)[lo:hi]
+	chunks, err := parallelChunks(ex, hi-lo, rowMorsel, func(clo, chi int) ([]colvec.Vec, error) {
+		idx := phys[clo:chi]
+		for _, p := range it.locals {
+			tris, err := ex.colEvalPred(p.expr, cb, idx, nil)
+			if err != nil {
+				return nil, err
+			}
+			if idx = keepTrue(idx, tris); len(idx) == 0 {
+				return nil, nil
+			}
+		}
+		out := make([]colvec.Vec, len(b.Cols))
+		for c := range b.Cols {
+			v, err := ex.colEval(b.Cols[c].Expr, cb, idx, nil)
+			if err != nil {
+				return nil, err
+			}
+			out[c] = v
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	n, w := 0, len(b.Cols)
+	for _, vecs := range chunks {
+		n += colLen(vecs)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	rows := make([]storage.Row, 0, n)
+	arena := make([]sqltypes.Value, n*w)
+	for _, vecs := range chunks {
+		for k := range colLen(vecs) {
+			r := storage.Row(arena[:w:w])
+			arena = arena[w:]
+			for c := range vecs {
+				r[c] = vecs[c].Value(k)
+			}
+			rows = append(rows, r)
+		}
+	}
+	return rows, nil
+}
+
+// rowScanBatch is scanBatch's row-engine half: the fused per-morsel loop
+// evaluates the local conjuncts in declared order and projects survivors
+// immediately.
+func (it *RowIterator) rowScanBatch(seg []storage.Row) ([]storage.Row, error) {
+	ex, b, q := it.ex, it.box, it.q
 	chunks, err := parallelChunks(ex, len(seg), rowMorsel, func(clo, chi int) ([]storage.Row, error) {
 		var out []storage.Row
 		for _, r := range seg[clo:chi] {
@@ -390,14 +479,7 @@ func (it *RowIterator) scanBatch() ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	batch := concat(chunks)
-	// The surviving bindings are what the materialized path counts as the
-	// (single-quantifier) join result.
-	bump(&ex.Stats.RowsJoined, int64(len(batch)))
-	if err := ex.govRows(len(batch)); err != nil {
-		return nil, err
-	}
-	return it.emit(batch)
+	return concat(chunks), nil
 }
 
 // tupleRemaining reports whether phase-1 output (row tuples or the

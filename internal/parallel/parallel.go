@@ -125,7 +125,7 @@ func newSim(db *storage.DB, cfg Config) (*sim, error) {
 		return nil, fmt.Errorf("parallel: database must contain dept and emp tables")
 	}
 	s := &sim{cfg: cfg, dept: make([][]row, cfg.Nodes), emp: make([][]row, cfg.Nodes)}
-	for _, r := range dt.Rows {
+	for _, r := range dt.RowForm() {
 		col := deptName
 		if cfg.Placement == PartitionByCorrelation {
 			col = deptBuilding
@@ -133,7 +133,7 @@ func newSim(db *storage.DB, cfg Config) (*sim, error) {
 		n := hashTo(r[col], cfg.Nodes)
 		s.dept[n] = append(s.dept[n], r)
 	}
-	for _, r := range et.Rows {
+	for _, r := range et.RowForm() {
 		col := 0 // emp name
 		if cfg.Placement == PartitionByCorrelation {
 			col = empBuilding

@@ -3,6 +3,7 @@ package storage
 import (
 	"sort"
 
+	"decorr/internal/colvec"
 	"decorr/internal/sqltypes"
 )
 
@@ -16,9 +17,9 @@ type Histogram struct {
 	// Bounds holds bucket boundaries in non-decreasing order: bucket i
 	// covers (Bounds[i], Bounds[i+1]]; len(Bounds) == buckets+1.
 	Bounds []sqltypes.Value
-	// Rows is the table cardinality at build time, NonNull the number of
+	// Total is the table cardinality at build time, NonNull the number of
 	// histogrammed values.
-	Rows, NonNull int
+	Total, NonNull int
 }
 
 // Histogram returns the (lazily built, cached) histogram for the column,
@@ -29,27 +30,27 @@ func (t *Table) Histogram(col int) *Histogram {
 	}
 	t.statMu.Lock()
 	defer t.statMu.Unlock()
-	if h, ok := t.histCache[col]; ok && h.Rows == len(t.Rows) {
+	if h, ok := t.histCache[col]; ok && h.total == t.n {
 		return h.h
 	}
-	h := buildHistogram(t.Rows, col)
+	h := buildHistogram(&t.cols[col])
 	if t.histCache == nil {
 		t.histCache = map[int]histEntry{}
 	}
-	t.histCache[col] = histEntry{Rows: len(t.Rows), h: h}
+	t.histCache[col] = histEntry{total: t.n, h: h}
 	return h
 }
 
 type histEntry struct {
-	Rows int
-	h    *Histogram
+	total int
+	h     *Histogram
 }
 
-func buildHistogram(rows []Row, col int) *Histogram {
-	vals := make([]sqltypes.Value, 0, len(rows))
-	for _, r := range rows {
-		if !r[col].IsNull() {
-			vals = append(vals, r[col])
+func buildHistogram(v *colvec.Vec) *Histogram {
+	vals := make([]sqltypes.Value, 0, v.Len())
+	for i := range v.Len() {
+		if !v.IsNull(i) {
+			vals = append(vals, v.Value(i))
 		}
 	}
 	if len(vals) == 0 {
@@ -62,7 +63,7 @@ func buildHistogram(rows []Row, col int) *Histogram {
 	if b > len(vals) {
 		b = len(vals)
 	}
-	h := &Histogram{Rows: len(rows), NonNull: len(vals)}
+	h := &Histogram{Total: v.Len(), NonNull: len(vals)}
 	for i := 0; i <= b; i++ {
 		idx := i * (len(vals) - 1) / b
 		h.Bounds = append(h.Bounds, vals[idx])
@@ -97,5 +98,5 @@ func (h *Histogram) FracBelow(v sqltypes.Value, inclusive bool) float64 {
 	default:
 		frac = (float64(lo-1) + 0.5) / float64(buckets)
 	}
-	return frac * float64(h.NonNull) / float64(h.Rows)
+	return frac * float64(h.NonNull) / float64(h.Total)
 }

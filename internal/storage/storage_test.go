@@ -1,12 +1,16 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"decorr/internal/colvec"
 	"decorr/internal/schema"
 	"decorr/internal/sqltypes"
 )
@@ -29,8 +33,8 @@ func TestInsertAndArity(t *testing.T) {
 	if err := tb.Insert(Row{sqltypes.NewInt(1)}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tb.Rows))
+	if tb.Len() != 1 {
+		t.Fatalf("rows = %d", tb.Len())
 	}
 }
 
@@ -116,7 +120,7 @@ func TestQuickLookupMatchesScan(t *testing.T) {
 			sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64),
 			gen(r), gen(r),
 		}
-		for _, row := range tb.Rows {
+		for _, row := range tb.RowForm() {
 			ps = append(ps, row[0])
 			if row[0].K == sqltypes.KindInt {
 				f := float64(row[0].I)
@@ -152,7 +156,7 @@ func TestQuickLookupMatchesScan(t *testing.T) {
 						return false
 					}
 					var want []int32
-					for i, row := range tb.Rows {
+					for i, row := range tb.RowForm() {
 						if !probe.IsNull() && sqltypes.Identical(row[0], probe) {
 							want = append(want, int32(i))
 						}
@@ -324,4 +328,142 @@ func TestSyntheticTable(t *testing.T) {
 	if tb.HasIndex(0) {
 		t.Fatal("synthetic table has an index")
 	}
+	if tb.ColVecs() != nil {
+		t.Fatal("synthetic table has a column form")
+	}
+}
+
+// The stored form round-trips: each column vector is the one
+// colvec.FromColumn builds over the inserted rows, Scan returns the rows
+// in insertion order, and a snapshot taken before an Insert is unchanged
+// after it.
+func TestColumnRoundTrip(t *testing.T) {
+	null := sqltypes.Null
+	i, f, s, b := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.NewBool
+	def := schema.NewTable("every",
+		schema.Column{Name: "i", Type: schema.TInt},
+		schema.Column{Name: "f", Type: schema.TFloat},
+		schema.Column{Name: "s", Type: schema.TString},
+		schema.Column{Name: "b", Type: schema.TBool},
+		schema.Column{Name: "num", Type: schema.TFloat},
+		schema.Column{Name: "none", Type: schema.TInt},
+		schema.Column{Name: "late", Type: schema.TString},
+	)
+	// Columns: ints with NULLs, floats, strings, bools, mixed int/float
+	// (1 and 1.0), all-NULL, and a column whose first value comes after
+	// NULLs and after a bitmap word boundary.
+	var rows []Row
+	for k := range 150 {
+		r := Row{i(int64(k)), f(float64(k) / 4), s(string(rune('a' + k%26))), b(k%3 == 0), i(1), null, null}
+		if k%7 == 0 {
+			r[0], r[2] = null, null
+		}
+		if k%2 == 1 {
+			r[4] = f(1.0)
+		}
+		if k >= 70 && k%5 != 0 {
+			r[6] = s(fmt.Sprint(k))
+		}
+		rows = append(rows, r)
+	}
+	tb := NewTable(def)
+	var snaps [][]colvec.Vec
+	var clones [][]colvec.Vec
+	for k, r := range rows {
+		must(t, tb.Insert(r))
+		if k%37 == 0 {
+			vecs := tb.ColVecs()
+			snaps = append(snaps, vecs)
+			clones = append(clones, deepCopyVecs(vecs))
+		}
+	}
+	vecs := tb.ColVecs()
+	for c := range def.Columns {
+		if want := colvec.FromColumn(rows, c); !reflect.DeepEqual(vecs[c], want) {
+			t.Errorf("column %s: stored %+v, FromColumn %+v", def.Columns[c].Name, vecs[c], want)
+		}
+	}
+	if vecs[4].Mixed == nil || vecs[5].K != sqltypes.KindNull || vecs[6].Nulls == nil {
+		t.Errorf("representations: num mixed=%v, none kind=%v, late nulls=%v", vecs[4].Mixed != nil, vecs[5].K, vecs[6].Nulls != nil)
+	}
+	got, err := tb.Scan()
+	must(t, err)
+	if !reflect.DeepEqual(got, rows) {
+		t.Errorf("Scan returned %d rows, not the %d inserted in order", len(got), len(rows))
+	}
+	for k := range snaps {
+		if !reflect.DeepEqual(snaps[k], clones[k]) {
+			t.Errorf("snapshot %d changed under later inserts", k)
+		}
+	}
+}
+
+// deepCopyVecs copies vectors with none of their arrays shared.
+func deepCopyVecs(vecs []colvec.Vec) []colvec.Vec {
+	out := make([]colvec.Vec, len(vecs))
+	for c, v := range vecs {
+		v.Ints, v.Floats, v.Strs = slices.Clone(v.Ints), slices.Clone(v.Floats), slices.Clone(v.Strs)
+		v.Bools, v.Nulls, v.Mixed = slices.Clone(v.Bools), slices.Clone(v.Nulls), slices.Clone(v.Mixed)
+		out[c] = v
+	}
+	return out
+}
+
+// Concurrent first Scans build the row form once, while readers of the
+// column vectors run beside them.
+func TestRowFormConcurrent(t *testing.T) {
+	tb := newT(t)
+	for k := range 1000 {
+		must(t, tb.Insert(Row{sqltypes.NewInt(int64(k)), sqltypes.NewString(fmt.Sprint(k % 10))}))
+	}
+	before := rowMaterializations.Value()
+	var wg sync.WaitGroup
+	scans := make([][]Row, 8)
+	for g := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				rows, err := tb.Scan()
+				if err != nil {
+					t.Error(err)
+				}
+				scans[g/2] = rows
+				return
+			}
+			vecs := tb.ColVecs()
+			if vecs[0].Len() != 1000 || vecs[1].Value(999).S != "9" {
+				t.Errorf("column read: %d rows, last grp %v", vecs[0].Len(), vecs[1].Value(999))
+			}
+		}()
+	}
+	wg.Wait()
+	if d := rowMaterializations.Value() - before; d != 1 {
+		t.Errorf("%d row-form builds, want 1", d)
+	}
+	for g, rows := range scans {
+		if len(rows) != 1000 || &rows[0] != &scans[0][0] || rows[999][0].I != 999 {
+			t.Errorf("scan %d: %d rows, not the one shared row form", g, len(rows))
+		}
+	}
+}
+
+// Index DDL moves the DB's index generation; a no-op does not.
+func TestIndexGeneration(t *testing.T) {
+	db := NewDB()
+	tb := db.Create(schema.NewTable("g", schema.Column{Name: "k", Type: schema.TInt}))
+	must(t, tb.Insert(Row{sqltypes.NewInt(1)}))
+	gen := db.IndexGen()
+	step := func(what string, moves bool, f func() error) {
+		t.Helper()
+		must(t, f())
+		if got := db.IndexGen(); (got != gen) != moves {
+			t.Errorf("%s: generation %d → %d", what, gen, got)
+		}
+		gen = db.IndexGen()
+	}
+	step("CreateIndex", true, func() error { return tb.CreateIndex("k") })
+	step("CreateIndex again", false, func() error { return tb.CreateIndex("k") })
+	step("DropIndex", true, func() error { return tb.DropIndex("k") })
+	step("DropIndex again", false, func() error { return tb.DropIndex("k") })
 }

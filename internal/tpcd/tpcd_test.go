@@ -13,7 +13,7 @@ func TestScaledCardinalities(t *testing.T) {
 		"partsupp": 800, "lineitem": 6000,
 	}
 	for name, n := range want {
-		if got := len(db.MustTable(name).Rows); got != n {
+		if got := db.MustTable(name).Len(); got != n {
 			t.Errorf("%s: %d rows, want %d", name, got, n)
 		}
 	}
@@ -30,7 +30,7 @@ func TestTable1Cardinalities(t *testing.T) {
 		"partsupp": BasePartSupp, "lineitem": BaseLineItem,
 	}
 	for name, n := range want {
-		if got := len(db.MustTable(name).Rows); got != n {
+		if got := db.MustTable(name).Len(); got != n {
 			t.Errorf("%s: %d rows, want %d (paper Table 1)", name, got, n)
 		}
 	}
@@ -40,7 +40,7 @@ func TestDeterminism(t *testing.T) {
 	a := Generate(Config{SF: 0.01, Seed: 42})
 	b := Generate(Config{SF: 0.01, Seed: 42})
 	for _, name := range []string{"parts", "suppliers", "lineitem"} {
-		ra, rb := a.MustTable(name).Rows, b.MustTable(name).Rows
+		ra, rb := a.MustTable(name).RowForm(), b.MustTable(name).RowForm()
 		if len(ra) != len(rb) {
 			t.Fatalf("%s: different sizes", name)
 		}
@@ -51,7 +51,7 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 	c := Generate(Config{SF: 0.01, Seed: 43})
-	if sqltypes.Key(a.MustTable("parts").Rows[0]) == sqltypes.Key(c.MustTable("parts").Rows[0]) {
+	if sqltypes.Key(a.MustTable("parts").RowForm()[0]) == sqltypes.Key(c.MustTable("parts").RowForm()[0]) {
 		t.Log("warning: different seeds produced an identical first row (possible but unlikely)")
 	}
 }
@@ -67,7 +67,7 @@ func TestNationRegionConsistency(t *testing.T) {
 	sup := db.MustTable("suppliers")
 	nIdx := sup.Def.ColIndex("s_nation")
 	rIdx := sup.Def.ColIndex("s_region")
-	for _, r := range sup.Rows {
+	for _, r := range sup.RowForm() {
 		if region[r[nIdx].S] != r[rIdx].S {
 			t.Fatalf("supplier nation %q in region %q, want %q", r[nIdx].S, r[rIdx].S, region[r[nIdx].S])
 		}
@@ -75,7 +75,7 @@ func TestNationRegionConsistency(t *testing.T) {
 	cust := db.MustTable("customers")
 	nIdx = cust.Def.ColIndex("c_nation")
 	rIdx = cust.Def.ColIndex("c_region")
-	for _, r := range cust.Rows {
+	for _, r := range cust.RowForm() {
 		if region[r[nIdx].S] != r[rIdx].S {
 			t.Fatalf("customer nation %q in region %q", r[nIdx].S, r[rIdx].S)
 		}
@@ -115,11 +115,11 @@ func TestPartsuppFanout(t *testing.T) {
 	ps := db.MustTable("partsupp")
 	parts := db.MustTable("parts")
 	perPart := map[int64]int{}
-	for _, r := range ps.Rows {
+	for _, r := range ps.RowForm() {
 		perPart[r[0].I]++
 	}
-	if len(perPart) != len(parts.Rows) {
-		t.Errorf("%d parts have suppliers, want %d (every part supplied)", len(perPart), len(parts.Rows))
+	if len(perPart) != parts.Len() {
+		t.Errorf("%d parts have suppliers, want %d (every part supplied)", len(perPart), parts.Len())
 	}
 	for pk, n := range perPart {
 		if n < 1 || n > 8 {
@@ -132,19 +132,19 @@ func TestEmpDeptFixture(t *testing.T) {
 	db := EmpDept()
 	dept := db.MustTable("dept")
 	emp := db.MustTable("emp")
-	if len(dept.Rows) != 5 || len(emp.Rows) != 6 {
-		t.Fatalf("fixture sizes: %d dept, %d emp", len(dept.Rows), len(emp.Rows))
+	if dept.Len() != 5 || emp.Len() != 6 {
+		t.Fatalf("fixture sizes: %d dept, %d emp", dept.Len(), emp.Len())
 	}
 	// The COUNT-bug witness: a low-budget department in a building with
 	// no employees.
 	bIdx := dept.Def.ColIndex("building")
 	budIdx := dept.Def.ColIndex("budget")
 	empB := map[string]bool{}
-	for _, r := range emp.Rows {
+	for _, r := range emp.RowForm() {
 		empB[r[1].S] = true
 	}
 	witness := false
-	for _, r := range dept.Rows {
+	for _, r := range dept.RowForm() {
 		if r[budIdx].I < 10000 && !empB[r[bIdx].S] {
 			witness = true
 		}
@@ -156,15 +156,15 @@ func TestEmpDeptFixture(t *testing.T) {
 
 func TestEmpDeptSizedShapes(t *testing.T) {
 	db := EmpDeptSized(100, 500, 8, 3)
-	if got := len(db.MustTable("dept").Rows); got != 100 {
+	if got := db.MustTable("dept").Len(); got != 100 {
 		t.Errorf("dept rows = %d", got)
 	}
-	if got := len(db.MustTable("emp").Rows); got != 500 {
+	if got := db.MustTable("emp").Len(); got != 500 {
 		t.Errorf("emp rows = %d", got)
 	}
 	// Some buildings must be employee-free (compensation witnesses).
 	empB := map[string]bool{}
-	for _, r := range db.MustTable("emp").Rows {
+	for _, r := range db.MustTable("emp").RowForm() {
 		empB[r[1].S] = true
 	}
 	if len(empB) >= 8 {
